@@ -1,12 +1,13 @@
 """Elementary number theory shared by the rest of the package.
 
 Everything here is exact integer arithmetic.  Python integers are unbounded,
-so there is no overflow regime; the one function that can explode
-combinatorially (phi_preimage_divisors) takes an explicit cost guard instead.
+so there is no overflow regime; phi_preimage_divisors keeps an explicit
+guard on its documented search range.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ __all__ = [
     "minkowski_bound",
     "ord_p",
     "phi_preimage_divisors",
+    "prime_count",
     "prime_sieve",
     "primes_array",
     "primes_upto",
@@ -68,6 +70,36 @@ def prime_sieve(limit: int) -> np.ndarray:
 
 def primes_array(limit: int) -> np.ndarray:
     return np.flatnonzero(prime_sieve(limit)).astype(np.int64)
+
+
+def prime_count(n: int) -> int:
+    """pi(n), the number of primes <= n, without listing them.
+
+    Lucy's form of Legendre's recursion: S(v) counts the integers in
+    [2, v] with no prime factor below p, for every v of the shape n // i.
+    Sieving by each prime p <= sqrt(n) in turn,
+    S(v) -= S(v // p) - S(p - 1) for v >= p^2, leaves S(v) = pi(v).
+    O(n^(3/4)) exact int64 work on two arrays of length sqrt(n).
+    """
+    if n < 2:
+        return 0
+    r = math.isqrt(n)
+    small = np.arange(r + 1, dtype=np.int64) - 1  # small[v] = S(v)
+    large = np.zeros(r + 1, dtype=np.int64)  # large[i] = S(n // i)
+    large[1:] = n // np.arange(1, r + 1, dtype=np.int64) - 1
+    for p in range(2, r + 1):
+        if small[p] == small[p - 1]:
+            continue  # p is composite
+        sp = small[p - 1]
+        top = min(r, n // (p * p))
+        k = min(top, r // p)  # n // (i p) = large[i p] while i p <= r
+        large[1:k + 1] -= large[p:k * p + 1:p] - sp
+        i = np.arange(k + 1, top + 1, dtype=np.int64)
+        large[k + 1:top + 1] -= small[n // (i * p)] - sp
+        if p * p <= r:
+            v = np.arange(p * p, r + 1, dtype=np.int64)
+            small[p * p:] -= small[v // p] - sp
+    return int(large[1])
 
 
 def primes_upto(x: int) -> list[int]:
@@ -165,9 +197,12 @@ def ord_p(n: int, p: int) -> int:
 def phi_preimage_divisors(m: int, limit: int = 2 * 10**7) -> list[int]:
     """Sorted list of all N with euler_phi(N) | m.
 
-    Complete: phi(N) >= sqrt(N/2), so phi(N) | m forces N <= 2*m*m.  The scan
-    is brute force over that range; `limit` guards the cost (raise it
-    explicitly for larger m).
+    Every prime q | N has (q - 1) | phi(N) | m, so the candidate primes
+    are the q = e + 1 over divisors e of m, and N is found by a
+    depth-first walk that multiplies in prime powers q^k while
+    phi(N) = prod (q - 1) q^(k-1) still divides m.  The answer lies in
+    the documented range N <= 2 m^2, since phi(N) >= sqrt(N / 2);
+    `limit` caps that range (raise it explicitly for larger m).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -177,15 +212,20 @@ def phi_preimage_divisors(m: int, limit: int = 2 * 10**7) -> list[int]:
             f"phi preimage scan for m={m} needs N <= {bound} > limit={limit}; "
             "pass a larger limit to accept the cost"
         )
-    if bound <= 10**5:
-        return [n for n in range(1, bound + 1) if m % euler_phi(n) == 0]
-    # sieve phi for big ranges: phi[n] starts as n, then phi -= phi/p per prime p | n
-    phi = np.arange(bound + 1, dtype=np.int64)
-    for q in range(2, bound + 1):
-        if phi[q] == q:  # q prime
-            phi[q::q] -= phi[q::q] // q
-    hits = np.flatnonzero(m % phi[1:] == 0) + 1
-    return hits.tolist()
+    candidates = [e + 1 for e in divisors(m) if is_prime(e + 1)]
+    found = []
+
+    def walk(start: int, n: int, phi: int) -> None:
+        found.append(n)
+        for i in range(start, len(candidates)):
+            q = candidates[i]
+            qn, qphi = n * q, phi * (q - 1)
+            while m % qphi == 0:
+                walk(i + 1, qn, qphi)
+                qn, qphi = qn * q, qphi * q
+
+    walk(0, 1, 1)
+    return sorted(found)
 
 
 def glm_order(m: int, p: int, n: int) -> tuple[int, int]:

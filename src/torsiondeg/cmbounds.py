@@ -126,9 +126,10 @@ def allowed_exponents(g: int, d: int, limit: int = 2 * 10 ** 7) -> list[int]:
     """All candidate torsion exponents N over degree-d fields: exactly
     those with phi(N) | c(g) d.
 
-    Complete within the documented search bound 2 (c d)^2; the limit
-    guards the cost of the scan (c grows violently with g — pass a
-    larger limit explicitly to accept the work).
+    Found by phi_preimage_divisors' walk over the primes q with
+    (q - 1) | c d, complete because every answer is at most 2 (c d)^2.
+    `limit` caps that documented range (c grows violently with g, so it
+    rejects g = 2; pass a larger limit explicitly to accept the range).
     """
     if d < 1:
         raise ValueError("d must be a positive integer")

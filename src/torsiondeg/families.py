@@ -22,11 +22,22 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import islice
 from typing import Callable, Optional
 
 import numpy as np
 
-from .arith import glm_order, is_prime, ord_p, primes_array, primes_upto
+from .arith import (
+    divisors,
+    factorize,
+    glm_order,
+    is_prime,
+    ord_p,
+    prime_count,
+    primes_array,
+    primes_upto,
+)
 
 MAX_SIEVE = 2 * 10 ** 8
 
@@ -189,35 +200,58 @@ class DensityReport:
 # sieves
 # ---------------------------------------------------------------------------
 
-_MAXSHIFT_CACHE: dict[tuple[int, int], np.ndarray] = {}
+def _progression_primes(c: int, t: int, x: int, sieving: list) -> np.ndarray:
+    """The s in [1, x] with gcd(s, c/t) = 1 and t s + 1 prime, given the
+    primes up to at least sqrt(t x + 1)."""
+    composite = np.zeros(x + 1, dtype=bool)
+    composite[0] = True
+    for q, _ in factorize(c // t):
+        composite[::q] = True
+    for q in sieving:
+        if q * q > t * x + 1:
+            break
+        if t % q == 0:
+            continue  # t s + 1 is 1 mod q
+        s0 = -pow(t, -1, q) % q  # t s0 + 1 = 0 mod q
+        composite[s0 + q if t * s0 + 1 == q else s0::q] = True
+    return np.flatnonzero(~composite)
 
 
+@lru_cache(maxsize=1)
 def _max_prime_shift(c: int, x: int) -> np.ndarray:
-    """Array where entry d holds the largest l-1 over primes l with
-    (l-1) | c d, or 0 if there is none.
+    """Read-only array where entry d holds the largest l-1 over primes l
+    with (l-1) | c d, or 0 if there is none.
 
-    A prime l is relevant exactly when s = (l-1)/gcd(l-1, c) <= x, since
-    (l-1) | c d is equivalent to s | d; assigning l-1 to the multiples
-    of s for l ascending leaves the maximum in place.
+    A prime l is relevant exactly when s = (l-1)/t <= x with
+    t = gcd(l-1, c), since (l-1) | c d is equivalent to s | d.  Each
+    such l is l = t s + 1 for exactly one divisor t of c and one s <= x
+    with gcd(s, c/t) = 1, so every progression t s + 1 is sieved on its
+    own by the primes up to sqrt(t x + 1), leaving v[s] = the largest
+    prime shift t s.  Then entry d is the maximum of v[s] over s | d:
+    strided maxima over the multiples of each s <= sqrt(x), and for the
+    larger s, whose multiples k s have k < sqrt(x), one maximum per k.
+    The last call is cached (8 MB at x = 10^6).
     """
-    key = (c, x)
-    cached = _MAXSHIFT_CACHE.get(key)
-    if cached is not None:
-        return cached
     limit = c * x + 1
     if limit > MAX_SIEVE:
         raise ValueError(
             f"prime-shift sieve would need all primes up to {limit}; "
             f"the supported bound is {MAX_SIEVE}")
-    primes = primes_array(limit)
-    shifts = primes - 1
-    s = shifts // np.gcd(shifts, c)
-    keep = s <= x
+    sieving = primes_array(math.isqrt(limit)).tolist()
+    v = np.zeros(x + 1, dtype=np.int32)  # t s <= c x < MAX_SIEVE < 2^31
+    for t in divisors(c):
+        s = _progression_primes(c, t, x, sieving)
+        v[s] = t * s  # divisors ascend, so the last write is the largest
     arr = np.zeros(x + 1, dtype=np.int64)
-    for step, value in zip(s[keep], shifts[keep]):
-        arr[step::step] = value
+    r = math.isqrt(x)
+    for step in np.flatnonzero(v[1:r + 1]) + 1:
+        view = arr[step::step]
+        np.maximum(view, v[step], out=view)
+    for k in range(1, x // (r + 1) + 1):
+        hi = x // k
+        view = arr[k * (r + 1):k * hi + 1:k]
+        np.maximum(view, v[r + 1:hi + 1], out=view)
     arr.setflags(write=False)
-    _MAXSHIFT_CACHE[key] = arr
     return arr
 
 
@@ -408,13 +442,37 @@ def p1_exponent_j_field(profile: FamilyProfile, p: int, N: int,
 # the budget procedure
 # ---------------------------------------------------------------------------
 
+class _PrimesUpTo:
+    """The primes <= L as an ascending sized iterable that is never
+    listed whole: len() is the exact prime_count(L), and each iteration
+    sieves doubling prefixes, so a reader that stops early sieves at most
+    about twice as far as it read."""
+
+    def __init__(self, L: int):
+        self.L = L
+        self._count = prime_count(L)
+
+    def __len__(self):
+        return self._count
+
+    def __iter__(self):
+        lo, hi = 1, 1024
+        while lo < self.L:
+            hi = min(hi, self.L)
+            chunk = primes_array(hi)
+            start = np.searchsorted(chunk, lo, side="right")
+            yield from chunk[start:].tolist()
+            lo, hi = hi, 2 * hi
+
+
 def _tail_within(primes, N: int, budget: Fraction) -> bool:
     """Exact decision of sum(l^-N for l in primes) <= budget.
 
-    primes must be ascending.  Large prime lists use integer bracketing:
+    primes must be ascending, sized and iterable more than once (an
+    array, or a _PrimesUpTo).  Large prime sets use integer bracketing:
     floor terms vanish once l^N passes b*scale, so only a short ascending
-    prefix is ever summed, and the +count correction bounds the dropped
-    fractional parts.
+    prefix is ever read, and the +count correction, which needs only
+    len(primes), bounds the dropped fractional parts.
     """
     count = len(primes)
     if count == 0:
@@ -445,10 +503,13 @@ class PrimeExponentMap(Mapping):
     """The forced exponent at each prime l <= L, evaluated on demand.
 
     Behaves like {l: rule(l, N) for primes l <= L} without storing
-    millions of entries when L is huge.
+    millions of entries when L is huge: primes is the ascending sized
+    iterable of the primes <= L (a _PrimesUpTo in the budget procedure),
+    so len() is an exact count and iteration sieves only as far as it
+    is read.
     """
 
-    def __init__(self, rule, N: int, L: int, primes: np.ndarray):
+    def __init__(self, rule, N: int, L: int, primes):
         self._rule = rule
         self._N = N
         self.L = L
@@ -524,7 +585,8 @@ def b_epsilon_procedure(profile: FamilyProfile, epsilon, x: int, *,
     The budget integer is only materialized within the caps (primes
     below L, estimated decimal digits); beyond them B_eps is None and
     B_eps_note reports the overflow, while C, L, N, and n_map still
-    specify the budget exactly.
+    specify the budget exactly.  The primes up to L are counted, not
+    listed: only the materialized product sieves all of them.
     """
     eps = Fraction(epsilon)
     if not 0 < eps <= 1:
@@ -534,13 +596,13 @@ def b_epsilon_procedure(profile: FamilyProfile, epsilon, x: int, *,
     half = eps / 2
     C = find_cutoff_C(half, profile.p2_c, x)
     L = C + 1
-    small_primes = primes_array(L)
+    small_primes = _PrimesUpTo(L)
     N = 1
     while not _tail_within(small_primes, N, half):
         N += 1
-    for l in small_primes[:32]:
-        if profile.p1_rule(int(l), N) < 1:
-            raise ValueError(f"profile rule returned < 1 at l={int(l)}")
+    for l in islice(small_primes, 32):
+        if profile.p1_rule(l, N) < 1:
+            raise ValueError(f"profile rule returned < 1 at l={l}")
     B_eps = None
     note = None
     if len(small_primes) > product_prime_cap:
@@ -548,7 +610,7 @@ def b_epsilon_procedure(profile: FamilyProfile, epsilon, x: int, *,
                 f"(cap {product_prime_cap}); not materialized")
     else:
         exponents = [(int(l), profile.p1_rule(int(l), N) - 1)
-                     for l in small_primes]
+                     for l in primes_array(L)]
         if any(e < 0 for _, e in exponents):
             raise ValueError("profile rule returned < 1")
         digits = sum(e * math.log10(l) for l, e in exponents)

@@ -329,12 +329,14 @@ class Subgroup:
         else:
             # lazy: only valid for SL2-preimages, where everything follows
             # from the determinant image
-            assert contains_sl2, "lazy subgroups must contain SL2"
+            if not contains_sl2:
+                raise ValueError("lazy subgroups must contain SL2")
             self.det_image = frozenset(det_image)
             self.contains_sl2 = True
             self.order = p * (p * p - 1) * len(self.det_image)
-        if order is not None:
-            assert order == self.order
+        if order is not None and order != self.order:
+            raise ValueError(
+                f"stated order {order} differs from the computed {self.order}")
         self._fingerprint = None
 
     # -- construction -----------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,6 +18,15 @@ def phi_table(limit):
         if phi[q] == q:  # q prime
             for k in range(q, limit + 1, q):
                 phi[k] -= phi[k] // q
+    return phi
+
+
+def phi_array(limit):
+    """phi(0..limit) as an int64 array: the same sieve, vectorised."""
+    phi = np.arange(limit + 1, dtype=np.int64)
+    for q in range(2, limit + 1):
+        if phi[q] == q:  # q prime
+            phi[q::q] -= phi[q::q] // q
     return phi
 
 
@@ -113,11 +123,25 @@ class TestPhiPreimageDivisors:
             arith.phi_preimage_divisors(10**6)
 
     def test_sieve_and_loop_paths_agree(self):
-        # m = 300 crosses into the sieve path (2m^2 = 180000 > 1e5)
+        # m = 300 reaches N up to 2m^2 = 180000, far past the m <= 50 above
         m = 300
         table = phi_table(2 * m * m)
         expected = [n for n in range(1, 2 * m * m + 1) if m % table[n] == 0]
         assert arith.phi_preimage_divisors(m) == expected
+
+
+    def test_divisor_walk_against_phi_sieve(self):
+        phi = phi_array(2 * 720 * 720)
+        for m in range(1, 721):
+            expected = np.flatnonzero(m % phi[1:2 * m * m + 1] == 0) + 1
+            assert arith.phi_preimage_divisors(m) == expected.tolist(), m
+
+
+def test_prime_count_matches_sieve():
+    for n in range(-3, 5001):
+        assert arith.prime_count(n) == len(arith.primes_upto(n)), n
+    for n in (10 ** 6, 33_366_961):
+        assert arith.prime_count(n) == len(arith.primes_array(n))
 
 
 class TestGlmOrder:

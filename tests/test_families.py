@@ -2,11 +2,13 @@
 
 import math
 from fractions import Fraction
+from itertools import islice
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torsiondeg import arith
+from torsiondeg import arith, cmbounds
 from torsiondeg.families import (
     BEpsilonResult,
     DensityReport,
@@ -27,8 +29,10 @@ from torsiondeg.families import (
     profile_from_dict,
     rule_from_template,
     validate_profile,
+    _PrimesUpTo,
     _int_nth_root,
     _max_prime_shift,
+    _tail_within,
 )
 
 
@@ -39,6 +43,20 @@ def brute_max_shift(c, d):
         if arith.is_prime(e + 1):
             best = max(best, e)
     return best
+
+
+def full_sieve_max_shift(c, x):
+    """The per-prime loop over every prime up to c x + 1: assigning l-1
+    to the multiples of s = (l-1)/gcd(l-1, c) for l ascending leaves the
+    largest shift in place."""
+    primes = arith.primes_array(c * x + 1)
+    shifts = primes - 1
+    steps = shifts // np.gcd(shifts, c)
+    keep = steps <= x
+    arr = np.zeros(x + 1, dtype=np.int64)
+    for step, value in zip(steps[keep], shifts[keep]):
+        arr[step::step] = value
+    return arr
 
 
 def toy_profile(**overrides):
@@ -135,6 +153,40 @@ def test_max_prime_shift_against_divisor_brute():
         ms = _max_prime_shift(c, 200)
         for d in range(1, 201):
             assert ms[d] == brute_max_shift(c, d), (c, d)
+
+
+@pytest.mark.parametrize("c", list(range(1, 13)) + [24, 144, 720])
+def test_max_prime_shift_progressions_against_divisor_brute(c):
+    x = 2000
+    ms = _max_prime_shift(c, x)
+    assert ms[0] == 0
+    assert [int(v) for v in ms[1:]] == [brute_max_shift(c, d)
+                                        for d in range(1, x + 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=1000),
+       st.integers(min_value=0, max_value=400))
+def test_max_prime_shift_random_against_oracles(c, x):
+    ms = _max_prime_shift(c, x)
+    assert np.array_equal(ms, full_sieve_max_shift(c, x))
+    for d in range(1, x + 1, max(1, x // 7)):
+        assert ms[d] == brute_max_shift(c, d), (c, d)
+
+
+@pytest.mark.parametrize("c,x", [(144, 2 * 10 ** 4), (6, 10 ** 5)])
+def test_max_prime_shift_equals_full_sieve_loop(c, x):
+    assert np.array_equal(_max_prime_shift(c, x), full_sieve_max_shift(c, x))
+
+
+def test_max_prime_shift_cache_is_bounded_and_read_only():
+    _max_prime_shift(6, 500)
+    arr = _max_prime_shift(144, 700)
+    assert _max_prime_shift.cache_info().currsize <= 1
+    assert not arr.flags.writeable
+    assert _max_prime_shift(144, 700) is arr
+    with pytest.raises(ValueError):
+        arr[1] = 0
 
 
 def test_density_matches_naive_membership_loop():
@@ -444,6 +496,32 @@ def test_n_map_is_a_real_mapping():
         n_map[4]
     with pytest.raises(KeyError):
         n_map[result.L + 100]
+
+
+@pytest.mark.parametrize("eps,expected", [
+    (Fraction(1, 2), (33366960, 33366961, 3, 2052884)),
+    (Fraction(1, 10), (99303696, 99303697, 5, 5723576)),
+    (Fraction(1, 100), (139459392, 139459393, 8, 7883305)),
+])
+def test_cm_budget_frozen_at_one_million(eps, expected):
+    result = b_epsilon_procedure(cmbounds.cm_profile(1), eps, 10 ** 6)
+    assert (result.C, result.L, result.N, len(result.n_map)) == expected
+    assert result.B_eps is None and "not materialized" in result.B_eps_note
+    assert list(islice(result.n_map, 200)) == arith.primes_upto(1223)
+
+
+def test_tail_within_lazy_primes_match_listed_primes():
+    budgets = [Fraction(1, 2), Fraction(1, 7), Fraction(1, 200)]
+    for L in (0, 1, 2, 3, 100, 311, 313, 1024, 1025, 3000):
+        listed = arith.primes_array(L)
+        lazy = _PrimesUpTo(L)
+        assert len(lazy) == len(listed)
+        assert list(lazy) == listed.tolist()
+        for budget in budgets:
+            for N in (1, 2, 3, 5):
+                exact = sum(Fraction(1, int(l) ** N) for l in listed)
+                assert _tail_within(lazy, N, budget) == (exact <= budget)
+                assert _tail_within(listed, N, budget) == (exact <= budget)
 
 
 def test_exponent_to_order_bound():

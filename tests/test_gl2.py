@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -344,6 +348,30 @@ class TestLazySubgroups:
         assert classify(G) is DicksonClass.CONTAINS_SL
         assert projective_type(G) is ProjectiveType.PGL2_FULL
         assert not G.is_materialized
+
+    def test_lazy_invariants_are_checked(self):
+        with pytest.raises(ValueError, match="contain SL2"):
+            Subgroup(5, generators=[1], det_image=[1, 2])
+        with pytest.raises(ValueError, match="order"):
+            Subgroup(5, generators=[1], det_image=[1, 2],
+                     contains_sl2=True, order=241)
+        G = Subgroup(5, generators=[1], det_image=[1, 2],
+                     contains_sl2=True, order=240)
+        assert G.order == 5 * 24 * 2
+
+    def test_lazy_invariants_survive_optimized_mode(self):
+        code = ("from torsiondeg.gl2 import Subgroup\n"
+                "try:\n"
+                "    Subgroup(5, generators=[1], det_image=[1, 2])\n"
+                "except ValueError:\n"
+                "    print('rejected')\n")
+        src = Path(gl2.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src), os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "rejected"
 
     def test_small_preimage_materializes_consistently(self):
         p = 7

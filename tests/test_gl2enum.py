@@ -334,6 +334,30 @@ def test_cache_with_wrong_contents_is_recomputed(tmp_path):
     assert repaired["classes"][0]["order"] == 1
 
 
+def test_failed_cache_save_keeps_previous_file(tmp_path):
+    from torsiondeg import _enumeration
+
+    census = enumerate_subgroups(5, cache_dir=tmp_path)
+    (path,) = tmp_path.glob("gl2enum-p5-*.json")
+    before = path.read_bytes()
+
+    class Unserializable:
+        """A class whose order the encoder reaches only after it has
+        written the classes before it."""
+        generators = census[0].generators
+        order = object()
+        is_materialized = True
+        det_image = census[0].det_image
+
+    with pytest.raises(TypeError):
+        _enumeration._save_cache(path, 5, "exhaustive", None, None,
+                                 list(census) + [Unserializable()])
+    assert path.read_bytes() == before
+    assert sorted(tmp_path.iterdir()) == [path]  # no temporary file left
+    reloaded = _enumeration._load_cache(path, 5, "exhaustive")
+    assert [G.elements for G in reloaded] == [G.elements for G in census]
+
+
 def test_cache_distinguishes_sampled_parameters(tmp_path):
     a = enumerate_subgroups(13, "sampled", count=60, seed=1,
                             cache_dir=tmp_path)
