@@ -8,10 +8,14 @@ every class classifies) plus seeded spot-checks that random subgroups are
 conjugate to an enumerated representative.
 """
 
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from torsiondeg import cli
+from torsiondeg.arith import factorize
 from torsiondeg.gl2 import (
     DicksonClass,
     Subgroup,
@@ -23,9 +27,12 @@ from torsiondeg.gl2 import (
     key_det,
     key_inv,
     key_mul,
+    key_pow,
     pack,
     standard_subgroups,
+    unpack,
 )
+from torsiondeg import _enumeration
 from torsiondeg._enumeration import (
     _close_sampled_pair,
     _nullspace_mod,
@@ -183,6 +190,130 @@ def test_census_sorted_and_deterministic(census5):
     assert [G.elements for G in again] == [G.elements for G in census5]
     key = [(G.order, G.fingerprint_id(), G.elements) for G in census5]
     assert key == sorted(key)
+
+
+# ---------------------------------------------------------------------------
+# unpruned oracle for the exhaustive phases
+# ---------------------------------------------------------------------------
+
+def _oracle_keys(p, comps):
+    a, b, c, d = comps
+    return ((a * p + b) * p + c) * p + d
+
+
+def _oracle_comps(p, keys):
+    return keys // p ** 3, keys // (p * p) % p, keys // p % p, keys % p
+
+
+def _oracle_mul(p, comps, g, side):
+    a, b, c, d = comps
+    e, f, g_, h = unpack(p, int(g))
+    if side == "right":
+        return ((a * e + b * g_) % p, (a * f + b * h) % p,
+                (c * e + d * g_) % p, (c * f + d * h) % p)
+    return ((e * a + f * c) % p, (e * b + f * d) % p,
+            (g_ * a + h * c) % p, (g_ * b + h * d) % p)
+
+
+def oracle_phase1(ctx, census):
+    """Phase 1 with H-orbit pruning only and the scalar closure."""
+    p = ctx.p
+    lut = np.array([n >= 2 and len(factorize(n)) == 1
+                    for n in range(p * p + 1)])
+    candidates = ctx.keys[(ctx.det == 1) & lut[ctx.orders]]
+    cid, new = census.register(np.array([pack(p, 1, 0, 0, 1)]), [])
+    assert new
+    queue = [cid]
+    while queue:
+        cid = queue.pop(0)
+        hkeys, hgens = census.class_keys[cid], census.class_gens[cid]
+        hset = set(hkeys.tolist())
+        outside = np.array([k for k in candidates.tolist() if k not in hset],
+                           dtype=np.int64)
+        covered = np.zeros(len(outside), dtype=bool)
+        for i, x in enumerate(outside.tolist()):
+            if covered[i]:
+                continue
+            orbit = [key_mul(p, key_mul(p, h, x), key_inv(p, h))
+                     for h in hkeys.tolist()]
+            covered[np.searchsorted(outside, orbit)] = True
+            gens = hgens + [x]
+            closed = np.array(_mulclose(p, gens), dtype=np.int64)
+            new_cid, is_new = census.register(closed, gens)
+            if is_new:
+                queue.append(new_cid)
+
+
+def oracle_phase2(ctx, census):
+    """Phase 2 over every coset representative, no orbit pruning."""
+    p = ctx.p
+    queue = list(range(len(census.class_keys)))
+    while queue:
+        cid = queue.pop(0)
+        hkeys, hgens = census.class_keys[cid], census.class_gens[cid]
+        nkeys = ctx.keys[ctx.normalizer_mask(hkeys, hgens)]
+        index = len(nkeys) // len(hkeys)
+        if index == 1:
+            continue
+        hcomps = _oracle_comps(p, hkeys)
+        covered = np.zeros(len(nkeys), dtype=bool)
+        covered[np.searchsorted(nkeys, hkeys)] = True
+        reps = []
+        while not covered.all():
+            r = int(nkeys[np.flatnonzero(~covered)[0]])
+            reps.append(r)
+            coset = _oracle_keys(p, _oracle_mul(p, hcomps, r, "right"))
+            covered[np.searchsorted(nkeys, coset)] = True
+        hset = set(hkeys.tolist())
+        for q in {f for f, _ in factorize(index)}:
+            for r in reps:
+                if key_pow(p, r, q) not in hset:
+                    continue
+                parts = [hkeys]
+                acc = r
+                for _ in range(q - 1):
+                    parts.append(_oracle_keys(
+                        p, _oracle_mul(p, hcomps, acc, "right")))
+                    acc = key_mul(p, acc, r)
+                new_cid, is_new = census.register(
+                    np.sort(np.concatenate(parts)), hgens + [r])
+                if is_new:
+                    queue.append(new_cid)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_pruned_phases_match_unpruned_oracle(p):
+    ctx = _enumeration._FullContext(p)
+    runs = []
+    for phase1, phase2 in [(oracle_phase1, oracle_phase2),
+                           (_enumeration._phase1_sl2_classes,
+                            _enumeration._phase2_prime_index_extensions)]:
+        census = _enumeration._Census(ctx)
+        phase1(ctx, census)
+        phase2(ctx, census)
+        runs.append(census)
+    oracle, pruned = runs
+    assert pruned.class_gens == oracle.class_gens
+    assert len(pruned.class_keys) == len(oracle.class_keys)
+    for mine, theirs in zip(pruned.class_keys, oracle.class_keys):
+        assert np.array_equal(mine, theirs)
+
+
+# sha256 of the report body (canonical JSON) of `enumerate --p P`, which
+# lists every class in census order with its generators
+ENUMERATE_BODY_SHA256 = {
+    5: "6f6932fe4e34b91adf53f6f43b91b21cb622e1549e38a1c7dfe1799ecb4bd415",
+    7: "1082492ada7a2fb06c4069468615552b911a142fabce409df73e20b03ecdf8aa",
+    11: "5b4f00de2ab5fc05ff768b221efb07bd0508ee5001a1160d3e524c59d694109d",
+}
+
+
+@pytest.mark.parametrize("p", sorted(ENUMERATE_BODY_SHA256))
+def test_enumerate_report_bodies_are_frozen(p, capsys):
+    assert cli.main(["enumerate", "--p", str(p)]) == 0
+    body = json.loads(capsys.readouterr().out)["report"]
+    digest = hashlib.sha256(json.dumps(body, sort_keys=True).encode())
+    assert digest.hexdigest() == ENUMERATE_BODY_SHA256[p]
 
 
 # ---------------------------------------------------------------------------
