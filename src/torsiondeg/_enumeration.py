@@ -18,8 +18,16 @@ not circular):
   conjugacy), and the solvable quotient above it refines to a chain of
   prime-index normal steps, each of the required form.
 
+Both phases skip candidates that can only give a known class.  For n in
+N(H), <H, n x n^-1> = n <H, x> n^-1, so phase 1 adjoins one element per
+N(H)-conjugation orbit, and phase 2 one coset H r per set of cosets
+H n r^k n^-1 (0 < k < q).  Candidates are still taken in ascending order,
+so each skipped one would only have hit a class already registered: the
+classes, their generators and their order are those of the unpruned search.
+
 Deduplication is by a global digest table holding every conjugate of every
-known class, so recognizing a candidate costs one hash lookup.
+known class with a conjugator, so recognizing a candidate costs one hash
+lookup and one comparison with the conjugate the digest names.
 
 Sampled mode draws seeded random generator pairs.  A pair that visibly
 preserves a line, an unordered pair of lines, or a Galois-conjugate pair
@@ -47,12 +55,11 @@ from .arith import factorize, is_prime
 from .gl2 import (
     Subgroup,
     _det_closure,
-    _mulclose,
     _stabilized_conjugate_pair_for_generators,
     key_det,
     key_inv,
+    key_is_scalar,
     key_mul,
-    key_pow,
     line_permutation,
     pack,
     unpack,
@@ -72,86 +79,57 @@ class _FullContext:
     def __init__(self, p: int):
         self.p = p
         idx = np.arange(p ** 4, dtype=np.int64)
-        d = idx % p
-        c = idx // p % p
-        b = idx // (p * p) % p
-        a = idx // (p * p * p)
+        a, b, c, d = _np_components(p, idx)
         det = (a * d - b * c) % p
         keep = det != 0
         self.keys = idx[keep]  # ascending
-        self.a, self.b, self.c, self.d = a[keep], b[keep], c[keep], d[keep]
-        self.det = det[keep]
-        inv_lut = np.array([0] + [pow(t, -1, p) for t in range(1, p)],
-                           dtype=np.int64)
-        self.detinv = inv_lut[self.det]
-        self.size = len(self.keys)
-        self._orders = None
+        detinv = np.array([0] + [pow(t, -1, p) for t in range(1, p)])[det]
+        # the inverse of [[a, b], [c, d]] is detinv * [[d, -b], [-c, a]]
+        self.comps = tuple(v[keep].astype(np.int32) for v in (a, b, c, d))
+        self.inverse = tuple((v * detinv % p)[keep].astype(np.int32)
+                             for v in (d, -b, -c, a))
 
-    @property
-    def orders(self) -> np.ndarray:
-        if self._orders is None:
-            p = self.p
-            xa, xb, xc, xd = self.a, self.b, self.c, self.d
-            acc = (xa.copy(), xb.copy(), xc.copy(), xd.copy())
-            orders = np.zeros(self.size, dtype=np.int64)
-            k = 1
-            while (orders == 0).any():
-                aa, ab, ac, ad = acc
-                ident = (aa == 1) & (ab == 0) & (ac == 0) & (ad == 1)
-                orders[(orders == 0) & ident] = k
-                acc = ((aa * xa + ab * xc) % p, (aa * xb + ab * xd) % p,
-                       (ac * xa + ad * xc) % p, (ac * xb + ad * xd) % p)
-                k += 1
-                assert k <= p * p, "element order exceeded the exponent bound"
-            self._orders = orders
-        return self._orders
+    def conjugates(self, sel, x) -> np.ndarray:
+        """Keys of n x n^-1, one row per n = keys[sel], one column per x
+        (x is given by its components, as ints or 1-D arrays)."""
+        p = self.p
+        a, b, c, d = (v[sel][:, None] for v in self.comps)
+        ia, ib, ic, id_ = (v[sel][:, None] for v in self.inverse)
+        xa, xb, xc, xd = x
+        # t = n x stays unreduced, so u = t n^-1 takes four reductions
+        ta, tb = a * xa + b * xc, a * xb + b * xd
+        tc, td = c * xa + d * xc, c * xb + d * xd
+        return _np_pack(p, ((ta * ia + tb * ic) % p, (ta * ib + tb * id_) % p,
+                            (tc * ia + td * ic) % p, (tc * ib + td * id_) % p))
 
-    def positions(self, keys: np.ndarray) -> np.ndarray:
-        """Indices into self.keys; the inputs must be invertible keys."""
-        pos = np.searchsorted(self.keys, keys)
-        assert (self.keys[pos] == keys).all()
+    def normalizer(self, sub_keys: np.ndarray, gens) -> np.ndarray:
+        """Ascending positions in self.keys of {n : n<gens>n^-1 in sub}."""
+        inside = _indicator(self.p, sub_keys)
+        pos = np.arange(len(self.keys))
+        for g in gens:
+            sel = pos if len(pos) < len(self.keys) else slice(None)
+            conj = self.conjugates(sel, unpack(self.p, int(g)))
+            pos = pos[inside[conj[:, 0]]]
         return pos
 
-    def normalizer_mask(self, sub_sorted: np.ndarray, gens) -> np.ndarray:
-        """Boolean mask over the whole group of {n : n<gens>n^-1 in sub}."""
-        p = self.p
-        mask = np.ones(self.size, dtype=bool)
-        for g in gens:
-            ga, gb, gc, gd = unpack(p, int(g))
-            # t = n * g
-            ta = self.a * ga + self.b * gc
-            tb = self.a * gb + self.b * gd
-            tc = self.c * ga + self.d * gc
-            td = self.c * gb + self.d * gd
-            # u = t * n^{-1}, with n^{-1} = detinv * [[d, -b], [-c, a]]
-            ua = (ta * self.d - tb * self.c) % p * self.detinv % p
-            ub = (tb * self.a - ta * self.b) % p * self.detinv % p
-            uc = (tc * self.d - td * self.c) % p * self.detinv % p
-            ud = (td * self.a - tc * self.b) % p * self.detinv % p
-            keys = ((ua * p + ub) * p + uc) * p + ud
-            pos = np.clip(np.searchsorted(sub_sorted, keys), 0,
-                          len(sub_sorted) - 1)
-            mask &= sub_sorted[pos] == keys
-        return mask
+
+def _indicator(p: int, keys: np.ndarray) -> np.ndarray:
+    """Boolean table over all p^4 keys, true exactly on the given keys."""
+    table = np.zeros(p ** 4, dtype=bool)
+    table[keys] = True
+    return table
 
 
 def _np_components(p: int, keys: np.ndarray):
-    d = keys % p
-    c = keys // p % p
-    b = keys // (p * p) % p
-    a = keys // (p * p * p)
-    return a, b, c, d
+    return keys // (p * p * p), keys // (p * p) % p, keys // p % p, keys % p
 
 
-def _np_mul_fixed(p, comps, g_key, side):
-    """Multiply every (a,b,c,d) in comps by the fixed key, on the given side."""
-    a, b, c, d = comps
-    e, f, g, h = unpack(p, int(g_key))
-    if side == "right":
-        return ((a * e + b * g) % p, (a * f + b * h) % p,
-                (c * e + d * g) % p, (c * f + d * h) % p)
-    return ((e * a + f * c) % p, (e * b + f * d) % p,
-            (g * a + h * c) % p, (g * b + h * d) % p)
+def _np_mul(p, x, y):
+    """Products x y of matrices given by components, ints or arrays."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return ((a * e + b * g) % p, (a * f + b * h) % p,
+            (c * e + d * g) % p, (c * f + d * h) % p)
 
 
 def _np_pack(p, comps) -> np.ndarray:
@@ -159,15 +137,38 @@ def _np_pack(p, comps) -> np.ndarray:
     return ((a * p + b) * p + c) * p + d
 
 
-def _np_conjugate(p, comps, r_key) -> np.ndarray:
-    """Keys of r X r^{-1} for every X given by comps."""
-    t = _np_mul_fixed(p, comps, r_key, side="left")
-    return _np_pack(p, _np_mul_fixed(p, t, key_inv(p, int(r_key)), side="right"))
-
-
 def _digest(sorted_keys: np.ndarray) -> bytes:
     return hashlib.blake2b(np.ascontiguousarray(sorted_keys, dtype="<i8")
                            .tobytes(), digest_size=12).digest()
+
+
+def _left_cosets(p, big: np.ndarray, sub_keys: np.ndarray):
+    """Left cosets g S of a subgroup S inside a sorted union `big` of them:
+    (label, reps), where reps are the coset minima, ascending, and the
+    table label[key] is the index in reps of the coset of each key in big.
+    """
+    label = np.empty(p ** 4, dtype=np.int64)
+    # |S| passes over big, or one step per coset: a step costs about as
+    # much as a pass over 800 elements
+    if len(sub_keys) ** 2 < 800:
+        gs, low = _np_components(p, big), big
+        for s in sub_keys.tolist():
+            low = np.minimum(low, _np_pack(p, _np_mul(p, gs, unpack(p, s))))
+        reps = np.flatnonzero(_indicator(p, low))
+        label[big] = np.searchsorted(reps, low)
+        return label, reps
+    # the least element not yet covered is the minimum of its coset
+    sub = _np_components(p, sub_keys)
+    free = _indicator(p, big)
+    reps = []
+    k = int(big[0])
+    while free[k]:
+        coset = _np_pack(p, _np_mul(p, unpack(p, k), sub))
+        label[coset] = len(reps)
+        free[coset] = False
+        reps.append(k)
+        k += int(np.argmax(free[k:]))
+    return label, np.array(reps, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -175,93 +176,100 @@ def _digest(sorted_keys: np.ndarray) -> bytes:
 # ---------------------------------------------------------------------------
 
 class _Census:
-    """Registry of conjugacy classes with the global conjugate-digest table."""
+    """Registry of conjugacy classes with the global conjugate-digest table,
+    which maps the digest of every conjugate r H r^-1 of every known class H
+    to (class id, r), so that each digest hit can be checked."""
 
     def __init__(self, ctx: _FullContext):
         self.ctx = ctx
-        self.table: dict[bytes, int] = {}
+        self.table: dict[bytes, tuple[int, int]] = {}
         self.class_keys: list[np.ndarray] = []
         self.class_gens: list[list[int]] = []
 
     def lookup(self, sorted_keys: np.ndarray):
-        return self.table.get(_digest(sorted_keys))
+        """Class id of a known conjugate of the subgroup, or None."""
+        found = self.table.get(_digest(sorted_keys))
+        if found is None:
+            return None
+        cid, r = found
+        ctx = self.ctx
+        conj = ctx.conjugates(np.searchsorted(ctx.keys, [r]),
+                              _np_components(ctx.p, self.class_keys[cid]))
+        if not np.array_equal(np.sort(conj[0]), sorted_keys):
+            raise RuntimeError(f"census digest collision with class {cid}")
+        return cid
 
     def register(self, sorted_keys: np.ndarray, gens: list[int]):
-        """Record a new class and hash all of its conjugates.
-
-        Returns (class_id, is_new).
-        """
-        d = _digest(sorted_keys)
-        found = self.table.get(d)
+        """Record a new class and hash all of its conjugates: (id, is_new)."""
+        found = self.lookup(sorted_keys)
         if found is not None:
             return found, False
         ctx, p = self.ctx, self.ctx.p
         cid = len(self.class_keys)
         self.class_keys.append(sorted_keys)
         self.class_gens.append(list(gens))
-        nmask = ctx.normalizer_mask(sorted_keys, gens)
-        ncomps = (ctx.a[nmask], ctx.b[nmask], ctx.c[nmask], ctx.d[nmask])
-        sub_comps = _np_components(p, sorted_keys)
-        covered = np.zeros(ctx.size, dtype=bool)
-        covered[nmask] = True
-        self.table[d] = cid
-        while True:
-            rest = np.flatnonzero(~covered)
-            if len(rest) == 0:
-                break
-            r = int(ctx.keys[rest[0]])
-            # the conjugate r H r^{-1} depends only on the left coset r N(H)
-            covered[ctx.positions(_np_pack(p, _np_mul_fixed(p, ncomps, r,
-                                                            "left")))] = True
-            conj = np.sort(_np_conjugate(p, sub_comps, r))
-            dc = _digest(conj)
-            assert self.table.setdefault(dc, cid) == cid
+        # the conjugate r H r^{-1} depends only on the left coset r N(H)
+        nkeys = ctx.keys[ctx.normalizer(sorted_keys, gens)]
+        _, reps = _left_cosets(p, ctx.keys, nkeys)
+        conj = np.sort(ctx.conjugates(np.searchsorted(ctx.keys, reps),
+                                      _np_components(p, sorted_keys)), axis=1)
+        for r, row in zip(reps.tolist(), conj):
+            entry = self.table.setdefault(_digest(row), (cid, r))
+            if entry != (cid, r):
+                raise RuntimeError(f"census digest collision between classes "
+                                   f"{cid} and {entry[0]}")
         return cid, True
 
 
-def _prime_power_lut(limit: int) -> np.ndarray:
-    lut = np.zeros(limit + 1, dtype=bool)
-    for n in range(2, limit + 1):
-        lut[n] = len(factorize(n)) == 1
-    return lut
+def _adjoin(p, hkeys: np.ndarray, hgens: list[int], x: int) -> np.ndarray:
+    """Sorted keys of <H, x>, grown breadth-first from H's sorted keys."""
+    gens = [unpack(p, g) for g in hgens + [x]]
+    seen = _indicator(p, hkeys)
+    frontier = _np_pack(p, _np_mul(p, gens[-1], _np_components(p, hkeys)))
+    while len(frontier):
+        seen[frontier] = True
+        comps = _np_components(p, frontier)
+        products = np.concatenate(
+            [_np_pack(p, _np_mul(p, g, comps)) for g in gens])
+        frontier = np.flatnonzero(_indicator(p, products[~seen[products]]))
+    return np.flatnonzero(seen)
 
 
 def _phase1_sl2_classes(ctx: _FullContext, census: _Census) -> None:
     """All subgroups of SL2 up to conjugacy, by prime-power-element extension."""
     p = ctx.p
-    sl2_mask = ctx.det == 1
-    pp_mask = sl2_mask & _prime_power_lut(p * p)[ctx.orders]
-    candidates = ctx.keys[pp_mask]  # ascending
+    # element orders, by powering every element at once
     identity = pack(p, 1, 0, 0, 1)
-    queue = []
-    cid, new = census.register(np.array([identity], dtype=np.int64), [])
-    assert new
-    queue.append(cid)
+    orders = np.zeros(len(ctx.keys), dtype=np.int64)
+    acc = ctx.comps
+    for k in range(1, p * p + 1):
+        orders[(orders == 0) & (_np_pack(p, acc) == identity)] = k
+        acc = _np_mul(p, acc, ctx.comps)
+    if (orders == 0).any():
+        raise RuntimeError("element order exceeded the exponent bound")
+    a, b, c, d = ctx.comps
+    prime_power = np.array([n > 1 and len(factorize(n)) == 1
+                            for n in range(p * p)])
+    candidates = ctx.keys[((a * d - b * c) % p == 1) & prime_power[orders]]
+    cid, new = census.register(np.array([identity]), [])
+    if not new:
+        raise RuntimeError("the trivial group was already in the census")
+    queue = [cid]
     while queue:
         cid = queue.pop(0)
         hkeys = census.class_keys[cid]
         hgens = census.class_gens[cid]
-        hcomps = _np_components(p, hkeys)
-        # inverses inside SL2: adjugates, since det = 1
-        ha, hb, hc, hd = hcomps
-        hinv = (hd, (-hb) % p, (-hc) % p, ha)
-        pos = np.clip(np.searchsorted(hkeys, candidates), 0, len(hkeys) - 1)
-        outside = candidates[hkeys[pos] != candidates]
-        covered = np.zeros(len(outside), dtype=bool)
-        for i in range(len(outside)):
-            if covered[i]:
+        normalizer = ctx.normalizer(hkeys, hgens)
+        pending = _indicator(p, candidates)
+        pending[hkeys] = False
+        for x in candidates[pending[candidates]].tolist():
+            if not pending[x]:
                 continue
-            x = int(outside[i])
-            # mark the whole H-conjugacy orbit of x as handled
-            t = _np_mul_fixed(p, hcomps, x, "right")
-            orbit = np.sort(((t[0] * hinv[0] + t[1] * hinv[2]) % p * p
-                             + (t[0] * hinv[1] + t[1] * hinv[3]) % p) * p * p
-                            + ((t[2] * hinv[0] + t[3] * hinv[2]) % p * p
-                               + (t[2] * hinv[1] + t[3] * hinv[3]) % p))
-            covered[np.searchsorted(outside, orbit)] = True
-            gens = hgens + [x]
-            closed = np.fromiter(_mulclose(p, gens), dtype=np.int64)
-            new_cid, is_new = census.register(closed, gens)
+            # <H, n x n^-1> = n <H, x> n^-1 for n in N(H): the whole
+            # N(H)-orbit of x gives one class
+            pending[ctx.conjugates(normalizer, unpack(p, x))[:, 0]] = False
+            new_cid, is_new = census.register(_adjoin(p, hkeys, hgens, x),
+                                              hgens + [x])
             if is_new:
                 queue.append(new_cid)
 
@@ -274,39 +282,38 @@ def _phase2_prime_index_extensions(ctx: _FullContext, census: _Census) -> None:
         cid = queue.pop(0)
         hkeys = census.class_keys[cid]
         hgens = census.class_gens[cid]
-        nmask = ctx.normalizer_mask(hkeys, hgens)
-        nkeys = ctx.keys[nmask]
-        index = len(nkeys) // len(hkeys)
+        normalizer = ctx.normalizer(hkeys, hgens)
+        index = len(normalizer) // len(hkeys)
         if index == 1:
             continue
-        hcomps = _np_components(p, hkeys)
-        # coset representatives of H in its normalizer
-        covered = np.zeros(len(nkeys), dtype=bool)
-        covered[np.searchsorted(nkeys, hkeys)] = True
-        reps = []
-        while True:
-            rest = np.flatnonzero(~covered)
-            if len(rest) == 0:
-                break
-            r = int(nkeys[rest[0]])
-            reps.append(r)
-            coset = _np_pack(p, _np_mul_fixed(p, hcomps, r, "right"))
-            covered[np.searchsorted(nkeys, np.sort(coset))] = True
-        hset = frozenset(int(k) for k in hkeys)
+        # cosets r H = H r of H in its normalizer, numbered by their minima
+        label, reps = _left_cosets(p, ctx.keys[normalizer], hkeys)
+        rep_comps = _np_components(p, reps)
+        inside = _indicator(p, hkeys)
+        home = label[pack(p, 1, 0, 0, 1)]
         for q in {f for f, _ in factorize(index)}:
-            for r in reps:
-                if key_pow(p, r, q) not in hset:
+            powers = rep_comps
+            for _ in range(q - 1):
+                powers = _np_mul(p, powers, rep_comps)
+            todo = inside[_np_pack(p, powers)]
+            todo[home] = False
+            for j in np.flatnonzero(todo):
+                if not todo[j]:
                     continue
+                r = int(reps[j])
                 parts = [hkeys]
-                acc = r
                 for _ in range(q - 1):
-                    parts.append(_np_pack(p, _np_mul_fixed(p, hcomps, acc,
-                                                           "right")))
-                    acc = key_mul(p, acc, r)
-                jkeys = np.sort(np.concatenate(parts))
-                new_cid, is_new = census.register(jkeys, hgens + [r])
+                    parts.append(_np_pack(p, _np_mul(
+                        p, _np_components(p, parts[-1]), unpack(p, r))))
+                new_cid, is_new = census.register(
+                    np.sort(np.concatenate(parts)), hgens + [r])
                 if is_new:
                     queue.append(new_cid)
+                # n <H, r^k> n^-1 = <H, n r^k n^-1> for n in N(H) and
+                # 0 < k < q: each coset H n r^k n^-1 gives a conjugate class
+                for part in parts[1:]:
+                    conj = ctx.conjugates(normalizer, unpack(p, int(part[0])))
+                    todo[label[conj[:, 0]]] = False
 
 
 def _exhaustive(p: int) -> list[Subgroup]:
@@ -314,6 +321,7 @@ def _exhaustive(p: int) -> list[Subgroup]:
     census = _Census(ctx)
     _phase1_sl2_classes(ctx, census)
     _phase2_prime_index_extensions(ctx, census)
+    census.table.clear()  # its memory is reused for the element tuples
     # generators are normalized exactly as generated_by would, so a cache
     # reload reproduces the computed census verbatim
     groups = [Subgroup.from_sorted_keys(p, tuple(int(k) for k in keys),
@@ -424,7 +432,7 @@ def conjugate_subgroups(H1: Subgroup, H2: Subgroup) -> bool:
         return (H1.contains_sl2 == H2.contains_sl2
                 and H1.det_image == H2.det_image)
     set2 = frozenset(H2.elements)
-    x = next((k for k in H1.elements if not _is_scalar_key(p, k)), None)
+    x = next((k for k in H1.elements if not key_is_scalar(p, k)), None)
     if x is None:
         return frozenset(H1.elements) == set2  # scalar groups: conjugation-fixed
     xa, xb, xc, xd = unpack(p, x)
@@ -452,11 +460,6 @@ def conjugate_subgroups(H1: Subgroup, H2: Subgroup) -> bool:
             if all(key_mul(p, key_mul(p, hk, g), hki) in set2 for g in gens1):
                 return True
     return False
-
-
-def _is_scalar_key(p, k):
-    a, b, c, d = unpack(p, k)
-    return b == 0 and c == 0 and a == d
 
 
 def _sampled(p: int, count: int, seed: int) -> list[Subgroup]:

@@ -675,18 +675,14 @@ def _fq_inv(p, beta, gamma, z):
     return (zbar[0] * ninv % p, zbar[1] * ninv % p)
 
 
-def _stabilized_conjugate_pair(G: Subgroup):
-    """A Galois-conjugate pair of non-rational points of P^1(F_{p^2})
-    permuted by G, or None.
-
-    G lies in a conjugate of the standard nonsplit Cartan normalizer
-    exactly when such a pair exists: the normalizer is the full stabilizer
-    of one pair, and GL2(F_p) moves any pair to any other.
-    """
-    return _stabilized_conjugate_pair_for_generators(G.p, G.generators)
-
-
 def _stabilized_conjugate_pair_for_generators(p: int, gen_keys):
+    """A Galois-conjugate pair of non-rational points of P^1(F_{p^2})
+    permuted by the generated group, or None.
+
+    The group lies in a conjugate of the standard nonsplit Cartan
+    normalizer exactly when such a pair exists: the normalizer is the full
+    stabilizer of one pair, and GL2(F_p) moves any pair to any other.
+    """
     beta, gamma = _quadratic_model(p)
     gens = [unpack(p, g) for g in gen_keys]
     for u in range(p):
@@ -834,7 +830,7 @@ def classify(G: Subgroup) -> DicksonClass:
         return DicksonClass.BOREL
     if _stabilized_line_pair(G) is not None:
         return DicksonClass.SPLIT_NORMALIZER
-    if _stabilized_conjugate_pair(G) is not None:
+    if _stabilized_conjugate_pair_for_generators(G.p, G.generators):
         return DicksonClass.NONSPLIT_NORMALIZER
     ptype = projective_type(G)
     if ptype is ProjectiveType.A4:

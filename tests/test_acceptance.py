@@ -17,7 +17,7 @@ import pytest
 
 from torsiondeg import arith, cli, cmbounds, curvedeg, families, gl2, orbits
 
-SWEEP_PRIMES = (5, 7, 11)
+SWEEP_PRIMES = (5, 7, 11, 13)
 APPLICABLE = {"ContainsSL", "SplitNormalizer", "NonsplitNormalizer"}
 KNOWN_CLASSES = APPLICABLE | {"Borel", "ExceptionalA4", "ExceptionalS4",
                               "ExceptionalA5"}
@@ -36,12 +36,12 @@ def cache_dir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def sweeps(cache_dir):
-    """Exhaustive enumeration + divisibility reports for p in {5, 7, 11},
+    """Exhaustive enumeration + divisibility reports for p in {5, 7, 11, 13},
     with per-prime wall-clock seconds."""
     out = {}
     for p in SWEEP_PRIMES:
         t0 = time.monotonic()
-        groups = gl2.enumerate_subgroups(p, "exhaustive",
+        groups = gl2.enumerate_subgroups(p, "exhaustive", ceiling=13,
                                          cache_dir=cache_dir)
         reports = [orbits.verify_case_divisibility(G).as_dict()
                    for G in groups]
@@ -83,7 +83,7 @@ def test_criterion_02_dickson_completeness(capsys, sweeps):
         assert labels <= KNOWN_CLASSES, labels - KNOWN_CLASSES
         assert len(reports) > 0
         counts[p] = len(reports)
-    assert counts == {5: 48, 7: 84, 11: 114}
+    assert counts == {5: 48, 7: 84, 11: 114, 13: 217}
     say(capsys, "[criterion 2] PASS — zero unclassifiable among "
         f"{sum(counts.values())} classes "
         f"({', '.join(f'p={p}: {n}' for p, n in counts.items())})")

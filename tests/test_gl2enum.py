@@ -10,6 +10,10 @@ conjugate to an enumerated representative.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -215,12 +219,36 @@ def _oracle_mul(p, comps, g, side):
             (g_ * a + h * c) % p, (g_ * b + h * d) % p)
 
 
+def _oracle_normalizer_keys(ctx, hkeys, hgens):
+    """Keys of {n : n g n^-1 in H for every generator g}, elementwise."""
+    p = ctx.p
+    a, b, c, d = _oracle_comps(p, ctx.keys)
+    inv = [pow(int(t), -1, p) for t in (a * d - b * c) % p]
+    ia, ib, ic, id_ = ((d * inv) % p, (-b * inv) % p,
+                       (-c * inv) % p, (a * inv) % p)
+    hset = set(hkeys.tolist())
+    keep = np.ones(len(ctx.keys), dtype=bool)
+    for g in hgens:
+        ta, tb, tc, td = _oracle_mul(p, (a, b, c, d), g, "right")
+        conj = _oracle_keys(p, ((ta * ia + tb * ic) % p, (ta * ib + tb * id_) % p,
+                                (tc * ia + td * ic) % p, (tc * ib + td * id_) % p))
+        keep &= np.array([k in hset for k in conj.tolist()])
+    return ctx.keys[keep]
+
+
+def _oracle_order(p, k):
+    identity, acc, n = pack(p, 1, 0, 0, 1), k, 1
+    while acc != identity:
+        acc, n = key_mul(p, acc, k), n + 1
+    return n
+
+
 def oracle_phase1(ctx, census):
     """Phase 1 with H-orbit pruning only and the scalar closure."""
     p = ctx.p
-    lut = np.array([n >= 2 and len(factorize(n)) == 1
-                    for n in range(p * p + 1)])
-    candidates = ctx.keys[(ctx.det == 1) & lut[ctx.orders]]
+    candidates = np.array([k for k in ctx.keys.tolist() if key_det(p, k) == 1
+                           and len(factorize(_oracle_order(p, k))) == 1],
+                          dtype=np.int64)
     cid, new = census.register(np.array([pack(p, 1, 0, 0, 1)]), [])
     assert new
     queue = [cid]
@@ -251,7 +279,7 @@ def oracle_phase2(ctx, census):
     while queue:
         cid = queue.pop(0)
         hkeys, hgens = census.class_keys[cid], census.class_gens[cid]
-        nkeys = ctx.keys[ctx.normalizer_mask(hkeys, hgens)]
+        nkeys = _oracle_normalizer_keys(ctx, hkeys, hgens)
         index = len(nkeys) // len(hkeys)
         if index == 1:
             continue
@@ -314,6 +342,28 @@ def test_enumerate_report_bodies_are_frozen(p, capsys):
     body = json.loads(capsys.readouterr().out)["report"]
     digest = hashlib.sha256(json.dumps(body, sort_keys=True).encode())
     assert digest.hexdigest() == ENUMERATE_BODY_SHA256[p]
+
+
+def test_digest_collision_raises(monkeypatch):
+    # with every subgroup sharing one digest, the first hit names the
+    # trivial group; comparing arrays must expose it instead of dropping
+    # the candidate as a known class
+    monkeypatch.setattr(_enumeration, "_digest", lambda keys: b"same")
+    with pytest.raises(RuntimeError, match="collision"):
+        enumerate_subgroups(5)
+
+
+def test_census_checks_survive_optimized_mode():
+    src = Path(_enumeration.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-O", "-m", "torsiondeg.cli", "enumerate", "--p",
+         "5"], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    body = json.loads(out.stdout)["report"]
+    digest = hashlib.sha256(json.dumps(body, sort_keys=True).encode())
+    assert digest.hexdigest() == ENUMERATE_BODY_SHA256[5]
 
 
 # ---------------------------------------------------------------------------
