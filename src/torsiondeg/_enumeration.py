@@ -84,7 +84,7 @@ class _FullContext:
         keep = det != 0
         self.keys = idx[keep]  # ascending
         detinv = np.array([0] + [pow(t, -1, p) for t in range(1, p)])[det]
-        # the inverse of [[a, b], [c, d]] is detinv * [[d, -b], [-c, a]]
+        # n^-1 = detinv * [[d, -b], [-c, a]]; int32 is exact for p < 215
         self.comps = tuple(v[keep].astype(np.int32) for v in (a, b, c, d))
         self.inverse = tuple((v * detinv % p)[keep].astype(np.int32)
                              for v in (d, -b, -c, a))
