@@ -47,3 +47,22 @@ def find_projective_subgroup(p, base, hist, seed=0, tries=3000):
 A4_HIST = {1: 1, 2: 3, 3: 8}
 S4_HIST = {1: 1, 2: 9, 3: 8, 4: 6}
 A5_HIST = {1: 1, 2: 15, 3: 20, 5: 24}
+
+
+def oracle_mulclose(p, gens):
+    """Closure of invertible keys under multiplication, one key at a time:
+    a breadth-first search over products x g, the scalar reference for
+    gl2._mulclose."""
+    identity = gl2.pack(p, 1, 0, 0, 1)
+    elements = {identity}
+    frontier = [identity]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = gl2.key_mul(p, x, g)
+                if y not in elements:
+                    elements.add(y)
+                    new.append(y)
+        frontier = new
+    return tuple(sorted(elements))

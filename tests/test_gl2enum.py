@@ -24,7 +24,6 @@ from torsiondeg.gl2 import (
     DicksonClass,
     Subgroup,
     UnclassifiableSubgroupError,
-    _mulclose,
     classify,
     close_generators,
     enumerate_subgroups,
@@ -43,6 +42,8 @@ from torsiondeg._enumeration import (
     conjugate_subgroups,
 )
 
+from conftest import oracle_mulclose
+
 
 # ---------------------------------------------------------------------------
 # naive oracle: every subgroup, no shortcuts
@@ -51,7 +52,7 @@ from torsiondeg._enumeration import (
 def brute_all_subgroups(p):
     """Frozensets of element keys of *all* subgroups of GL2(F_p)."""
     full = [k for k in range(p ** 4) if key_det(p, k)]
-    trivial = frozenset(_mulclose(p, []))
+    trivial = frozenset(oracle_mulclose(p, []))
     gens_of = {trivial: ()}
     frontier = [trivial]
     while frontier:
@@ -61,7 +62,7 @@ def brute_all_subgroups(p):
                 if g in S:
                     continue
                 gens = gens_of[S] + (g,)
-                T = frozenset(_mulclose(p, list(gens)))
+                T = frozenset(oracle_mulclose(p, list(gens)))
                 if T not in gens_of:
                     gens_of[T] = gens
                     new.append(T)
@@ -266,7 +267,7 @@ def oracle_phase1(ctx, census):
                      for h in hkeys.tolist()]
             covered[np.searchsorted(outside, orbit)] = True
             gens = hgens + [x]
-            closed = np.array(_mulclose(p, gens), dtype=np.int64)
+            closed = np.array(oracle_mulclose(p, gens), dtype=np.int64)
             new_cid, is_new = census.register(closed, gens)
             if is_new:
                 queue.append(new_cid)
