@@ -55,7 +55,12 @@ from .arith import factorize, is_prime
 from .gl2 import (
     Subgroup,
     _det_closure,
+    _fixed_lines_for_generators,
+    _np_components,
+    _np_mul,
+    _np_pack,
     _stabilized_conjugate_pair_for_generators,
+    _stabilized_line_pair_for_generators,
     key_det,
     key_inv,
     key_is_scalar,
@@ -118,23 +123,6 @@ def _indicator(p: int, keys: np.ndarray) -> np.ndarray:
     table = np.zeros(p ** 4, dtype=bool)
     table[keys] = True
     return table
-
-
-def _np_components(p: int, keys: np.ndarray):
-    return keys // (p * p * p), keys // (p * p) % p, keys // p % p, keys % p
-
-
-def _np_mul(p, x, y):
-    """Products x y of matrices given by components, ints or arrays."""
-    a, b, c, d = x
-    e, f, g, h = y
-    return ((a * e + b * g) % p, (a * f + b * h) % p,
-            (c * e + d * g) % p, (c * f + d * h) % p)
-
-
-def _np_pack(p, comps) -> np.ndarray:
-    a, b, c, d = comps
-    return ((a * p + b) * p + c) * p + d
 
 
 def _digest(sorted_keys: np.ndarray) -> bytes:
@@ -363,25 +351,21 @@ def _perm_closure_capped(gens: list[tuple[int, ...]], limit: int):
 
 
 def _close_sampled_pair(p: int, x: int, y: int) -> Subgroup:
-    if p < 5:
-        return Subgroup.generated_by(p, [x, y])
-    px, py = line_permutation(p, x), line_permutation(p, y)
-    n = p + 1
-    if any(px[i] == i and py[i] == i for i in range(n)):
-        return Subgroup.generated_by(p, [x, y])  # inside a Borel
-    for i in range(n):
-        for j in range(i + 1, n):
-            if {px[i], px[j]} == {i, j} and {py[i], py[j]} == {i, j}:
-                return Subgroup.generated_by(p, [x, y])  # split-normalizer bound
-    if _stabilized_conjugate_pair_for_generators(p, [x, y]) is not None:
-        return Subgroup.generated_by(p, [x, y])  # nonsplit-normalizer bound
+    gens = [x, y]
+    if (p < 5
+            or _fixed_lines_for_generators(p, gens)  # inside a Borel
+            # inside a split or a nonsplit normalizer
+            or _stabilized_line_pair_for_generators(p, gens) is not None
+            or _stabilized_conjugate_pair_for_generators(p, gens) is not None):
+        return Subgroup.generated_by(p, gens)
     # No invariant line, line pair, or conjugate point pair: the projective
     # image is not cyclic, dihedral, or Borel-contained, so it is A4, S4, A5
     # (order <= 60) or contains PSL2.  At p = 5 an image of order 60 is
     # already all of PSL2.
     limit = 59 if p == 5 else 60
-    if _perm_closure_capped([px, py], limit) is not None:
-        return Subgroup.generated_by(p, [x, y])
+    perms = [line_permutation(p, g) for g in gens]
+    if _perm_closure_capped(perms, limit) is not None:
+        return Subgroup.generated_by(p, gens)
     det_image = _det_closure(p, [key_det(p, x), key_det(p, y)])
     return Subgroup.sl2_preimage(p, det_image, [x, y])
 

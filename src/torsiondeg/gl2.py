@@ -22,8 +22,11 @@ both conditions are checked on generators only.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .arith import factorize, is_prime
 
@@ -128,6 +131,45 @@ def projective_order_of(p: int, key: int) -> int:
             return k
         acc = key_mul(p, acc, key)
     raise AssertionError("projective order exceeded p+1")  # impossible
+
+
+# ---------------------------------------------------------------------------
+# the same arithmetic on numpy arrays of keys or components
+# ---------------------------------------------------------------------------
+
+# keys, entries and products stay below p^4, which fits int32 for p < 215
+def _key_dtype(p: int):
+    return np.int32 if p ** 4 < 2 ** 31 else np.int64
+
+
+def _np_components(p: int, keys: np.ndarray):
+    return keys // (p * p * p), keys // (p * p) % p, keys // p % p, keys % p
+
+
+def _np_mul(p, x, y):
+    """Products x y of matrices given by components, ints or arrays."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return ((a * e + b * g) % p, (a * f + b * h) % p,
+            (c * e + d * g) % p, (c * f + d * h) % p)
+
+
+def _np_pack(p, comps) -> np.ndarray:
+    a, b, c, d = comps
+    return ((a * p + b) * p + c) * p + d
+
+
+def _projective_orders(p: int, keys) -> np.ndarray:
+    """projective_order_of for every key, by powering all keys at once."""
+    comps = acc = _np_components(p, np.array(keys, dtype=np.int64))
+    orders = np.zeros(len(keys), dtype=np.int64)
+    for k in range(1, p + 2):
+        a, b, c, d = acc
+        orders[(orders == 0) & (b == 0) & (c == 0) & (a == d)] = k
+        if orders.all():
+            return orders
+        acc = _np_mul(p, acc, comps)
+    raise RuntimeError("projective order exceeded p + 1")
 
 
 # ---------------------------------------------------------------------------
@@ -258,21 +300,74 @@ def line_permutation(p: int, key: int) -> tuple[int, ...]:
 # subgroups
 # ---------------------------------------------------------------------------
 
-def _mulclose(p: int, gens: list[int]) -> tuple[int, ...]:
-    """Closure of a set of invertible keys under multiplication."""
+# products expanded to their cosets per step of the closure: bounds the
+# size of its temporary arrays
+_CLOSURE_BLOCK = 1 << 18
+
+
+def _cyclic_keys(p: int, g: int) -> np.ndarray:
+    """Keys of g^0, ..., g^(n-1), n the order of g, by doubling."""
     identity = pack(p, 1, 0, 0, 1)
-    elements = {identity}
-    frontier = [identity]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = key_mul(p, x, g)
-                if y not in elements:
-                    elements.add(y)
-                    new.append(y)
-        frontier = new
-    return tuple(sorted(elements))
+    powers = np.array([identity], dtype=_key_dtype(p))
+    step = g  # g^len(powers)
+    while True:
+        more = _np_pack(p, _np_mul(p, unpack(p, step),
+                                   _np_components(p, powers)))
+        back = np.flatnonzero(more == identity)
+        if len(back):
+            return np.concatenate([powers, more[:back[0]]])
+        powers = np.concatenate([powers, more])
+        step = key_mul(p, step, step)
+
+
+def _mulclose(p: int, gens: list[int]) -> tuple[int, ...]:
+    """Closure of a set of invertible keys under multiplication, sorted.
+
+    Dimino's coset method (G. Butler, Fundamental Algorithms for
+    Permutation Groups, LNCS 559, 1991), batched over every coset of a
+    breadth-first round.  Let H = <g> for a generator g of largest order.
+    The closure G is a union of left cosets x H, and for each generator s
+    the coset s x H is again one of them.  Starting from H, a round
+    multiplies every new representative x by every generator s on the
+    left, expands each product to its coset s x H as one row of a 2-D
+    array, names each coset by its least key and keeps the cosets whose
+    names are new.  The search meets every coset s_k ... s_1 H, and as the
+    generators of a finite group span it as a monoid, these cover
+    <gens> H = G: the same set as closing under x -> x s one key at a time.
+    """
+    identity = pack(p, 1, 0, 0, 1)
+    if not gens:
+        return (identity,)
+    cyclic = max((_cyclic_keys(p, g) for g in gens), key=len)
+    right = tuple(v[None, :] for v in _np_components(p, cyclic))
+    left = [unpack(p, g) for g in gens]
+    block = max(1, _CLOSURE_BLOCK // len(cyclic))
+    names = cyclic.min(keepdims=True)  # ascending
+    cosets = [cyclic]
+    frontier = names
+    while len(frontier):
+        reps = _np_components(p, frontier)
+        products = np.concatenate([_np_pack(p, _np_mul(p, s, reps))
+                                   for s in left])
+        fresh = []
+        for start in range(0, len(products), block):
+            part = _np_components(p, products[start:start + block])
+            rows = _np_pack(p, _np_mul(p, tuple(v[:, None] for v in part),
+                                       right))
+            low = rows.min(axis=1)
+            # one row per coset whose name is new
+            order = np.argsort(low, kind="stable")
+            low_sorted = low[order]
+            new = np.ones(len(order), dtype=bool)
+            new[1:] = low_sorted[1:] != low_sorted[:-1]
+            at = np.minimum(np.searchsorted(names, low_sorted), len(names) - 1)
+            new &= names[at] != low_sorted
+            keep = order[new]
+            cosets.append(rows[keep].ravel())
+            fresh.append(low[keep])
+            names = np.sort(np.concatenate([names, low[keep]]))
+        frontier = np.concatenate(fresh)
+    return tuple(np.sort(np.concatenate(cosets)).tolist())
 
 
 def _det_closure(p: int, dets: list[int]) -> frozenset[int]:
@@ -321,11 +416,9 @@ class Subgroup:
         self._elements = tuple(elements) if elements is not None else None
         if self._elements is not None:
             self.order = len(self._elements)
-            dets = frozenset(key_det(p, k) for k in self._elements)
-            self.det_image = dets
-            self.contains_sl2 = (
-                sum(1 for k in self._elements if key_det(p, k) == 1)
-                == p * (p * p - 1))
+            dets = _det_counts(p, self._elements)
+            self.det_image = frozenset(np.flatnonzero(dets).tolist())
+            self.contains_sl2 = int(dets[1]) == p * (p * p - 1)
         else:
             # lazy: only valid for SL2-preimages, where everything follows
             # from the determinant image
@@ -402,7 +495,13 @@ class Subgroup:
     @property
     def scalar_count(self) -> int:
         if self._elements is not None:
-            return sum(1 for k in self._elements if key_is_scalar(self.p, k))
+            # look up each aI in the sorted element table
+            els, count = self._elements, 0
+            for a in range(1, self.p):
+                k = pack(self.p, a, 0, 0, a)
+                i = bisect_left(els, k)
+                count += i < len(els) and els[i] == k
+            return count
         # lazy SL2-preimage: scalar aI has determinant a^2
         return sum(1 for a in range(1, self.p)
                    if a * a % self.p in self.det_image)
@@ -410,7 +509,9 @@ class Subgroup:
     @property
     def projective_order(self) -> int:
         q, r = divmod(self.order, self.scalar_count)
-        assert r == 0
+        if r:
+            raise RuntimeError(f"{self.scalar_count} scalars do not divide "
+                               f"the order {self.order}")
         return q
 
     def conjugate(self, h_key: int) -> "Subgroup":
@@ -442,17 +543,29 @@ class Subgroup:
                      self.contains_sl2, self.scalar_count,
                      tuple(sorted(vector_orbit_sizes(self)))]
             if not self.contains_sl2 and self.order <= self.HISTOGRAM_LIMIT:
-                hist = {}
-                for k in self.elements:
-                    o = projective_order_of(self.p, k)
-                    hist[o] = hist.get(o, 0) + 1
-                parts.append(tuple(sorted(hist.items())))
+                hist = np.bincount(_projective_orders(self.p, self.elements))
+                parts.append(tuple((o, n) for o, n in enumerate(hist.tolist())
+                                   if n))
             self._fingerprint = tuple(parts)
         return self._fingerprint
 
     def fingerprint_id(self) -> str:
         raw = repr(self.fingerprint()).encode()
         return hashlib.blake2b(raw, digest_size=12).hexdigest()
+
+
+# keys per chunk of the determinant pass: bounds its temporary arrays
+_DET_CHUNK = 1 << 16
+
+
+def _det_counts(p: int, keys) -> np.ndarray:
+    """How many of the keys have each determinant 0, ..., p-1."""
+    counts = np.zeros(p, dtype=np.int64)
+    for start in range(0, len(keys), _DET_CHUNK):
+        chunk = np.array(keys[start:start + _DET_CHUNK], dtype=_key_dtype(p))
+        a, b, c, d = _np_components(p, chunk)
+        counts += np.bincount((a * d - b * c) % p, minlength=p)
+    return counts
 
 
 def close_generators(p: int, gens) -> Subgroup:
@@ -540,7 +653,8 @@ def nonsplit_cartan(p: int) -> Subgroup:
             if gen is None and all(key_pow(p, k, (p * p - 1) // q) != identity
                                    for q in qs):
                 gen = k
-    assert gen is not None  # the group is cyclic of order p^2-1
+    if gen is None:
+        raise RuntimeError(f"no generator of the nonsplit Cartan mod {p}")
     return Subgroup.from_sorted_keys(p, tuple(sorted(keys)), generators=[gen])
 
 
@@ -611,12 +725,16 @@ def _require_odd(p, what):
 # line actions
 # ---------------------------------------------------------------------------
 
+def _fixed_lines_for_generators(p: int, gen_keys) -> list[int]:
+    """Indices of the lines that every generator maps to themselves."""
+    perms = [line_permutation(p, g) for g in gen_keys]
+    return [i for i in range(p + 1) if all(perm[i] == i for perm in perms)]
+
+
 def stabilized_lines(G: Subgroup) -> set[Line]:
     """Lines L with gL = L for every g in G (checked on generators)."""
-    p = G.p
-    perms = [line_permutation(p, g) for g in G.generators]
-    return {Line.from_index(p, i) for i in range(p + 1)
-            if all(perm[i] == i for perm in perms)}
+    return {Line.from_index(G.p, i)
+            for i in _fixed_lines_for_generators(G.p, G.generators)}
 
 
 def pointwise_fixed_lines(G: Subgroup) -> set[Line]:
@@ -636,43 +754,18 @@ def pointwise_fixed_lines(G: Subgroup) -> set[Line]:
     return fixed
 
 
-def _stabilized_line_pair(G: Subgroup):
-    """An unordered pair of distinct lines permuted by G, or None."""
-    p = G.p
-    perms = [line_permutation(p, g) for g in G.generators]
+def _stabilized_line_pair_for_generators(p: int, gen_keys):
+    """The first pair (i, j), i < j, of line indices whose unordered pair
+    every generator permutes, or None."""
+    perms = [line_permutation(p, g) for g in gen_keys]
     for i in range(p + 1):
-        for j in range(i + 1, p + 1):
-            if all({perm[i], perm[j]} == {i, j} for perm in perms):
+        # a generator that moves line i must move it to its partner j
+        moved = {perm[i] for perm in perms} - {i}
+        partners = moved if len(moved) == 1 else () if moved else range(p + 1)
+        for j in sorted(partners):
+            if j > i and all({perm[i], perm[j]} == {i, j} for perm in perms):
                 return (i, j)
     return None
-
-
-# --- arithmetic in F_{p^2} = F_p[T]/(T^2 - beta*T - gamma) -----------------
-
-def _quadratic_model(p: int) -> tuple[int, int]:
-    if p == 2:
-        return 1, 1                      # T^2 = T + 1
-    return 0, least_nonresidue(p)        # T^2 = eps
-
-
-def _fq_mul(p, beta, gamma, z1, z2):
-    u1, v1 = z1
-    u2, v2 = z2
-    vv = v1 * v2
-    return ((u1 * u2 + gamma * vv) % p, (u1 * v2 + u2 * v1 + beta * vv) % p)
-
-
-def _fq_conj(p, beta, z):
-    u, v = z
-    return ((u + v * beta) % p, -v % p)
-
-
-def _fq_inv(p, beta, gamma, z):
-    zbar = _fq_conj(p, beta, z)
-    norm = _fq_mul(p, beta, gamma, z, zbar)
-    assert norm[1] == 0
-    ninv = pow(norm[0], -1, p)
-    return (zbar[0] * ninv % p, zbar[1] * ninv % p)
 
 
 def _stabilized_conjugate_pair_for_generators(p: int, gen_keys):
@@ -682,27 +775,36 @@ def _stabilized_conjugate_pair_for_generators(p: int, gen_keys):
     The group lies in a conjugate of the standard nonsplit Cartan
     normalizer exactly when such a pair exists: the normalizer is the full
     stabilizer of one pair, and GL2(F_p) moves any pair to any other.
+
+    The points are z = u + vT, v != 0, of F_{p^2} = F_p[T]/(T^2 - beta T -
+    gamma), scanned by u, then v, and each pair is met once, at its
+    lexicographically least member.  Every generator is tested on all of
+    them at once; the answer is the first pair that passes them all.
     """
-    beta, gamma = _quadratic_model(p)
-    gens = [unpack(p, g) for g in gen_keys]
-    for u in range(p):
-        for v in range(1, p):
-            z = (u, v)
-            zbar = _fq_conj(p, beta, z)
-            if zbar < z:
-                continue  # each pair once, via its lexicographically least member
-            ok = True
-            for a, b, c, d in gens:
-                # Moebius action on the point coordinate: z -> (c + d z)/(a + b z)
-                num = ((c + d * u) % p, d * v % p)
-                den = ((a + b * u) % p, b * v % p)
-                image = _fq_mul(p, beta, gamma, num, _fq_inv(p, beta, gamma, den))
-                if image != z and image != zbar:
-                    ok = False
-                    break
-            if ok:
-                return (z, zbar)
-    return None
+    beta, gamma = (1, 1) if p == 2 else (0, least_nonresidue(p))
+    u, v = np.divmod(np.arange(p * p), p)
+    u, v = u[v != 0], v[v != 0]
+    ubar, vbar = (u + v * beta) % p, -v % p
+    least = (ubar > u) | ((ubar == u) & (vbar > v))
+    u, v, ubar, vbar = u[least], v[least], ubar[least], vbar[least]
+    inverse = np.array([0] + [pow(t, -1, p) for t in range(1, p)])
+    ok = np.ones(len(u), dtype=bool)
+    for g in gen_keys:
+        a, b, c, d = unpack(p, g)
+        # Moebius action z -> (c + d z)/(a + b z) = num conj(den) / N(den);
+        # den != 0 as v != 0 and a, b are not both 0
+        n0, n1 = (c + d * u) % p, d * v % p
+        d0, d1 = (a + b * u) % p, b * v % p
+        e0, e1 = (d0 + d1 * beta) % p, -d1 % p
+        scale = inverse[(d0 * e0 + gamma * d1 * e1) % p]
+        i0 = (n0 * e0 + gamma * n1 * e1) % p * scale % p
+        i1 = (n0 * e1 + e0 * n1 + beta * n1 * e1) % p * scale % p
+        ok &= ((i0 == u) & (i1 == v)) | ((i0 == ubar) & (i1 == vbar))
+    hit = np.flatnonzero(ok)
+    if not len(hit):
+        return None
+    j = int(hit[0])
+    return ((int(u[j]), int(v[j])), (int(ubar[j]), int(vbar[j])))
 
 
 # ---------------------------------------------------------------------------
@@ -718,6 +820,9 @@ def vector_orbits(G: Subgroup) -> list[list[tuple[int, int]]]:
     """Orbits on nonzero vectors, each listed from its lexicographically
     least member, orbits ordered by that representative."""
     p = G.p
+    if G.contains_sl2:
+        # SL2 is transitive on nonzero vectors
+        return [[divmod(vk, p) for vk in range(1, p * p)]]
     gens = [unpack(p, g) for g in G.generators]
     seen = [False] * (p * p)
     seen[0] = True
@@ -761,7 +866,10 @@ def projective_type(G: Subgroup) -> ProjectiveType:
     if q == pgl:
         return ProjectiveType.PGL2_FULL
     if G.contains_sl2:
-        assert q == psl  # the image sits between PSL2 and PGL2, index 2
+        # the image sits between PSL2 and PGL2, index 2
+        if q != psl:
+            raise RuntimeError(f"a group containing SL2 has projective "
+                               f"order {q}, not {psl} or {pgl}")
         return ProjectiveType.PSL2_FULL
     if q == psl:
         # PSL2 is the unique subgroup of PGL2 of its order
@@ -772,7 +880,7 @@ def projective_type(G: Subgroup) -> ProjectiveType:
 def _projective_type_from_elements(G: Subgroup, q: int) -> ProjectiveType:
     p = G.p
     elements = G.elements
-    orders = {k: projective_order_of(p, k) for k in elements}
+    orders = dict(zip(elements, _projective_orders(p, elements).tolist()))
     m = max(orders.values())
     if m == q:
         return ProjectiveType.CYCLIC
@@ -828,7 +936,7 @@ def classify(G: Subgroup) -> DicksonClass:
         return DicksonClass.CONTAINS_SL
     if stabilized_lines(G):
         return DicksonClass.BOREL
-    if _stabilized_line_pair(G) is not None:
+    if _stabilized_line_pair_for_generators(G.p, G.generators) is not None:
         return DicksonClass.SPLIT_NORMALIZER
     if _stabilized_conjugate_pair_for_generators(G.p, G.generators):
         return DicksonClass.NONSPLIT_NORMALIZER

@@ -18,11 +18,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .gl2 import (
     DicksonClass,
     Line,
     ProjectiveType,
     Subgroup,
+    _np_components,
+    _np_mul,
+    _np_pack,
     all_lines,
     classify,
     det_index,
@@ -110,9 +115,10 @@ def stabilizer(G: Subgroup, v: tuple[int, int]) -> Subgroup:
         t_key = pack(p, x, 0, y, 1) if x else pack(p, 0, 1, y, 0)
         base = [pack(p, 1, b, 0, d) for b in range(p) for d in sorted(G.det_image)]
         fixed = Subgroup.from_sorted_keys(p, tuple(sorted(base)))
-        got = fixed.conjugate(t_key)
-        assert _apply_key(p, t_key, (1, 0)) == (x, y)
-        return got
+        if _apply_key(p, t_key, (1, 0)) != (x, y):
+            raise RuntimeError(f"the conjugator sends e1 to "
+                               f"{_apply_key(p, t_key, (1, 0))}, not {(x, y)}")
+        return fixed.conjugate(t_key)
     keys = tuple(k for k in G.elements if _apply_key(p, k, (x, y)) == (x, y))
     return Subgroup.from_sorted_keys(p, keys)
 
@@ -181,30 +187,63 @@ class LineStabilizerReport:
     verdict: str
 
 
-def _pointwise_stabilizer_keys(N: Subgroup, line: Line) -> list[int]:
+def _pointwise_stabilizers(N: Subgroup) -> list[list[int]]:
+    """For each line, in index order, the keys of the elements of N that
+    fix every vector on it: one array mask per line."""
     p = N.p
-    v = (line.x, line.y)
-    return [k for k in N.elements if _apply_key(p, k, v) == v]
+    keys = np.array(N.elements, dtype=np.int64)
+    a, b, c, d = _np_components(p, keys)
+    return [keys[((a * x + b * y) % p == x) & ((c * x + d * y) % p == y)]
+            .tolist() for x, y in ((line.x, line.y) for line in all_lines(p))]
 
 
 def _all_subgroups_of(p: int, keys: list[int]) -> list[frozenset[int]]:
-    """Every subgroup of the (tiny) group given by its element keys."""
-    from .gl2 import _mulclose
+    """Every subgroup of the (tiny) group given by its element keys.
 
-    element_set = frozenset(keys)
-    trivial = frozenset(_mulclose(p, []))
-    seen = {trivial}
+    Each known subgroup S = <gens> is extended by every element g outside
+    it and <gens, g> is closed; the group's Cayley table is built once, so
+    a closure follows table entries and does no matrix arithmetic.
+    """
+    keys = np.sort(np.array(keys, dtype=np.int64))
+    comps = _np_components(p, keys)
+    products = _np_pack(p, _np_mul(p, tuple(v[:, None] for v in comps),
+                                   tuple(v[None, :] for v in comps)))
+    at = np.minimum(np.searchsorted(keys, products), len(keys) - 1)
+    if not np.array_equal(keys[at], products):
+        raise ValueError("the keys are not closed under multiplication")
+    table = at.tolist()
+    identity = int(np.searchsorted(keys, _np_pack(p, (1, 0, 0, 1))))
+
+    def close(gens):
+        elements, frontier = {identity}, [identity]
+        while frontier:
+            new = []
+            for i in frontier:
+                row = table[i]
+                for g in gens:
+                    j = row[g]
+                    if j not in elements:
+                        elements.add(j)
+                        new.append(j)
+            frontier = new
+        return frozenset(elements)
+
+    everything = frozenset(range(len(keys)))
+    trivial = close([])
+    gens_of = {trivial: []}
     frontier = [trivial]
     while frontier:
         new = []
         for S in frontier:
-            for g in element_set - S:
-                T = frozenset(_mulclose(p, list(S) + [g]))
-                if T not in seen:
-                    seen.add(T)
+            for g in everything - S:
+                gens = gens_of[S] + [g]
+                T = close(gens)
+                if T not in gens_of:
+                    gens_of[T] = gens
                     new.append(T)
         frontier = new
-    return sorted(seen, key=lambda S: (len(S), sorted(S)))
+    named = (frozenset(keys[sorted(S)].tolist()) for S in gens_of)
+    return sorted(named, key=lambda S: (len(S), sorted(S)))
 
 
 def _subgroup_shape(p: int, line: Line, keys: frozenset[int]) -> str | None:
@@ -228,10 +267,8 @@ def verify_split_pointwise_stabilizers(p: int) -> list[LineStabilizerReport]:
     """Audit, line by line, the pointwise stabilizers inside the standard
     split-normalizer: every subgroup of each stabilizer must be diagonal
     fixing an axis, or generated by a single antidiagonal involution."""
-    N = split_normalizer(p)
     reports = []
-    for line in all_lines(p):
-        keys = _pointwise_stabilizer_keys(N, line)
+    for line, keys in zip(all_lines(p), _pointwise_stabilizers(split_normalizer(p))):
         shapes = set()
         ok = True
         subgroups = _all_subgroups_of(p, keys)
@@ -261,9 +298,8 @@ class PointwiseBoundReport:
 def verify_nonsplit_pointwise_stabilizers(p: int) -> PointwiseBoundReport:
     """Check that no line is fixed pointwise by more than two elements of
     the standard nonsplit-normalizer."""
-    N = nonsplit_normalizer(p)
-    orders = tuple(len(_pointwise_stabilizer_keys(N, line))
-                   for line in all_lines(p))
+    orders = tuple(len(keys)
+                   for keys in _pointwise_stabilizers(nonsplit_normalizer(p)))
     max_order = max(orders)
     return PointwiseBoundReport(p, max_order, orders,
                                 PASS if max_order <= 2 else VIOLATION)

@@ -36,7 +36,7 @@ from torsiondeg.gl2 import (
     unpack,
     vector_orbits,
 )
-from torsiondeg.orbits import _all_subgroups_of, _pointwise_stabilizer_keys
+from torsiondeg.orbits import _all_subgroups_of, _pointwise_stabilizers
 
 from conftest import oracle_mulclose
 
@@ -116,8 +116,14 @@ def test_conjugate_pair_scan_every_pair_at_5():
     for x in keys:
         assert (_stabilized_conjugate_pair_for_generators(p, [x])
                 == oracle_conjugate_pair(p, [x]))
-    # the answer for [x, y] is the one for [y, x]
-    for x, y in itertools.combinations(keys, 2):
+    # a generator acts on points through its Moebius map, which its scalar
+    # multiples share, and the answer for [x, y] is the one for [y, x]: so
+    # every pair of generators means every pair of the 120 classes of keys
+    # up to scalars
+    classes = sorted({min(pack(p, *(t * e % p for e in unpack(p, k)))
+                          for t in range(1, p)) for k in keys})
+    assert len(classes) == 120
+    for x, y in itertools.combinations(classes, 2):
         assert (_stabilized_conjugate_pair_for_generators(p, [x, y])
                 == oracle_conjugate_pair(p, [x, y]))
     assert (_stabilized_conjugate_pair_for_generators(p, [])
@@ -191,9 +197,8 @@ def oracle_all_subgroups_of(p, keys):
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_line_stabilizer_lattices_match_scalar_reference(p):
     for N in (split_normalizer(p), nonsplit_normalizer(p)):
-        for line in all_lines(p):
-            keys = _pointwise_stabilizer_keys(N, line)
-            assert list(keys) == oracle_pointwise_stabilizer_keys(N, line)
+        for line, keys in zip(all_lines(p), _pointwise_stabilizers(N)):
+            assert keys == oracle_pointwise_stabilizer_keys(N, line)
             assert (_all_subgroups_of(p, keys)
                     == oracle_all_subgroups_of(p, keys))
 
