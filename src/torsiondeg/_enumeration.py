@@ -332,15 +332,14 @@ def _random_invertible(rng: random.Random, p: int) -> int:
 
 def _perm_closure_capped(gens: list[tuple[int, ...]], limit: int):
     """Closure of permutations, or None once the size exceeds `limit`."""
-    n = len(gens[0])
-    identity = tuple(range(n))
+    identity = tuple(range(len(gens[0])))
     elements = {identity}
     frontier = [identity]
     while frontier:
         new = []
         for x in frontier:
             for g in gens:
-                y = tuple(x[g[i]] for i in range(n))
+                y = tuple(map(x.__getitem__, g))  # x[g[i]] for each i
                 if y not in elements:
                     if len(elements) >= limit:
                         return None
@@ -366,8 +365,8 @@ def _close_sampled_pair(p: int, x: int, y: int) -> Subgroup:
     perms = [line_permutation(p, g) for g in gens]
     if _perm_closure_capped(perms, limit) is not None:
         return Subgroup.generated_by(p, gens)
-    det_image = _det_closure(p, [key_det(p, x), key_det(p, y)])
-    return Subgroup.sl2_preimage(p, det_image, [x, y])
+    det_image = _det_closure(p, [key_det(p, g) for g in gens])
+    return Subgroup.sl2_preimage(p, det_image, gens)
 
 
 def _nullspace_mod(p: int, rows: list[list[int]]) -> list[list[int]]:

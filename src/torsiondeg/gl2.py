@@ -25,6 +25,7 @@ import hashlib
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from itertools import product
 
 import numpy as np
 
@@ -123,16 +124,6 @@ def key_is_scalar(p: int, key: int) -> bool:
     return b == 0 and c == 0 and a == d
 
 
-def projective_order_of(p: int, key: int) -> int:
-    """Least k >= 1 with key^k scalar (order of the image in PGL2)."""
-    acc = key
-    for k in range(1, p + 2):
-        if key_is_scalar(p, acc):
-            return k
-        acc = key_mul(p, acc, key)
-    raise AssertionError("projective order exceeded p+1")  # impossible
-
-
 # ---------------------------------------------------------------------------
 # the same arithmetic on numpy arrays of keys or components
 # ---------------------------------------------------------------------------
@@ -160,7 +151,8 @@ def _np_pack(p, comps) -> np.ndarray:
 
 
 def _projective_orders(p: int, keys) -> np.ndarray:
-    """projective_order_of for every key, by powering all keys at once."""
+    """The projective order of each key, the least k >= 1 with key^k
+    scalar (the order of its image in PGL2), by powering all keys at once."""
     comps = acc = _np_components(p, np.array(keys, dtype=np.int64))
     orders = np.zeros(len(keys), dtype=np.int64)
     for k in range(1, p + 2):
@@ -813,6 +805,8 @@ def _stabilized_conjugate_pair_for_generators(p: int, gen_keys):
 
 def vector_orbit_sizes(G: Subgroup) -> list[int]:
     """Sizes of the orbits of G on F_p^2 minus the origin."""
+    if G.contains_sl2:
+        return [G.p * G.p - 1]  # one orbit, see vector_orbits
     return [len(orbit) for orbit in vector_orbits(G)]
 
 
@@ -822,7 +816,7 @@ def vector_orbits(G: Subgroup) -> list[list[tuple[int, int]]]:
     p = G.p
     if G.contains_sl2:
         # SL2 is transitive on nonzero vectors
-        return [[divmod(vk, p) for vk in range(1, p * p)]]
+        return [list(product(range(p), repeat=2))[1:]]
     gens = [unpack(p, g) for g in G.generators]
     seen = [False] * (p * p)
     seen[0] = True

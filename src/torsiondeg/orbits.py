@@ -268,7 +268,8 @@ def verify_split_pointwise_stabilizers(p: int) -> list[LineStabilizerReport]:
     split-normalizer: every subgroup of each stabilizer must be diagonal
     fixing an axis, or generated by a single antidiagonal involution."""
     reports = []
-    for line, keys in zip(all_lines(p), _pointwise_stabilizers(split_normalizer(p))):
+    stabilizers = _pointwise_stabilizers(split_normalizer(p))
+    for line, keys in zip(all_lines(p), stabilizers):
         shapes = set()
         ok = True
         subgroups = _all_subgroups_of(p, keys)

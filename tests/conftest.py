@@ -3,6 +3,17 @@ import random
 from torsiondeg import gl2
 
 
+def oracle_projective_order(p, key):
+    """Least k >= 1 with key^k scalar (order of the image in PGL2), one
+    product at a time: the scalar reference for gl2._projective_orders."""
+    acc = key
+    for k in range(1, p + 2):
+        if gl2.key_is_scalar(p, acc):
+            return k
+        acc = gl2.key_mul(p, acc, key)
+    raise AssertionError("projective order exceeded p+1")
+
+
 def projective_order_histogram(G):
     """Histogram {projective order: count} over the projective image of G.
 
@@ -12,7 +23,7 @@ def projective_order_histogram(G):
     """
     hist = {}
     for k in G.elements:
-        o = gl2.projective_order_of(G.p, k)
+        o = oracle_projective_order(G.p, k)
         hist[o] = hist.get(o, 0) + 1
     s = G.scalar_count
     assert all(n % s == 0 for n in hist.values())

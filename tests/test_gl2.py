@@ -30,7 +30,6 @@ from torsiondeg.gl2 import (
     nonsplit_normalizer,
     pack,
     pointwise_fixed_lines,
-    projective_order_of,
     projective_type,
     sl2,
     split_cartan,
@@ -46,6 +45,7 @@ from conftest import (
     A5_HIST,
     S4_HIST,
     find_projective_subgroup,
+    oracle_projective_order,
     projective_order_histogram,
 )
 
@@ -86,12 +86,21 @@ def test_key_inv_and_pow(p, r):
 
 
 def test_projective_order_of_hand_values():
-    # unipotent: [[1,1],[0,1]]^k = [[1,k],[0,1]], scalar iff k = 0 mod p
-    assert projective_order_of(5, pack(5, 1, 1, 0, 1)) == 5
+    # unipotent: [[1,1],[0,1]]^k = [[1,k],[0,1]], scalar iff k = 0 mod p;
     # diag(2,1) mod 5: scalar iff 2^k = 1, so order 4
-    assert projective_order_of(5, pack(5, 2, 0, 0, 1)) == 4
-    assert projective_order_of(5, pack(5, 2, 0, 0, 2)) == 1
-    assert projective_order_of(7, pack(7, 0, 1, 6, 0)) == 2
+    keys = [pack(5, 1, 1, 0, 1), pack(5, 2, 0, 0, 1), pack(5, 2, 0, 0, 2)]
+    assert gl2._projective_orders(5, keys).tolist() == [5, 4, 1]
+    assert [oracle_projective_order(5, k) for k in keys] == [5, 4, 1]
+    assert gl2._projective_orders(7, [pack(7, 0, 1, 6, 0)]).tolist() == [2]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_projective_orders_match_scalar_powering(p):
+    keys = [k for k in range(p ** 4) if key_det(p, k)]
+    if len(keys) > 5000:
+        keys = random.Random(p).sample(keys, 5000)
+    assert (gl2._projective_orders(p, keys).tolist()
+            == [oracle_projective_order(p, k) for k in keys])
 
 
 class TestMat2:

@@ -67,6 +67,24 @@ def test_closure_of_repeated_and_trivial_generators():
         assert _mulclose(p, gens) == oracle_mulclose(p, gens)
 
 
+def test_determinant_pass_matches_scalar_count(monkeypatch):
+    # a chunk of 7 keys makes every group span several chunks
+    monkeypatch.setattr(gl2, "_DET_CHUNK", 7)
+    for G in enumerate_subgroups(5):
+        dets = [key_det(5, k) for k in G.elements]
+        assert list(gl2._det_counts(5, G.elements)) == [dets.count(t)
+                                                       for t in range(5)]
+        rebuilt = Subgroup.from_sorted_keys(5, G.elements)
+        assert rebuilt.det_image == frozenset(dets)
+        assert rebuilt.contains_sl2 == (dets.count(1) == 120)
+
+
+def test_scalar_count_matches_scan():
+    for G in enumerate_subgroups(7):
+        assert G.scalar_count == sum(
+            1 for k in G.elements if gl2.key_is_scalar(7, k))
+
+
 # ---------------------------------------------------------------------------
 # Galois-conjugate pairs of points of P^1(F_{p^2})
 # ---------------------------------------------------------------------------
@@ -159,6 +177,38 @@ def test_conjugate_pair_scan_random_pairs(p, count):
         assert got == oracle_conjugate_pair(p, gens)
         found += got is not None
     assert found >= count // 4
+
+
+# ---------------------------------------------------------------------------
+# lines fixed and line pairs permuted by the generators
+# ---------------------------------------------------------------------------
+
+def oracle_line_pair(p, gen_keys):
+    perms = [gl2.line_permutation(p, g) for g in gen_keys]
+    for i in range(p + 1):
+        for j in range(i + 1, p + 1):
+            if all({perm[i], perm[j]} == {i, j} for perm in perms):
+                return (i, j)
+    return None
+
+
+@pytest.mark.parametrize("p", [5, 13])
+def test_line_scans_match_scalar_reference(p):
+    rng = random.Random(p)
+    keys = _invertible(p)
+    # diagonal and antidiagonal keys fix or swap the two axes
+    monomial = [k for k in keys if unpack(p, k)[1] == unpack(p, k)[2] == 0
+                or unpack(p, k)[0] == unpack(p, k)[3] == 0]
+    cases = [[]] + [[x] for x in keys[:200]]
+    for _ in range(1500):
+        pool = monomial if rng.random() < 0.5 else keys
+        cases.append([pool[rng.randrange(len(pool))] for _ in range(2)])
+    for gens in cases:
+        perms = [gl2.line_permutation(p, g) for g in gens]
+        assert gl2._fixed_lines_for_generators(p, gens) == [
+            i for i in range(p + 1) if all(perm[i] == i for perm in perms)]
+        assert (gl2._stabilized_line_pair_for_generators(p, gens)
+                == oracle_line_pair(p, gens))
 
 
 # ---------------------------------------------------------------------------
