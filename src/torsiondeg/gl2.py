@@ -348,7 +348,7 @@ def _mulclose(p: int, gens: list[int]) -> tuple[int, ...]:
                                        right))
             low = rows.min(axis=1)
             # one row per coset whose name is new
-            order = np.argsort(low, kind="stable")
+            order = np.argsort(low)
             low_sorted = low[order]
             new = np.ones(len(order), dtype=bool)
             new[1:] = low_sorted[1:] != low_sorted[:-1]

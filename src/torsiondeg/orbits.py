@@ -212,7 +212,7 @@ def _all_subgroups_of(p: int, keys: list[int]) -> list[frozenset[int]]:
     if not np.array_equal(keys[at], products):
         raise ValueError("the keys are not closed under multiplication")
     table = at.tolist()
-    identity = int(np.searchsorted(keys, _np_pack(p, (1, 0, 0, 1))))
+    identity = int(np.searchsorted(keys, pack(p, 1, 0, 0, 1)))
 
     def close(gens):
         elements, frontier = {identity}, [identity]
