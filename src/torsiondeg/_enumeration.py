@@ -332,14 +332,15 @@ def _random_invertible(rng: random.Random, p: int) -> int:
 
 def _perm_closure_capped(gens: list[tuple[int, ...]], limit: int):
     """Closure of permutations, or None once the size exceeds `limit`."""
-    identity = tuple(range(len(gens[0])))
+    n = len(gens[0])
+    identity = tuple(range(n))
     elements = {identity}
     frontier = [identity]
     while frontier:
         new = []
         for x in frontier:
             for g in gens:
-                y = tuple(map(x.__getitem__, g))  # x[g[i]] for each i
+                y = tuple(x[g[i]] for i in range(n))
                 if y not in elements:
                     if len(elements) >= limit:
                         return None
