@@ -528,6 +528,8 @@ def _load_cache(path: Path, p, mode):
             gens = [pack(p, *g) for g in flat]
         except (TypeError, ValueError, IndexError):
             return None
+        if any(key_det(p, g) == 0 for g in gens):
+            return None  # a singular matrix generates no group
         if entry["sl2_preimage"]:
             dets = _det_closure(p, [key_det(p, g) for g in gens])
             G = Subgroup.sl2_preimage(p, dets, gens)

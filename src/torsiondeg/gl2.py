@@ -25,6 +25,7 @@ import hashlib
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -277,6 +278,8 @@ def all_lines(p: int) -> list[Line]:
     return [Line.from_index(p, i) for i in range(p + 1)]
 
 
+# the line scans of one generator list each ask for its permutations
+@lru_cache(maxsize=64)
 def line_permutation(p: int, key: int) -> tuple[int, ...]:
     """How a matrix permutes the p+1 lines, as a tuple over line indices."""
     a, b, c, d = unpack(p, key)
@@ -330,6 +333,8 @@ def _mulclose(p: int, gens: list[int]) -> tuple[int, ...]:
     identity = pack(p, 1, 0, 0, 1)
     if not gens:
         return (identity,)
+    if any(key_det(p, g) == 0 for g in gens):
+        raise ValueError(f"a generator is singular mod {p}")
     cyclic = max((_cyclic_keys(p, g) for g in gens), key=len)
     right = tuple(v[None, :] for v in _np_components(p, cyclic))
     left = [unpack(p, g) for g in gens]

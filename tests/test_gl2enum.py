@@ -516,6 +516,17 @@ def test_cache_with_wrong_contents_is_recomputed(tmp_path):
     assert repaired["classes"][0]["order"] == 1
 
 
+def test_cache_with_singular_generator_is_recomputed(tmp_path):
+    fresh = enumerate_subgroups(5)
+    enumerate_subgroups(5, cache_dir=tmp_path)
+    (path,) = tmp_path.glob("gl2enum-p5-*.json")
+    payload = json.loads(path.read_text())
+    payload["classes"][-1]["generators"][0] = [[1, 1], [1, 1]]
+    path.write_text(json.dumps(payload))
+    census = enumerate_subgroups(5, cache_dir=tmp_path)
+    assert [G.elements for G in census] == [G.elements for G in fresh]
+
+
 def test_failed_cache_save_keeps_previous_file(tmp_path):
     from torsiondeg import _enumeration
 

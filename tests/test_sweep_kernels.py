@@ -85,6 +85,11 @@ def test_scalar_count_matches_scan():
             1 for k in G.elements if gl2.key_is_scalar(7, k))
 
 
+def test_closure_rejects_singular_generator():
+    with pytest.raises(ValueError, match="singular"):
+        _mulclose(5, [pack(5, 1, 0, 0, 1), pack(5, 1, 1, 1, 1)])
+
+
 # ---------------------------------------------------------------------------
 # Galois-conjugate pairs of points of P^1(F_{p^2})
 # ---------------------------------------------------------------------------
@@ -303,14 +308,18 @@ def test_vector_orbits_match_search(p):
     groups = list(enumerate_subgroups(p))
     r = gl2.primitive_root(p)
     sl2_gens = [pack(p, 1, 1, 0, 1), pack(p, 1, 0, 1, 1)]
-    for e in (1, 2, p - 1):  # lazy SL2-preimages with every det image size
+    # lazy SL2-preimages with determinant images of order p - 1,
+    # (p - 1)/2 and 1
+    for e in (1, 2, p - 1):
         delta = pow(r, e, p)
         dets = frozenset(pow(delta, i, p) for i in range(p - 1))
         groups.append(Subgroup.sl2_preimage(
             p, dets, sl2_gens + [pack(p, delta, 0, 0, 1)]))
     assert sum(G.contains_sl2 for G in groups) >= 6
     for G in groups:
-        assert vector_orbits(G) == oracle_vector_orbits(G)
+        orbits = oracle_vector_orbits(G)
+        assert vector_orbits(G) == orbits
+        assert gl2.vector_orbit_sizes(G) == [len(o) for o in orbits]
 
 
 # ---------------------------------------------------------------------------
