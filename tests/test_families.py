@@ -1,5 +1,7 @@
 """Tests for the degree-set density machinery and the budget procedure."""
 
+import hashlib
+import json
 import math
 from fractions import Fraction
 from itertools import islice
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torsiondeg import arith, cmbounds
+from torsiondeg import arith, cli, cmbounds
 from torsiondeg.families import (
     BEpsilonResult,
     DensityReport,
@@ -189,6 +191,37 @@ def test_max_prime_shift_cache_is_bounded_and_read_only():
         arr[1] = 0
 
 
+def prime_shift_count(c, C, x):
+    return density_upto(IntegerSetSpec((PrimeShiftClause(c, C),)), x).count
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=1000),
+       st.integers(min_value=0, max_value=3000),
+       st.integers(min_value=1, max_value=400))
+def test_prime_shift_threshold_matches_max_table(c, C, x):
+    expected = int((_max_prime_shift(c, x)[1:] > C).sum())
+    assert prime_shift_count(c, C, x) == expected
+    assert erdos_wagstaff_set(c, C, x)[1].count == expected
+
+
+@pytest.mark.parametrize("c,C,x", [(6, 4762, 10 ** 5), (144, 5000, 10 ** 5)])
+def test_prime_shift_threshold_matches_max_table_at_scale(c, C, x):
+    expected = int((_max_prime_shift(c, x)[1:] > C).sum())
+    assert prime_shift_count(c, C, x) == expected
+    assert erdos_wagstaff_set(c, C, x)[1].count == expected
+
+
+@pytest.mark.parametrize("c", [1, 2, 5, 6, 9, 12])
+def test_prime_shift_density_matches_naive_membership(c):
+    # odd and even c: for even c the sieve skips the odd divisors t
+    x = 1500
+    for C in (2, 40, 300):
+        spec = IntegerSetSpec((PrimeShiftClause(c, C),))
+        naive = sum(1 for d in range(1, x + 1) if spec.contains(d))
+        assert density_upto(spec, x).count == naive, (c, C)
+
+
 def test_density_matches_naive_membership_loop():
     spec = IntegerSetSpec((DivClause(7), PrimeShiftClause(2, 6)))
     x = 1000
@@ -264,6 +297,35 @@ def test_ew_density_nonincreasing_in_cutoff():
     assert densities[0] == 1
 
 
+# sha256 of the report bodies (see test_enumerate_report_bodies_are_frozen)
+# of a density run over the spec that perfbench's cm-density workload
+# draws at seed 1, and of the matching shifted-prime set alone.
+DENSITY_SPEC = {"clauses": [
+    {"kind": "divisor", "m": 10},
+    {"kind": "prime-shift", "c": 6, "C": 4762},
+    {"kind": "prime-power-div", "N": 2, "L": 5179},
+]}
+FAMILY_BODY_SHA256 = {
+    "density":
+        "68c43088d8d1879e1b3ada6a67d6a86f83f774e4713811b4ffbae26a2a2bda5a",
+    "ew": "89b3749bd31501db419ea33763eb885230cbe87dfa24dfd95ba185902071eb72",
+}
+
+
+@pytest.mark.parametrize("command", sorted(FAMILY_BODY_SHA256))
+def test_density_report_bodies_are_frozen(command, tmp_path, capsys):
+    if command == "density":
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(DENSITY_SPEC), encoding="utf-8")
+        argv = ["density", "--x", "1000000", "--spec-file", str(path)]
+    else:
+        argv = ["ew", "--c", "6", "--cutoff", "4762", "--x", "1000000"]
+    assert cli.main(argv) == 0
+    body = json.loads(capsys.readouterr().out)["report"]
+    digest = hashlib.sha256(json.dumps(body, sort_keys=True).encode())
+    assert digest.hexdigest() == FAMILY_BODY_SHA256[command]
+
+
 # ---------------------------------------------------------------------------
 # cutoff search
 # ---------------------------------------------------------------------------
@@ -290,6 +352,22 @@ def test_find_cutoff_monotone_in_epsilon():
             for eps in (Fraction(1, 2), Fraction(1, 5), Fraction(1, 20),
                         Fraction(1, 100))]
     assert all(a <= b for a, b in zip(cuts, cuts[1:]))
+
+
+def sorted_cutoff(epsilon, c, x):
+    """The (K+1)-th largest maximal shift by a full sort, K the largest
+    count the density budget allows."""
+    allowed = int(Fraction(epsilon) * x)
+    if allowed >= x:
+        return 0
+    return int(np.sort(full_sieve_max_shift(c, x)[1:])[x - 1 - allowed])
+
+
+@pytest.mark.parametrize("c,x", [(1, 2000), (6, 3000), (144, 2500)])
+def test_find_cutoff_matches_sorted_order_statistic(c, x):
+    for eps in (1, Fraction(1, 2), Fraction(1, 10), Fraction(1, 100),
+                Fraction(1, x)):
+        assert find_cutoff_C(eps, c, x) == sorted_cutoff(eps, c, x), eps
 
 
 def test_find_cutoff_rejects_bad_epsilon():
