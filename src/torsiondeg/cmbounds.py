@@ -118,7 +118,9 @@ def c_of_g(g: int) -> CmBoundSet:
     """Assemble H, M, and c = H*M/2 for dimension g."""
     H = h_bound(g)
     M = mu_bound(g)
-    assert M % 2 == 0, "the prime 2 always contributes to the root count"
+    if M % 2:
+        raise RuntimeError("the prime 2 always contributes to the root "
+                           f"count, but M = {M}")
     return CmBoundSet(g=g, H=H, M=M, c=H * M // 2)
 
 

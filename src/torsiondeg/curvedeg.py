@@ -2,7 +2,7 @@
 semigroup stabilization, and closed-point degree thresholds.
 
 Everything here is exact integer/rational arithmetic.  The genus formula
-is evaluated over Fraction and asserted integral, so a transcription error
+is evaluated over Fraction and checked integral, so a transcription error
 cannot round itself invisible.  Semigroup questions (is a target degree a
 nonnegative combination of given point degrees, and from which point on is
 every multiple of their gcd one) are answered from the table of least
@@ -64,8 +64,8 @@ def genus_x1(N: int) -> int:
         term *= 1 - Fraction(1, q * q)
     cusps = sum(euler_phi(d) * euler_phi(N // d) for d in divisors(N))
     g = 1 + term - Fraction(cusps, 4)
-    assert g.denominator == 1, f"non-integral genus {g} at N={N}"
-    assert g >= 0
+    if g.denominator != 1 or g < 0:
+        raise RuntimeError(f"genus formula gave {g} at N={N}")
     return int(g)
 
 
@@ -119,7 +119,8 @@ def _least_representable_by_residue(gens: tuple[int, ...]) -> list[int]:
             if least[nr] is None or nv < least[nr]:
                 least[nr] = nv
                 heapq.heappush(heap, (nv, nr))
-    assert all(v is not None for v in least)  # coprimality reaches everything
+    if None in least:
+        raise RuntimeError(f"generators {gens} leave a residue unreached")
     return least
 
 

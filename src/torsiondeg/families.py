@@ -95,8 +95,7 @@ class PrimeShiftClause:
                    for l in primes_upto(cd + 1))
 
     def mark(self, mask: np.ndarray) -> None:
-        ms = _max_prime_shift(self.c, len(mask) - 1)
-        np.logical_or(mask, ms > self.C, out=mask)
+        _spread_max(mask, _prime_shifts(self.c, len(mask) - 1) > self.C)
 
     def describe(self) -> dict:
         return {"kind": "prime-shift", "c": self.c, "C": self.C}
@@ -200,10 +199,12 @@ class DensityReport:
 # sieves
 # ---------------------------------------------------------------------------
 
-def _progression_primes(c: int, t: int, x: int, sieving: list) -> np.ndarray:
-    """The s in [1, x] with gcd(s, c/t) = 1 and t s + 1 prime, given the
-    primes up to at least sqrt(t x + 1)."""
-    composite = np.zeros(x + 1, dtype=bool)
+def _progression_primes(c: int, t: int, x: int, sieving: list,
+                        composite: np.ndarray) -> np.ndarray:
+    """The s in [1, x] with gcd(s, c/t) = 1 and t s + 1 prime, as int32,
+    given the primes up to at least sqrt(t x + 1) and a bool scratch
+    array of length x + 1."""
+    composite.fill(False)
     composite[0] = True
     for q, _ in factorize(c // t):
         composite[::q] = True
@@ -214,23 +215,23 @@ def _progression_primes(c: int, t: int, x: int, sieving: list) -> np.ndarray:
             continue  # t s + 1 is 1 mod q
         s0 = -pow(t, -1, q) % q  # t s0 + 1 = 0 mod q
         composite[s0 + q if t * s0 + 1 == q else s0::q] = True
-    return np.flatnonzero(~composite)
+    np.logical_not(composite, out=composite)
+    return np.flatnonzero(composite).astype(np.int32)
 
 
 @lru_cache(maxsize=1)
-def _max_prime_shift(c: int, x: int) -> np.ndarray:
-    """Read-only array where entry d holds the largest l-1 over primes l
-    with (l-1) | c d, or 0 if there is none.
+def _prime_shifts(c: int, x: int) -> np.ndarray:
+    """Read-only int32 array v where v[s] is the largest t s over the
+    divisors t of c with gcd(s, c/t) = 1 and t s + 1 prime, or 0.
 
-    A prime l is relevant exactly when s = (l-1)/t <= x with
-    t = gcd(l-1, c), since (l-1) | c d is equivalent to s | d.  Each
-    such l is l = t s + 1 for exactly one divisor t of c and one s <= x
-    with gcd(s, c/t) = 1, so every progression t s + 1 is sieved on its
-    own by the primes up to sqrt(t x + 1), leaving v[s] = the largest
-    prime shift t s.  Then entry d is the maximum of v[s] over s | d:
-    strided maxima over the multiples of each s <= sqrt(x), and for the
-    larger s, whose multiples k s have k < sqrt(x), one maximum per k.
-    The last call is cached (8 MB at x = 10^6).
+    A prime l with (l-1) | c d is l = t s + 1 for exactly one divisor
+    t = gcd(l-1, c) of c and one s | d with gcd(s, c/t) = 1, so v[s] is
+    the largest prime shift that every multiple of s admits.  Each
+    progression t s + 1 is sieved on its own by the primes up to
+    sqrt(t x + 1).  For even c an odd t is skipped: c/t is even, so s is
+    odd and t s + 1 is even, which leaves only l = 2 (t = s = 1), and
+    t = 2 already puts 2 in v[1].  Shifts fit int32 because
+    t s <= c x < MAX_SIEVE < 2^31.
     """
     limit = c * x + 1
     if limit > MAX_SIEVE:
@@ -238,19 +239,47 @@ def _max_prime_shift(c: int, x: int) -> np.ndarray:
             f"prime-shift sieve would need all primes up to {limit}; "
             f"the supported bound is {MAX_SIEVE}")
     sieving = primes_array(math.isqrt(limit)).tolist()
-    v = np.zeros(x + 1, dtype=np.int32)  # t s <= c x < MAX_SIEVE < 2^31
+    composite = np.empty(x + 1, dtype=bool)
+    v = np.zeros(x + 1, dtype=np.int32)
     for t in divisors(c):
-        s = _progression_primes(c, t, x, sieving)
+        if c % 2 == 0 and t % 2:
+            continue
+        s = _progression_primes(c, t, x, sieving, composite)
         v[s] = t * s  # divisors ascend, so the last write is the largest
-    arr = np.zeros(x + 1, dtype=np.int64)
+    v.setflags(write=False)
+    return v
+
+
+def _spread_max(out: np.ndarray, v: np.ndarray) -> None:
+    """out[d] = max(out[d], max of v[s] over s | d), in place.
+
+    Strided maxima over the multiples of each s <= sqrt(x) with v[s]
+    nonzero, and for the larger s, whose multiples k s have k < sqrt(x),
+    one maximum per k.  On booleans the maximum is a logical or, so
+    spreading v > C marks exactly the degrees whose largest prime shift
+    exceeds C.
+    """
+    x = len(out) - 1
     r = math.isqrt(x)
     for step in np.flatnonzero(v[1:r + 1]) + 1:
-        view = arr[step::step]
+        view = out[step::step]
         np.maximum(view, v[step], out=view)
     for k in range(1, x // (r + 1) + 1):
         hi = x // k
-        view = arr[k * (r + 1):k * hi + 1:k]
+        view = out[k * (r + 1):k * hi + 1:k]
         np.maximum(view, v[r + 1:hi + 1], out=view)
+
+
+@lru_cache(maxsize=1)
+def _max_prime_shift(c: int, x: int) -> np.ndarray:
+    """Read-only int32 array where entry d holds the largest l-1 over
+    primes l with (l-1) | c d, or 0 if there is none: the prime shifts
+    of _prime_shifts spread over the multiples of each s.  Only the
+    cutoff search needs the values; the density path spreads v > C
+    instead.  The last call is cached (4 MB at x = 10^6).
+    """
+    arr = np.zeros(x + 1, dtype=np.int32)
+    _spread_max(arr, _prime_shifts(c, x))
     arr.setflags(write=False)
     return arr
 
@@ -259,6 +288,10 @@ def density_upto(spec: IntegerSetSpec, x: int) -> DensityReport:
     """Exact count of members of the union in [1, x], by sieve."""
     if x < 1:
         raise ValueError("the cutoff must be a positive integer")
+    if x > MAX_SIEVE:
+        raise ValueError(
+            f"density sieve would need a mask of {x + 1} degrees; "
+            f"the supported bound is {MAX_SIEVE}")
     mask = np.zeros(x + 1, dtype=bool)
     for clause in spec.clauses:
         clause.mark(mask)
@@ -269,9 +302,7 @@ def erdos_wagstaff_set(c: int, C: int, x: int):
     """The degrees up to x with a prime shift divisor beyond C, together
     with their exact density."""
     spec = IntegerSetSpec((PrimeShiftClause(c, C),))
-    ms = _max_prime_shift(c, x)
-    count = int((ms[1:] > C).sum())
-    return spec, DensityReport(x, count)
+    return spec, density_upto(spec, x)
 
 
 def find_cutoff_C(epsilon, c: int, x: int) -> int:
@@ -280,7 +311,8 @@ def find_cutoff_C(epsilon, c: int, x: int) -> int:
 
     Order statistics give it directly: with K the largest allowed count,
     the (K+1)-th largest value of the per-degree maximal shift is the
-    answer (0 when everything fits).
+    answer (0 when everything fits).  np.partition places that one value
+    without sorting the rest.
     """
     eps = Fraction(epsilon)
     if not 0 < eps <= 1:
@@ -289,8 +321,8 @@ def find_cutoff_C(epsilon, c: int, x: int) -> int:
     allowed = int(eps * x)  # floor; count <= allowed <=> density <= eps
     if allowed >= x:
         return 0
-    values = np.sort(ms[1:])
-    C = int(values[x - 1 - allowed])  # (allowed+1)-th largest
+    kth = x - 1 - allowed  # (allowed+1)-th largest
+    C = int(np.partition(ms[1:], kth)[kth])
     count = int((ms[1:] > C).sum())
     if Fraction(count, x) > eps:  # pragma: no cover - defensive
         raise RuntimeError(

@@ -17,6 +17,7 @@ from torsiondeg.curvedeg import (
     rr_degree_bound,
     stable_bound,
     torsion_reach,
+    _least_representable_by_residue,
 )
 
 # published genus values for X1(N) — an external anchor for the formula
@@ -152,6 +153,13 @@ def test_spec_rejects_bad_generators():
 # ---------------------------------------------------------------------------
 # representability
 # ---------------------------------------------------------------------------
+
+def test_residue_table_rejects_non_coprime_generators():
+    # callers divide out the gcd first; a table over 4, 6 never reaches
+    # the odd residues
+    with pytest.raises(RuntimeError, match="unreached"):
+        _least_representable_by_residue((4, 6))
+
 
 def test_representable_examples():
     assert not representable(7, {3, 5})

@@ -3,15 +3,22 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from torsiondeg import arith, cli, cmbounds
+from torsiondeg import families as families_module
 from torsiondeg.families import (
+    MAX_SIEVE,
     BEpsilonResult,
     DensityReport,
     DivClause,
@@ -34,6 +41,7 @@ from torsiondeg.families import (
     _PrimesUpTo,
     _int_nth_root,
     _max_prime_shift,
+    _prime_shifts,
     _tail_within,
 )
 
@@ -261,6 +269,60 @@ def test_density_rejects_bad_cutoff():
 def test_sieve_size_guard():
     with pytest.raises(ValueError, match="supported bound"):
         _max_prime_shift(10 ** 6, 10 ** 6)
+
+
+def test_density_rejects_cutoff_beyond_the_supported_bound():
+    spec = IntegerSetSpec((DivClause(10),))
+    with pytest.raises(ValueError, match="supported bound"):
+        density_upto(spec, MAX_SIEVE + 1)
+    assert density_upto(spec, 10 ** 5).count == 10 ** 4
+
+
+# VmHWM is the peak resident size of the child's own address space;
+# getrusage would also count the pages it shared with the parent before
+# exec.
+_PEAK_RSS_MAIN = """
+import sys
+from torsiondeg import cli
+code = cli.main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")),
+          file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the peak from /proc/self/status")
+def test_density_cli_rejects_huge_cutoff_before_allocating(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"clauses": [{"kind": "divisor", "m": 10}]}),
+                    encoding="utf-8")
+    src = Path(families_module.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_MAIN, "density", "--x",
+         "300000000", "--spec-file", str(path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 2, out.stderr
+    message, peak_kb = out.stderr.strip().splitlines()
+    assert "supported bound" in message
+    assert int(peak_kb) < 100 * 1024  # kB
+
+
+def test_prime_shift_density_memory_per_degree():
+    # numpy reports its buffers to tracemalloc, so the peak is exact
+    x = 10 ** 6
+    _prime_shifts.cache_clear()
+    _max_prime_shift.cache_clear()
+    tracemalloc.start()
+    try:
+        density_upto(IntegerSetSpec((PrimeShiftClause(6, 4762),)), x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / x <= 10
 
 
 # ---------------------------------------------------------------------------
