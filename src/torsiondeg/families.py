@@ -199,26 +199,6 @@ class DensityReport:
 # sieves
 # ---------------------------------------------------------------------------
 
-def _progression_primes(c: int, t: int, x: int, sieving: list,
-                        composite: np.ndarray) -> np.ndarray:
-    """The s in [1, x] with gcd(s, c/t) = 1 and t s + 1 prime, as int32,
-    given the primes up to at least sqrt(t x + 1) and a bool scratch
-    array of length x + 1."""
-    composite.fill(False)
-    composite[0] = True
-    for q, _ in factorize(c // t):
-        composite[::q] = True
-    for q in sieving:
-        if q * q > t * x + 1:
-            break
-        if t % q == 0:
-            continue  # t s + 1 is 1 mod q
-        s0 = -pow(t, -1, q) % q  # t s0 + 1 = 0 mod q
-        composite[s0 + q if t * s0 + 1 == q else s0::q] = True
-    np.logical_not(composite, out=composite)
-    return np.flatnonzero(composite).astype(np.int32)
-
-
 @lru_cache(maxsize=1)
 def _prime_shifts(c: int, x: int) -> np.ndarray:
     """Read-only int32 array v where v[s] is the largest t s over the
@@ -239,12 +219,24 @@ def _prime_shifts(c: int, x: int) -> np.ndarray:
             f"prime-shift sieve would need all primes up to {limit}; "
             f"the supported bound is {MAX_SIEVE}")
     sieving = primes_array(math.isqrt(limit)).tolist()
-    composite = np.empty(x + 1, dtype=bool)
+    composite = np.empty(x + 1, dtype=bool)  # scratch for every t
     v = np.zeros(x + 1, dtype=np.int32)
     for t in divisors(c):
         if c % 2 == 0 and t % 2:
             continue
-        s = _progression_primes(c, t, x, sieving, composite)
+        composite.fill(False)
+        composite[0] = True
+        for q, _ in factorize(c // t):
+            composite[::q] = True
+        for q in sieving:
+            if q * q > t * x + 1:
+                break
+            if t % q == 0:
+                continue  # t s + 1 is 1 mod q
+            s0 = -pow(t, -1, q) % q  # t s0 + 1 = 0 mod q
+            composite[s0 + q if t * s0 + 1 == q else s0::q] = True
+        np.logical_not(composite, out=composite)  # now the survivors
+        s = np.flatnonzero(composite).astype(np.int32)
         v[s] = t * s  # divisors ascend, so the last write is the largest
     v.setflags(write=False)
     return v

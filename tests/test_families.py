@@ -13,10 +13,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from torsiondeg import arith, cli, cmbounds
-from torsiondeg import families as families_module
 from torsiondeg.families import (
     MAX_SIEVE,
     BEpsilonResult,
@@ -199,24 +198,16 @@ def test_max_prime_shift_cache_is_bounded_and_read_only():
         arr[1] = 0
 
 
-def prime_shift_count(c, C, x):
-    return density_upto(IntegerSetSpec((PrimeShiftClause(c, C),)), x).count
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=1000),
        st.integers(min_value=0, max_value=3000),
        st.integers(min_value=1, max_value=400))
+@example(6, 4762, 10 ** 5)
+@example(144, 5000, 10 ** 5)
 def test_prime_shift_threshold_matches_max_table(c, C, x):
     expected = int((_max_prime_shift(c, x)[1:] > C).sum())
-    assert prime_shift_count(c, C, x) == expected
-    assert erdos_wagstaff_set(c, C, x)[1].count == expected
-
-
-@pytest.mark.parametrize("c,C,x", [(6, 4762, 10 ** 5), (144, 5000, 10 ** 5)])
-def test_prime_shift_threshold_matches_max_table_at_scale(c, C, x):
-    expected = int((_max_prime_shift(c, x)[1:] > C).sum())
-    assert prime_shift_count(c, C, x) == expected
+    spec = IntegerSetSpec((PrimeShiftClause(c, C),))
+    assert density_upto(spec, x).count == expected
     assert erdos_wagstaff_set(c, C, x)[1].count == expected
 
 
@@ -298,7 +289,7 @@ def test_density_cli_rejects_huge_cutoff_before_allocating(tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"clauses": [{"kind": "divisor", "m": 10}]}),
                     encoding="utf-8")
-    src = Path(families_module.__file__).resolve().parents[1]
+    src = Path(arith.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(src), os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run(
