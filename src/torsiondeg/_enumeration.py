@@ -57,14 +57,14 @@ from .gl2 import (
     _det_closure,
     _fixed_lines_for_generators,
     _np_components,
+    _np_inv,
+    _np_is_scalar,
     _np_mul,
     _np_pack,
+    _sorted_member,
     _stabilized_conjugate_pair_for_generators,
     _stabilized_line_pair_for_generators,
     key_det,
-    key_inv,
-    key_is_scalar,
-    key_mul,
     line_permutation,
     pack,
     unpack,
@@ -85,14 +85,12 @@ class _FullContext:
         self.p = p
         idx = np.arange(p ** 4, dtype=np.int64)
         a, b, c, d = _np_components(p, idx)
-        det = (a * d - b * c) % p
-        keep = det != 0
+        keep = (a * d - b * c) % p != 0
         self.keys = idx[keep]  # ascending
-        detinv = np.array([0] + [pow(t, -1, p) for t in range(1, p)])[det]
-        # n^-1 = detinv * [[d, -b], [-c, a]]; int32 is exact for p < 215
+        # int32 is exact for p < 215
         self.comps = tuple(v[keep].astype(np.int32) for v in (a, b, c, d))
-        self.inverse = tuple((v * detinv % p)[keep].astype(np.int32)
-                             for v in (d, -b, -c, a))
+        self.inverse = tuple(v.astype(np.int32)
+                             for v in _np_inv(p, self.comps))
 
     def conjugates(self, sel, x) -> np.ndarray:
         """Keys of n x n^-1, one row per n = keys[sel], one column per x
@@ -309,13 +307,15 @@ def _exhaustive(p: int) -> list[Subgroup]:
     census = _Census(ctx)
     _phase1_sl2_classes(ctx, census)
     _phase2_prime_index_extensions(ctx, census)
-    census.table.clear()  # its memory is reused for the element tuples
+    census.table.clear()  # free the digest table before fingerprinting
     # generators are normalized exactly as generated_by would, so a cache
     # reload reproduces the computed census verbatim
-    groups = [Subgroup.from_sorted_keys(p, tuple(int(k) for k in keys),
+    groups = [Subgroup.from_sorted_keys(p, keys,
                                         generators=sorted({int(g) for g in gens}))
               for keys, gens in zip(census.class_keys, census.class_gens)]
-    groups.sort(key=lambda G: (G.order, G.fingerprint_id(), G.elements))
+    # arrays have no order; as lists the elements compare lexicographically
+    groups.sort(key=lambda G: (G.order, G.fingerprint_id(),
+                               G.elements.tolist()))
     return groups
 
 
@@ -415,17 +415,20 @@ def conjugate_subgroups(H1: Subgroup, H2: Subgroup) -> bool:
         # subgroups containing SL2 are normal and determined by det image
         return (H1.contains_sl2 == H2.contains_sl2
                 and H1.det_image == H2.det_image)
-    set2 = frozenset(H2.elements)
-    x = next((k for k in H1.elements if not key_is_scalar(p, k)), None)
-    if x is None:
-        return frozenset(H1.elements) == set2  # scalar groups: conjugation-fixed
-    xa, xb, xc, xd = unpack(p, x)
-    x_det, x_tr = key_det(p, x), (xa + xd) % p
-    gens1 = [g for g in H1.generators] or list(H1.elements)
-    for y in H2.elements:
-        ya, yb, yc, yd = unpack(p, y)
-        if (ya + yd) % p != x_tr or key_det(p, y) != x_det:
-            continue
+    els1, els2 = H1.elements, H2.elements
+    nonscalar = np.flatnonzero(~_np_is_scalar(_np_components(p, els1)))
+    if not len(nonscalar):
+        return np.array_equal(els1, els2)  # scalar groups: conjugation-fixed
+    xa, xb, xc, xd = unpack(p, int(els1[nonscalar[0]]))
+    gens1 = _np_components(p, np.asarray(H1.generators or els1,
+                                          dtype=np.int64))
+    a, b, c, d = _np_components(p, els2)
+    similar = (((a + d) % p == (xa + xd) % p)
+               & ((a * d - b * c) % p == (xa * xd - xb * xc) % p))
+    # the p+1 solutions (alpha, beta) up to scalars
+    alpha = np.append(np.ones(p, dtype=np.int64), 0)
+    beta = np.append(np.arange(p), 1)
+    for ya, yb, yc, yd in zip(*(v[similar].tolist() for v in (a, b, c, d))):
         basis = _nullspace_mod(p, [
             [xa - ya, xc, -yb, 0],
             [xb, xd - ya, 0, -yb],
@@ -435,14 +438,12 @@ def conjugate_subgroups(H1: Subgroup, H2: Subgroup) -> bool:
         if len(basis) < 2:
             continue  # y is not similar to x after all
         b0, b1 = basis[0], basis[1]
-        for alpha, beta in [(1, t) for t in range(p)] + [(0, 1)]:
-            h = [(alpha * b0[i] + beta * b1[i]) % p for i in range(4)]
-            if (h[0] * h[3] - h[1] * h[2]) % p == 0:
-                continue
-            hk = pack(p, *h)
-            hki = key_inv(p, hk)
-            if all(key_mul(p, key_mul(p, hk, g), hki) in set2 for g in gens1):
-                return True
+        h = tuple((alpha * b0[i] + beta * b1[i]) % p for i in range(4))
+        invertible = (h[0] * h[3] - h[1] * h[2]) % p != 0
+        h = tuple(v[invertible, None] for v in h)  # one row per h
+        conj = _np_pack(p, _np_mul(p, _np_mul(p, h, gens1), _np_inv(p, h)))
+        if _sorted_member(els2, conj).all(axis=1).any():
+            return True
     return False
 
 

@@ -8,12 +8,10 @@ guard on its documented search range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "FactoredInteger",
     "divisors",
     "euler_phi",
     "factorize",
@@ -134,33 +132,6 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     if n > 1:
         out.append((n, 1))
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class FactoredInteger:
-    """A positive integer together with its prime factorization."""
-
-    value: int
-    factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        prod = 1
-        for q, e in self.factors:
-            if e < 1 or not is_prime(q):
-                raise ValueError(f"bad factor ({q}, {e})")
-            prod *= q**e
-        if prod != self.value or self.value < 1:
-            raise ValueError(f"factors do not multiply to {self.value}")
-
-    @classmethod
-    def from_int(cls, n: int) -> "FactoredInteger":
-        return cls(n, factorize(n))
-
-    def ord_p(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
 
 
 def divisors(n: int) -> list[int]:

@@ -3,7 +3,9 @@
 Matrices are 2x2 over F_p, stored row-major as (a, b, c, d), acting on
 column vectors: M(x, y) = (a*x + b*y, c*x + d*y).  For fast set arithmetic
 a matrix packs into the single integer key ((a*p + b)*p + c)*p + d and a
-subgroup keeps its elements as a sorted tuple of such keys.
+subgroup keeps its elements as one sorted, read-only int64 array of such
+keys.  All matrix arithmetic runs on arrays of components (`_np_mul`,
+`_np_inv`), with Python ints standing in for single matrices.
 
 The classification implemented by `classify` sorts every subgroup into one
 of seven buckets with a fixed precedence:
@@ -22,7 +24,6 @@ both conditions are checked on generators only.
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -95,38 +96,8 @@ def key_det(p: int, key: int) -> int:
     return (a * d - b * c) % p
 
 
-def key_mul(p: int, k1: int, k2: int) -> int:
-    a, b, c, d = unpack(p, k1)
-    e, f, g, h = unpack(p, k2)
-    return pack(p, (a * e + b * g) % p, (a * f + b * h) % p,
-                (c * e + d * g) % p, (c * f + d * h) % p)
-
-
-def key_inv(p: int, key: int) -> int:
-    a, b, c, d = unpack(p, key)
-    di = pow(a * d - b * c, -1, p)
-    return pack(p, d * di % p, -b * di % p, -c * di % p, a * di % p)
-
-
-def key_pow(p: int, key: int, n: int) -> int:
-    if n < 0:
-        key, n = key_inv(p, key), -n
-    result = pack(p, 1, 0, 0, 1)
-    while n:
-        if n & 1:
-            result = key_mul(p, result, key)
-        key = key_mul(p, key, key)
-        n >>= 1
-    return result
-
-
-def key_is_scalar(p: int, key: int) -> bool:
-    a, b, c, d = unpack(p, key)
-    return b == 0 and c == 0 and a == d
-
-
 # ---------------------------------------------------------------------------
-# the same arithmetic on numpy arrays of keys or components
+# arithmetic on numpy arrays of keys or components
 # ---------------------------------------------------------------------------
 
 # keys, entries and products stay below p^4, which fits int32 for p < 215
@@ -146,19 +117,46 @@ def _np_mul(p, x, y):
             (c * e + d * g) % p, (c * f + d * h) % p)
 
 
+@lru_cache(maxsize=8)
+def _unit_inverses(p: int) -> np.ndarray:
+    """t^-1 mod p at index t, and 0 at index 0."""
+    table = np.array([0] + [pow(t, -1, p) for t in range(1, p)],
+                     dtype=np.int64)
+    table.flags.writeable = False
+    return table
+
+
+def _np_inv(p, comps):
+    """Inverses of invertible matrices given by components, ints or arrays:
+    det^-1 [[d, -b], [-c, a]]."""
+    a, b, c, d = comps
+    di = _unit_inverses(p)[(a * d - b * c) % p]
+    return d * di % p, -b * di % p, -c * di % p, a * di % p
+
+
+def _np_is_scalar(comps):
+    a, b, c, d = comps
+    return (b == 0) & (c == 0) & (a == d)
+
+
 def _np_pack(p, comps) -> np.ndarray:
     a, b, c, d = comps
     return ((a * p + b) * p + c) * p + d
 
 
+def _sorted_member(table: np.ndarray, keys):
+    """Which keys occur in the sorted, non-empty array table."""
+    at = np.minimum(np.searchsorted(table, keys), len(table) - 1)
+    return table[at] == keys
+
+
 def _projective_orders(p: int, keys) -> np.ndarray:
     """The projective order of each key, the least k >= 1 with key^k
     scalar (the order of its image in PGL2), by powering all keys at once."""
-    comps = acc = _np_components(p, np.array(keys, dtype=np.int64))
+    comps = acc = _np_components(p, np.asarray(keys, dtype=np.int64))
     orders = np.zeros(len(keys), dtype=np.int64)
     for k in range(1, p + 2):
-        a, b, c, d = acc
-        orders[(orders == 0) & (b == 0) & (c == 0) & (a == d)] = k
+        orders[(orders == 0) & _np_is_scalar(acc)] = k
         if orders.all():
             return orders
         acc = _np_mul(p, acc, comps)
@@ -168,69 +166,6 @@ def _projective_orders(p: int, keys) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # element and line types
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, order=True)
-class Mat2:
-    """An invertible 2x2 matrix over F_p (row-major entries)."""
-
-    p: int
-    a: int
-    b: int
-    c: int
-    d: int
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
-        for name in ("a", "b", "c", "d"):
-            v = getattr(self, name)
-            if not (0 <= v < self.p):
-                raise ValueError(f"entry {name}={v} not reduced mod {self.p}")
-        if (self.a * self.d - self.b * self.c) % self.p == 0:
-            raise ValueError(f"matrix {self.rows()} is singular mod {self.p}")
-
-    @classmethod
-    def of(cls, p, a, b, c, d):
-        return cls(p, a % p, b % p, c % p, d % p)
-
-    @classmethod
-    def from_key(cls, p, key):
-        return cls(p, *unpack(p, key))
-
-    @property
-    def key(self) -> int:
-        return pack(self.p, self.a, self.b, self.c, self.d)
-
-    def rows(self):
-        return ((self.a, self.b), (self.c, self.d))
-
-    @property
-    def det(self) -> int:
-        return (self.a * self.d - self.b * self.c) % self.p
-
-    @property
-    def trace(self) -> int:
-        return (self.a + self.d) % self.p
-
-    def __mul__(self, other: "Mat2") -> "Mat2":
-        if self.p != other.p:
-            raise ValueError("mixed moduli")
-        return Mat2.from_key(self.p, key_mul(self.p, self.key, other.key))
-
-    def inverse(self) -> "Mat2":
-        return Mat2.from_key(self.p, key_inv(self.p, self.key))
-
-    def __pow__(self, n: int) -> "Mat2":
-        return Mat2.from_key(self.p, key_pow(self.p, self.key, n))
-
-    def apply(self, v: tuple[int, int]) -> tuple[int, int]:
-        x, y = v
-        return ((self.a * x + self.b * y) % self.p,
-                (self.c * x + self.d * y) % self.p)
-
-    def is_scalar(self) -> bool:
-        return self.b == 0 and self.c == 0 and self.a == self.d
-
 
 @dataclass(frozen=True, order=True)
 class Line:
@@ -304,18 +239,17 @@ def _cyclic_keys(p: int, g: int) -> np.ndarray:
     """Keys of g^0, ..., g^(n-1), n the order of g, by doubling."""
     identity = pack(p, 1, 0, 0, 1)
     powers = np.array([identity], dtype=_key_dtype(p))
-    step = g  # g^len(powers)
+    step = unpack(p, g)  # g^len(powers)
     while True:
-        more = _np_pack(p, _np_mul(p, unpack(p, step),
-                                   _np_components(p, powers)))
+        more = _np_pack(p, _np_mul(p, step, _np_components(p, powers)))
         back = np.flatnonzero(more == identity)
         if len(back):
             return np.concatenate([powers, more[:back[0]]])
         powers = np.concatenate([powers, more])
-        step = key_mul(p, step, step)
+        step = _np_mul(p, step, step)
 
 
-def _mulclose(p: int, gens: list[int]) -> tuple[int, ...]:
+def _mulclose(p: int, gens: list[int]) -> np.ndarray:
     """Closure of a set of invertible keys under multiplication, sorted.
 
     Dimino's coset method (G. Butler, Fundamental Algorithms for
@@ -332,7 +266,7 @@ def _mulclose(p: int, gens: list[int]) -> tuple[int, ...]:
     """
     identity = pack(p, 1, 0, 0, 1)
     if not gens:
-        return (identity,)
+        return np.array([identity], dtype=np.int64)
     if any(key_det(p, g) == 0 for g in gens):
         raise ValueError(f"a generator is singular mod {p}")
     cyclic = max((_cyclic_keys(p, g) for g in gens), key=len)
@@ -357,14 +291,13 @@ def _mulclose(p: int, gens: list[int]) -> tuple[int, ...]:
             low_sorted = low[order]
             new = np.ones(len(order), dtype=bool)
             new[1:] = low_sorted[1:] != low_sorted[:-1]
-            at = np.minimum(np.searchsorted(names, low_sorted), len(names) - 1)
-            new &= names[at] != low_sorted
+            new &= ~_sorted_member(names, low_sorted)
             keep = order[new]
             cosets.append(rows[keep].ravel())
             fresh.append(low[keep])
             names = np.sort(np.concatenate([names, low[keep]]))
         frontier = np.concatenate(fresh)
-    return tuple(np.sort(np.concatenate(cosets)).tolist())
+    return np.sort(np.concatenate(cosets)).astype(np.int64)
 
 
 def _det_closure(p: int, dets: list[int]) -> frozenset[int]:
@@ -383,7 +316,7 @@ def _det_closure(p: int, dets: list[int]) -> frozenset[int]:
     return frozenset(image)
 
 
-def _sl2_keys(p: int) -> tuple[int, ...]:
+def _sl2_keys(p: int) -> np.ndarray:
     """All of SL2(F_p) by direct construction, O(p^3)."""
     keys = []
     for a in range(p):
@@ -393,24 +326,33 @@ def _sl2_keys(p: int) -> tuple[int, ...]:
                     keys.append(pack(p, a, b, c, (1 + b * c) * pow(a, -1, p) % p))
                 elif b and (-b * c) % p == 1:
                     keys.extend(pack(p, 0, b, c, d) for d in range(p))
-    return tuple(sorted(keys))
+    return np.array(sorted(keys), dtype=np.int64)
+
+
+def _frozen_keys(keys) -> np.ndarray:
+    """The keys as a read-only int64 array; an int64 array is not copied."""
+    view = np.asarray(keys, dtype=np.int64).view()
+    view.flags.writeable = False
+    return view
 
 
 class Subgroup:
     """A subgroup of GL2(F_p), immutable once constructed.
 
-    Most subgroups carry their full sorted element table.  Subgroups that
-    contain SL2 can instead be represented lazily by their determinant
+    Most subgroups carry their full element table: one sorted, read-only
+    int64 array of packed keys, the `elements` of the group.  Subgroups
+    that contain SL2 can instead be represented lazily by their determinant
     image alone (they are exactly the preimages {g : det g in D}); such a
     subgroup knows its order and invariants but will refuse to materialize
-    its elements above MATERIALIZATION_LIMIT.
+    its elements above MATERIALIZATION_LIMIT.  Generators are a tuple of
+    Python ints either way.
     """
 
     def __init__(self, p, *, generators, elements=None, det_image=None,
-                 contains_sl2=None, order=None):
+                 contains_sl2=None):
         self.p = p
-        self.generators = tuple(generators)
-        self._elements = tuple(elements) if elements is not None else None
+        self.generators = tuple(np.asarray(generators, dtype=np.int64).tolist())
+        self._elements = None if elements is None else _frozen_keys(elements)
         if self._elements is not None:
             self.order = len(self._elements)
             dets = _det_counts(p, self._elements)
@@ -424,9 +366,6 @@ class Subgroup:
             self.det_image = frozenset(det_image)
             self.contains_sl2 = True
             self.order = p * (p * p - 1) * len(self.det_image)
-        if order is not None and order != self.order:
-            raise ValueError(
-                f"stated order {order} differs from the computed {self.order}")
         self._fingerprint = None
 
     # -- construction -----------------------------------------------------
@@ -450,23 +389,20 @@ class Subgroup:
     # -- element access ----------------------------------------------------
 
     @property
-    def elements(self) -> tuple[int, ...]:
+    def elements(self) -> np.ndarray:
         if self._elements is None:
             if self.order > MATERIALIZATION_LIMIT:
                 raise MaterializationError(
                     f"subgroup of order {self.order} exceeds the "
                     f"materialization limit {MATERIALIZATION_LIMIT}")
-            self._elements = self._materialize_sl2_preimage()
+            self._elements = _frozen_keys(self._materialize_sl2_preimage())
         return self._elements
 
-    def _materialize_sl2_preimage(self):
+    def _materialize_sl2_preimage(self) -> np.ndarray:
         p = self.p
-        sl2 = _sl2_keys(p)
-        keys = []
-        for delta in sorted(self.det_image):
-            t = pack(p, delta, 0, 0, 1)
-            keys.extend(key_mul(p, k, t) for k in sl2)
-        return tuple(sorted(keys))
+        sl2 = _np_components(p, _sl2_keys(p))
+        return np.sort(np.concatenate(
+            [_np_pack(p, _np_mul(p, sl2, (t, 0, 0, 1))) for t in self.det_image]))
 
     @property
     def is_materialized(self) -> bool:
@@ -475,10 +411,7 @@ class Subgroup:
     def __contains__(self, key: int) -> bool:
         if self._elements is None:
             return key_det(self.p, key) in self.det_image
-        # sorted tuple: bisect would do, but sets of this size are cheap
-        if not hasattr(self, "_element_set"):
-            self._element_set = frozenset(self._elements)
-        return key in self._element_set
+        return bool(_sorted_member(self._elements, key))
 
     def __len__(self) -> int:
         return self.order
@@ -493,12 +426,9 @@ class Subgroup:
     def scalar_count(self) -> int:
         if self._elements is not None:
             # look up each aI in the sorted element table
-            els, count = self._elements, 0
-            for a in range(1, self.p):
-                k = pack(self.p, a, 0, 0, a)
-                i = bisect_left(els, k)
-                count += i < len(els) and els[i] == k
-            return count
+            t = np.arange(1, self.p)
+            scalars = _np_pack(self.p, (t, 0, 0, t))
+            return int(np.count_nonzero(_sorted_member(self._elements, scalars)))
         # lazy SL2-preimage: scalar aI has determinant a^2
         return sum(1 for a in range(1, self.p)
                    if a * a % self.p in self.det_image)
@@ -514,13 +444,18 @@ class Subgroup:
     def conjugate(self, h_key: int) -> "Subgroup":
         """h G h^{-1}, preserving laziness."""
         p = self.p
-        hi = key_inv(p, h_key)
-        gens = [key_mul(p, key_mul(p, h_key, g), hi) for g in self.generators]
+        h = unpack(p, h_key)
+        hi = _np_inv(p, h)
+
+        def conj(keys):
+            return _np_pack(p, _np_mul(p, _np_mul(
+                p, h, _np_components(p, np.asarray(keys, dtype=np.int64))), hi))
+
+        gens = conj(self.generators)
         if self._elements is None:
             return Subgroup.sl2_preimage(p, self.det_image, gens)
-        elems = tuple(sorted(key_mul(p, key_mul(p, h_key, g), hi)
-                             for g in self._elements))
-        return Subgroup(p, generators=gens, elements=elems)
+        return Subgroup(p, generators=gens,
+                        elements=np.sort(conj(self._elements)))
 
     # histogram cutoff for fingerprints: order statistics are collected only
     # for groups up to this size, so the rule stays a property of the group
@@ -555,11 +490,11 @@ class Subgroup:
 _DET_CHUNK = 1 << 16
 
 
-def _det_counts(p: int, keys) -> np.ndarray:
+def _det_counts(p: int, keys: np.ndarray) -> np.ndarray:
     """How many of the keys have each determinant 0, ..., p-1."""
     counts = np.zeros(p, dtype=np.int64)
     for start in range(0, len(keys), _DET_CHUNK):
-        chunk = np.array(keys[start:start + _DET_CHUNK], dtype=_key_dtype(p))
+        chunk = keys[start:start + _DET_CHUNK].astype(_key_dtype(p))
         a, b, c, d = _np_components(p, chunk)
         counts += np.bincount((a * d - b * c) % p, minlength=p)
     return counts
@@ -568,20 +503,18 @@ def _det_counts(p: int, keys) -> np.ndarray:
 def close_generators(p: int, gens) -> Subgroup:
     """Smallest subgroup of GL2(F_p) containing the given matrices.
 
-    Accepts Mat2 instances, packed keys, or 2x2 nested sequences; rejects
-    any non-invertible generator, identifying the offender.
+    Accepts packed keys or 2x2 nested sequences; rejects a key that packs
+    no matrix mod p and any non-invertible generator, identifying the
+    offender.
     """
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
     keys = []
     for g in gens:
-        if isinstance(g, Mat2):
-            if g.p != p:
-                raise ValueError(f"generator {g.rows()} has modulus {g.p}, not {p}")
-            keys.append(g.key)
-            continue
-        if isinstance(g, int):
-            a, b, c, d = unpack(p, g)
+        if isinstance(g, (int, np.integer)):
+            if not 0 <= g < p ** 4:
+                raise ValueError(f"key {g} packs no matrix mod {p}")
+            a, b, c, d = unpack(p, int(g))
         else:
             (a, b), (c, d) = g
         a, b, c, d = a % p, b % p, c % p, d % p
@@ -602,7 +535,7 @@ def primitive_root(p: int) -> int:
     for g in range(2, p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in qs):
             return g
-    raise AssertionError("no primitive root found")
+    raise RuntimeError(f"no primitive root mod {p} found")
 
 
 def least_nonresidue(p: int) -> int:
@@ -637,32 +570,24 @@ def nonsplit_cartan(p: int) -> Subgroup:
     the units of F_{p^2}."""
     _require_odd(p, "nonsplit Cartan")
     eps = least_nonresidue(p)
-    identity = pack(p, 1, 0, 0, 1)
-    qs = [q for q, _ in factorize(p * p - 1)]
-    keys = []
-    gen = None
-    for a in range(p):
-        for b in range(p):
-            if a == 0 and b == 0:
-                continue
-            k = pack(p, a, eps * b % p, b, a)
-            keys.append(k)
-            if gen is None and all(key_pow(p, k, (p * p - 1) // q) != identity
-                                   for q in qs):
-                gen = k
+    a, b = np.divmod(np.arange(1, p * p), p)  # by a, then b
+    keys = _np_pack(p, (a, eps * b % p, b, a))
+    gen = next((k for k in keys.tolist()
+                if len(_cyclic_keys(p, k)) == p * p - 1), None)
     if gen is None:
         raise RuntimeError(f"no generator of the nonsplit Cartan mod {p}")
-    return Subgroup.from_sorted_keys(p, tuple(sorted(keys)), generators=[gen])
+    return Subgroup.from_sorted_keys(p, np.sort(keys), generators=[gen])
 
 
 def nonsplit_normalizer(p: int) -> Subgroup:
     _require_odd(p, "nonsplit Cartan normalizer")
     cartan = nonsplit_cartan(p)
     w = pack(p, 1, 0, 0, p - 1)
-    keys = list(cartan.elements)
-    keys.extend(key_mul(p, w, k) for k in cartan.elements)
-    return Subgroup.from_sorted_keys(p, tuple(sorted(keys)),
-                                     generators=list(cartan.generators) + [w])
+    swapped = _np_pack(p, _np_mul(p, unpack(p, w),
+                                  _np_components(p, cartan.elements)))
+    return Subgroup.from_sorted_keys(
+        p, np.sort(np.concatenate([cartan.elements, swapped])),
+        generators=list(cartan.generators) + [w])
 
 
 def borel(p: int) -> Subgroup:
@@ -683,17 +608,13 @@ def sl2(p: int) -> Subgroup:
 
 
 def gl2_full(p: int) -> Subgroup:
-    keys = []
-    for a in range(p):
-        for b in range(p):
-            for c in range(p):
-                for d in range(p):
-                    if (a * d - b * c) % p:
-                        keys.append(pack(p, a, b, c, d))
+    keys = np.arange(p ** 4, dtype=np.int64)
+    a, b, c, d = _np_components(p, keys)
     gens = [pack(p, 1, 1, 0, 1), pack(p, 1, 0, 1, 1)]
     if p > 2:
         gens.append(pack(p, primitive_root(p), 0, 0, 1))
-    return Subgroup.from_sorted_keys(p, tuple(sorted(keys)), generators=gens)
+    return Subgroup.from_sorted_keys(p, keys[(a * d - b * c) % p != 0],
+                                     generators=gens)
 
 
 def standard_subgroups(p: int) -> dict[str, Subgroup]:
@@ -734,23 +655,6 @@ def stabilized_lines(G: Subgroup) -> set[Line]:
             for i in _fixed_lines_for_generators(G.p, G.generators)}
 
 
-def pointwise_fixed_lines(G: Subgroup) -> set[Line]:
-    """Lines on which every element of G acts as the identity."""
-    p = G.p
-    fixed = set()
-    for line in all_lines(p):
-        x, y = line.x, line.y
-        ok = True
-        for g in G.generators:
-            a, b, c, d = unpack(p, g)
-            if ((a * x + b * y) % p, (c * x + d * y) % p) != (x, y):
-                ok = False
-                break
-        if ok:
-            fixed.add(line)
-    return fixed
-
-
 def _stabilized_line_pair_for_generators(p: int, gen_keys):
     """The first pair (i, j), i < j, of line indices whose unordered pair
     every generator permutes, or None."""
@@ -784,7 +688,7 @@ def _stabilized_conjugate_pair_for_generators(p: int, gen_keys):
     ubar, vbar = (u + v * beta) % p, -v % p
     least = (ubar > u) | ((ubar == u) & (vbar > v))
     u, v, ubar, vbar = u[least], v[least], ubar[least], vbar[least]
-    inverse = np.array([0] + [pow(t, -1, p) for t in range(1, p)])
+    inverse = _unit_inverses(p)
     ok = np.ones(len(u), dtype=bool)
     for g in gen_keys:
         a, b, c, d = unpack(p, g)
@@ -879,23 +783,25 @@ def projective_type(G: Subgroup) -> ProjectiveType:
 def _projective_type_from_elements(G: Subgroup, q: int) -> ProjectiveType:
     p = G.p
     elements = G.elements
-    orders = dict(zip(elements, _projective_orders(p, elements).tolist()))
-    m = max(orders.values())
+    orders = _projective_orders(p, elements)
+    m = int(orders.max())
     if m == q:
         return ProjectiveType.CYCLIC
     if q == 2 * m:
-        x = next(k for k, o in orders.items() if o == m)
-        powers = {_proj_canonical(p, key_pow(p, x, i)) for i in range(m)}
-        for y in elements:
-            if orders[y] <= 2 and _proj_canonical(p, y) not in powers:
-                t = key_mul(p, key_mul(p, key_mul(p, y, x), key_inv(p, y)), x)
-                if key_is_scalar(p, t):
-                    return ProjectiveType.DIHEDRAL
-    hist = {}
-    for k in elements:
-        hist[orders[k]] = hist.get(orders[k], 0) + 1
+        x = int(elements[np.argmax(orders == m)])
+        # dihedral iff some y outside the image of <x>, of projective order
+        # at most 2, has y x y^-1 x scalar
+        powers = np.unique(_proj_canonical(p, _cyclic_keys(p, x)))
+        ys = elements[orders <= 2]
+        ys = ys[~_sorted_member(powers, _proj_canonical(p, ys))]
+        y = _np_components(p, ys)
+        xc = unpack(p, x)
+        if _np_is_scalar(_np_mul(p, _np_mul(p, _np_mul(p, y, xc),
+                                            _np_inv(p, y)), xc)).any():
+            return ProjectiveType.DIHEDRAL
     s = G.scalar_count
-    hist = {o: n // s for o, n in hist.items()}
+    hist = {o: n // s
+            for o, n in enumerate(np.bincount(orders).tolist()) if n}
     if q == 12 and 6 not in hist:
         return ProjectiveType.A4
     if q == 24 and 4 in hist and _projective_center_trivial(G):
@@ -906,23 +812,27 @@ def _projective_type_from_elements(G: Subgroup, q: int) -> ProjectiveType:
     return ProjectiveType.OTHER
 
 
-def _proj_canonical(p: int, key: int) -> int:
-    """Least packed key among the scalar multiples of a matrix."""
-    a, b, c, d = unpack(p, key)
-    return min(pack(p, t * a % p, t * b % p, t * c % p, t * d % p)
-               for t in range(1, p))
+def _proj_canonical(p: int, keys: np.ndarray) -> np.ndarray:
+    """Least packed key among the scalar multiples of each matrix."""
+    comps = _np_components(p, keys)
+    low = keys
+    for t in range(2, p):
+        low = np.minimum(low, _np_pack(p, tuple(t * v % p for v in comps)))
+    return low
 
 
 def _projective_center_trivial(G: Subgroup) -> bool:
+    """Whether only the scalars of G commute with all of G modulo scalars,
+    that is z g z^-1 g^-1 is scalar for every generator g."""
     p = G.p
-    count = 0
-    for z in G.elements:
-        zi = key_inv(p, z)
-        if all(key_is_scalar(p, key_mul(p, key_mul(p, key_mul(p, z, g), zi),
-                                        key_inv(p, g)))
-               for g in G.generators):
-            count += 1
-    return count == G.scalar_count
+    z = _np_components(p, G.elements)
+    zi = _np_inv(p, z)
+    central = np.ones(len(G.elements), dtype=bool)
+    for g in G.generators:
+        gc = unpack(p, g)
+        central &= _np_is_scalar(_np_mul(p, _np_mul(p, _np_mul(p, z, gc), zi),
+                                         _np_inv(p, gc)))
+    return int(np.count_nonzero(central)) == G.scalar_count
 
 
 def classify(G: Subgroup) -> DicksonClass:

@@ -28,6 +28,7 @@ from .gl2 import (
     _np_components,
     _np_mul,
     _np_pack,
+    _sorted_member,
     all_lines,
     classify,
     det_index,
@@ -82,22 +83,6 @@ class OrbitReport:
         }
 
 
-def orbit_partition(G: Subgroup) -> list[list[tuple[int, int]]]:
-    """Orbits of G on F_p^2 minus the origin.
-
-    Each orbit is listed from its lexicographically least vector and the
-    orbits are ordered by those representatives, so the partition is a
-    deterministic function of the subgroup.
-    """
-    return vector_orbits(G)
-
-
-def _apply_key(p: int, key: int, v: tuple[int, int]) -> tuple[int, int]:
-    a, b, c, d = unpack(p, key)
-    x, y = v
-    return ((a * x + b * y) % p, (c * x + d * y) % p)
-
-
 def stabilizer(G: Subgroup, v: tuple[int, int]) -> Subgroup:
     """The subgroup {g in G : g v = v}.
 
@@ -105,7 +90,7 @@ def stabilizer(G: Subgroup, v: tuple[int, int]) -> Subgroup:
     closed form: conjugate the stabilizer of e1, which is exactly
     {[[1, b], [0, d]] : b in F_p, det constraint d in det(G)}, by any T
     sending e1 to v.  Such G are normal in GL2, so the conjugate is again
-    a subgroup of G.  Other subgroups are filtered elementwise.
+    a subgroup of G.  Other subgroups are filtered on their element array.
     """
     p = G.p
     x, y = v[0] % p, v[1] % p
@@ -114,13 +99,15 @@ def stabilizer(G: Subgroup, v: tuple[int, int]) -> Subgroup:
     if G.contains_sl2:
         t_key = pack(p, x, 0, y, 1) if x else pack(p, 0, 1, y, 0)
         base = [pack(p, 1, b, 0, d) for b in range(p) for d in sorted(G.det_image)]
-        fixed = Subgroup.from_sorted_keys(p, tuple(sorted(base)))
-        if _apply_key(p, t_key, (1, 0)) != (x, y):
-            raise RuntimeError(f"the conjugator sends e1 to "
-                               f"{_apply_key(p, t_key, (1, 0))}, not {(x, y)}")
+        fixed = Subgroup.from_sorted_keys(p, sorted(base))
+        t = unpack(p, t_key)
+        if (t[0], t[2]) != (x, y):
+            raise RuntimeError(f"the conjugator sends e1 to {(t[0], t[2])}, "
+                               f"not {(x, y)}")
         return fixed.conjugate(t_key)
-    keys = tuple(k for k in G.elements if _apply_key(p, k, (x, y)) == (x, y))
-    return Subgroup.from_sorted_keys(p, keys)
+    a, b, c, d = _np_components(p, G.elements)
+    fixes = ((a * x + b * y) % p == x) & ((c * x + d * y) % p == y)
+    return Subgroup.from_sorted_keys(p, G.elements[fixes])
 
 
 def verify_case_divisibility(G: Subgroup, d0: int | None = None) -> OrbitReport:
@@ -134,7 +121,7 @@ def verify_case_divisibility(G: Subgroup, d0: int | None = None) -> OrbitReport:
     p = G.p
     cls = classify(G)
     i = det_index(G)
-    orbits = orbit_partition(G)
+    orbits = vector_orbits(G)
     sizes = tuple(len(orbit) for orbit in orbits)
     if d0 is not None:
         if d0 < 1 or d0 % i != 0:
@@ -187,31 +174,30 @@ class LineStabilizerReport:
     verdict: str
 
 
-def _pointwise_stabilizers(N: Subgroup) -> list[list[int]]:
-    """For each line, in index order, the keys of the elements of N that
-    fix every vector on it: one array mask per line."""
+def _pointwise_stabilizers(N: Subgroup) -> list[np.ndarray]:
+    """For each line, in index order, the sorted keys of the elements of N
+    that fix every vector on it: one array mask per line."""
     p = N.p
-    keys = np.array(N.elements, dtype=np.int64)
+    keys = N.elements
     a, b, c, d = _np_components(p, keys)
     return [keys[((a * x + b * y) % p == x) & ((c * x + d * y) % p == y)]
-            .tolist() for x, y in ((line.x, line.y) for line in all_lines(p))]
+            for x, y in ((line.x, line.y) for line in all_lines(p))]
 
 
-def _all_subgroups_of(p: int, keys: list[int]) -> list[frozenset[int]]:
-    """Every subgroup of the (tiny) group given by its element keys.
+def _all_subgroups_of(p: int, keys: np.ndarray) -> list[frozenset[int]]:
+    """Every subgroup of the (tiny) group given by its sorted element keys.
 
     Each known subgroup S = <gens> is extended by every element g outside
     it and <gens, g> is closed; the group's Cayley table is built once, so
     a closure follows table entries and does no matrix arithmetic.
     """
-    keys = np.sort(np.array(keys, dtype=np.int64))
     comps = _np_components(p, keys)
     products = _np_pack(p, _np_mul(p, tuple(v[:, None] for v in comps),
                                    tuple(v[None, :] for v in comps)))
-    at = np.minimum(np.searchsorted(keys, products), len(keys) - 1)
-    if not np.array_equal(keys[at], products):
-        raise ValueError("the keys are not closed under multiplication")
-    table = at.tolist()
+    if not _sorted_member(keys, products).all():
+        # the keys come from a pointwise stabilizer, which is a group
+        raise RuntimeError("the keys are not closed under multiplication")
+    table = np.searchsorted(keys, products).tolist()
     identity = int(np.searchsorted(keys, pack(p, 1, 0, 0, 1)))
 
     def close(gens):

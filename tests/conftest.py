@@ -3,15 +3,103 @@ import random
 from torsiondeg import gl2
 
 
+# ---------------------------------------------------------------------------
+# scalar matrix arithmetic on packed keys, one key at a time: the reference
+# for the array kernels gl2._np_mul and gl2._np_inv
+# ---------------------------------------------------------------------------
+
+def oracle_key_mul(p, k1, k2):
+    a, b, c, d = gl2.unpack(p, k1)
+    e, f, g, h = gl2.unpack(p, k2)
+    return gl2.pack(p, (a * e + b * g) % p, (a * f + b * h) % p,
+                    (c * e + d * g) % p, (c * f + d * h) % p)
+
+
+def oracle_key_inv(p, key):
+    a, b, c, d = gl2.unpack(p, key)
+    di = pow(a * d - b * c, -1, p)
+    return gl2.pack(p, d * di % p, -b * di % p, -c * di % p, a * di % p)
+
+
+def oracle_key_pow(p, key, n):
+    if n < 0:
+        key, n = oracle_key_inv(p, key), -n
+    result = gl2.pack(p, 1, 0, 0, 1)
+    while n:
+        if n & 1:
+            result = oracle_key_mul(p, result, key)
+        key = oracle_key_mul(p, key, key)
+        n >>= 1
+    return result
+
+
+def oracle_key_is_scalar(p, key):
+    a, b, c, d = gl2.unpack(p, key)
+    return b == 0 and c == 0 and a == d
+
+
 def oracle_projective_order(p, key):
     """Least k >= 1 with key^k scalar (order of the image in PGL2), one
     product at a time: the scalar reference for gl2._projective_orders."""
     acc = key
     for k in range(1, p + 2):
-        if gl2.key_is_scalar(p, acc):
+        if oracle_key_is_scalar(p, acc):
             return k
-        acc = gl2.key_mul(p, acc, key)
+        acc = oracle_key_mul(p, acc, key)
     raise AssertionError("projective order exceeded p+1")
+
+
+def oracle_proj_canonical(p, key):
+    """Least packed key among the scalar multiples of a matrix."""
+    a, b, c, d = gl2.unpack(p, key)
+    return min(gl2.pack(p, t * a % p, t * b % p, t * c % p, t * d % p)
+               for t in range(1, p))
+
+
+def oracle_projective_center_trivial(G):
+    p = G.p
+    count = 0
+    for z in G.elements.tolist():
+        zi = oracle_key_inv(p, z)
+        if all(oracle_key_is_scalar(p, oracle_key_mul(
+                p, oracle_key_mul(p, oracle_key_mul(p, z, g), zi),
+                oracle_key_inv(p, g))) for g in G.generators):
+            count += 1
+    return count == G.scalar_count
+
+
+def oracle_projective_type_from_elements(G, q):
+    """The projective type of a materialized G of projective order q, by
+    per-key arithmetic: the reference for
+    gl2._projective_type_from_elements."""
+    p = G.p
+    elements = G.elements.tolist()
+    orders = {k: oracle_projective_order(p, k) for k in elements}
+    m = max(orders.values())
+    if m == q:
+        return gl2.ProjectiveType.CYCLIC
+    if q == 2 * m:
+        x = next(k for k in elements if orders[k] == m)
+        powers = {oracle_proj_canonical(p, oracle_key_pow(p, x, i))
+                  for i in range(m)}
+        for y in elements:
+            if orders[y] <= 2 and oracle_proj_canonical(p, y) not in powers:
+                t = oracle_key_mul(p, oracle_key_mul(p, oracle_key_mul(
+                    p, y, x), oracle_key_inv(p, y)), x)
+                if oracle_key_is_scalar(p, t):
+                    return gl2.ProjectiveType.DIHEDRAL
+    hist = {}
+    for k in elements:
+        hist[orders[k]] = hist.get(orders[k], 0) + 1
+    s = G.scalar_count
+    hist = {o: n // s for o, n in hist.items()}
+    if q == 12 and 6 not in hist:
+        return gl2.ProjectiveType.A4
+    if q == 24 and 4 in hist and oracle_projective_center_trivial(G):
+        return gl2.ProjectiveType.S4
+    if q == 60 and hist == {1: 1, 2: 15, 3: 20, 5: 24}:
+        return gl2.ProjectiveType.A5
+    return gl2.ProjectiveType.OTHER
 
 
 def projective_order_histogram(G):
@@ -22,7 +110,7 @@ def projective_order_histogram(G):
     histogram).
     """
     hist = {}
-    for k in G.elements:
+    for k in G.elements.tolist():
         o = oracle_projective_order(G.p, k)
         hist[o] = hist.get(o, 0) + 1
     s = G.scalar_count
@@ -71,7 +159,7 @@ def oracle_mulclose(p, gens):
         new = []
         for x in frontier:
             for g in gens:
-                y = gl2.key_mul(p, x, g)
+                y = oracle_key_mul(p, x, g)
                 if y not in elements:
                     elements.add(y)
                     new.append(y)

@@ -193,10 +193,3 @@ def test_minkowski_bound_divisibility_chain():
     for n in range(1, 9):
         assert arith.minkowski_bound(2 * n) % arith.minkowski_bound(n) == 0
 
-
-def test_factored_integer():
-    f = arith.FactoredInteger.from_int(144)
-    assert f.factors == ((2, 4), (3, 2))
-    assert f.ord_p(2) == 4 and f.ord_p(7) == 0
-    with pytest.raises(ValueError):
-        arith.FactoredInteger(10, ((2, 1),))

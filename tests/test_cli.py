@@ -7,9 +7,10 @@ timestamp fields from the manifest and require the rest byte-identical.
 
 import json
 
+import numpy as np
 import pytest
 
-from torsiondeg import cli, cmbounds, curvedeg, families, gl2
+from torsiondeg import cli, cmbounds, curvedeg, families, gl2, orbits
 from torsiondeg._version import VERSION
 
 
@@ -276,6 +277,30 @@ def test_unclassifiable_exits_1(capsys, monkeypatch):
                                   "--jobs", "1"])
     assert code == 1
     assert "verification failure" in err
+
+
+def test_internal_failures_exit_1(capsys, monkeypatch):
+    """A broken internal invariant is a verification failure, not bad
+    input: exit 1 with a one-line message."""
+    def not_closed(N):
+        # the identity and one unipotent: the square is missing
+        keys = np.array([gl2.pack(N.p, 1, 0, 0, 1), gl2.pack(N.p, 1, 1, 0, 1)])
+        return [keys] * (N.p + 1)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(orbits, "_pointwise_stabilizers", not_closed)
+        code, out, err = run(capsys, ["verify-lemmas", "--p-max", "5",
+                                      "--jobs", "1"])
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["verification failure: the keys are not "
+                                "closed under multiplication"]
+    # with no prime factor to test, every residue passes for a root
+    monkeypatch.setattr(gl2, "factorize", lambda n: ((1, 1),))
+    code, out, err = run(capsys, ["classify", "--p", "5",
+                                  "--subgroup", "borel"])
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["verification failure: no primitive root "
+                                "mod 5 found"]
 
 
 def test_verify_lemmas(capsys):

@@ -11,6 +11,7 @@ conjugate to an enumerated representative.
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from torsiondeg import cli
+from torsiondeg import cli, gl2
 from torsiondeg.arith import factorize
 from torsiondeg.gl2 import (
     DicksonClass,
@@ -28,21 +29,25 @@ from torsiondeg.gl2 import (
     close_generators,
     enumerate_subgroups,
     key_det,
-    key_inv,
-    key_mul,
-    key_pow,
     pack,
     standard_subgroups,
     unpack,
 )
 from torsiondeg import _enumeration
+from torsiondeg.orbits import stabilizer
 from torsiondeg._enumeration import (
     _close_sampled_pair,
     _nullspace_mod,
     conjugate_subgroups,
 )
 
-from conftest import oracle_mulclose
+from conftest import (
+    oracle_key_inv,
+    oracle_key_mul,
+    oracle_key_pow,
+    oracle_mulclose,
+    oracle_projective_type_from_elements,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -78,8 +83,9 @@ def brute_conjugacy_orbits(p, subgroup_sets):
         S = next(iter(remaining))
         orbit = set()
         for h in full:
-            hi = key_inv(p, h)
-            orbit.add(frozenset(key_mul(p, key_mul(p, h, s), hi) for s in S))
+            hi = oracle_key_inv(p, h)
+            orbit.add(frozenset(oracle_key_mul(p, oracle_key_mul(p, h, s), hi)
+                                for s in S))
         assert orbit <= remaining
         remaining -= orbit
         orbits.append(orbit)
@@ -192,9 +198,40 @@ def test_no_two_classes_conjugate(census5):
 
 def test_census_sorted_and_deterministic(census5):
     again = enumerate_subgroups(5)
-    assert [G.elements for G in again] == [G.elements for G in census5]
-    key = [(G.order, G.fingerprint_id(), G.elements) for G in census5]
+    assert ([G.elements.tolist() for G in again]
+            == [G.elements.tolist() for G in census5])
+    key = [(G.order, G.fingerprint_id(), G.elements.tolist())
+           for G in census5]
     assert key == sorted(key)
+
+
+def test_array_paths_match_scalar_oracles(census7):
+    # conjugation, stabilizers and projective types of every class at
+    # p = 7 against per-key arithmetic
+    p = 7
+    rng = random.Random(7)
+    for G in census7:
+        h = 0
+        while not key_det(p, h):
+            h = rng.randrange(p ** 4)
+        hi = oracle_key_inv(p, h)
+        H = G.conjugate(h)
+        assert H.elements.tolist() == sorted(
+            oracle_key_mul(p, oracle_key_mul(p, h, g), hi)
+            for g in G.elements.tolist())
+        assert H.generators == tuple(
+            oracle_key_mul(p, oracle_key_mul(p, h, g), hi)
+            for g in G.generators)
+        # k fixes v exactly when k [v | 0] = [v | 0]
+        column = pack(p, rng.randrange(p), 0, rng.randrange(1, p), 0)
+        v = unpack(p, column)[::2]
+        assert stabilizer(G, v).elements.tolist() == [
+            k for k in G.elements.tolist()
+            if oracle_key_mul(p, k, column) == column]
+        if not G.contains_sl2:
+            q = G.projective_order
+            assert (gl2._projective_type_from_elements(G, q)
+                    is oracle_projective_type_from_elements(G, q))
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +277,7 @@ def _oracle_normalizer_keys(ctx, hkeys, hgens):
 def _oracle_order(p, k):
     identity, acc, n = pack(p, 1, 0, 0, 1), k, 1
     while acc != identity:
-        acc, n = key_mul(p, acc, k), n + 1
+        acc, n = oracle_key_mul(p, acc, k), n + 1
     return n
 
 
@@ -263,7 +300,8 @@ def oracle_phase1(ctx, census):
         for i, x in enumerate(outside.tolist()):
             if covered[i]:
                 continue
-            orbit = [key_mul(p, key_mul(p, h, x), key_inv(p, h))
+            orbit = [oracle_key_mul(p, oracle_key_mul(p, h, x),
+                                    oracle_key_inv(p, h))
                      for h in hkeys.tolist()]
             covered[np.searchsorted(outside, orbit)] = True
             gens = hgens + [x]
@@ -296,14 +334,14 @@ def oracle_phase2(ctx, census):
         hset = set(hkeys.tolist())
         for q in {f for f, _ in factorize(index)}:
             for r in reps:
-                if key_pow(p, r, q) not in hset:
+                if oracle_key_pow(p, r, q) not in hset:
                     continue
                 parts = [hkeys]
                 acc = r
                 for _ in range(q - 1):
                     parts.append(_oracle_keys(
                         p, _oracle_mul(p, hcomps, acc, "right")))
-                    acc = key_mul(p, acc, r)
+                    acc = oracle_key_mul(p, acc, r)
                 new_cid, is_new = census.register(
                     np.sort(np.concatenate(parts)), hgens + [r])
                 if is_new:
@@ -499,7 +537,8 @@ def test_cache_roundtrip(tmp_path, monkeypatch):
 
     monkeypatch.setattr(_enumeration, "_exhaustive", boom)
     second = enumerate_subgroups(5, cache_dir=tmp_path)
-    assert [G.elements for G in second] == [G.elements for G in first]
+    assert ([G.elements.tolist() for G in second]
+            == [G.elements.tolist() for G in first])
     assert [tuple(G.generators) for G in second] == \
         [tuple(G.generators) for G in first]
 
@@ -524,7 +563,8 @@ def test_cache_with_singular_generator_is_recomputed(tmp_path):
     payload["classes"][-1]["generators"][0] = [[1, 1], [1, 1]]
     path.write_text(json.dumps(payload))
     census = enumerate_subgroups(5, cache_dir=tmp_path)
-    assert [G.elements for G in census] == [G.elements for G in fresh]
+    assert ([G.elements.tolist() for G in census]
+            == [G.elements.tolist() for G in fresh])
 
 
 def test_failed_cache_save_keeps_previous_file(tmp_path):
@@ -548,7 +588,8 @@ def test_failed_cache_save_keeps_previous_file(tmp_path):
     assert path.read_bytes() == before
     assert sorted(tmp_path.iterdir()) == [path]  # no temporary file left
     reloaded = _enumeration._load_cache(path, 5, "exhaustive")
-    assert [G.elements for G in reloaded] == [G.elements for G in census]
+    assert ([G.elements.tolist() for G in reloaded]
+            == [G.elements.tolist() for G in census])
 
 
 def test_cache_distinguishes_sampled_parameters(tmp_path):

@@ -17,13 +17,13 @@ from torsiondeg.gl2 import (
     nonsplit_normalizer,
     standard_subgroups,
     unpack,
+    vector_orbits,
 )
 from torsiondeg.orbits import (
     NOT_APPLICABLE,
     PASS,
     OrbitReport,
     exceptional_prime_bound,
-    orbit_partition,
     stabilizer,
     verify_case_divisibility,
     verify_nonsplit_pointwise_stabilizers,
@@ -40,24 +40,24 @@ def trivial_group(p):
 # ---------------------------------------------------------------------------
 
 def test_trivial_group_gives_singletons():
-    parts = orbit_partition(trivial_group(5))
+    parts = vector_orbits(trivial_group(5))
     assert len(parts) == 24
     assert all(len(orbit) == 1 for orbit in parts)
 
 
 def test_full_group_is_transitive():
-    parts = orbit_partition(gl2_full(5))
+    parts = vector_orbits(gl2_full(5))
     assert [len(orbit) for orbit in parts] == [24]
 
 
 def test_split_cartan_orbit_sizes():
-    sizes = sorted(len(orbit) for orbit in orbit_partition(split_cartan(5)))
+    sizes = sorted(len(orbit) for orbit in vector_orbits(split_cartan(5)))
     assert sizes == [4, 4, 16]
 
 
 def test_partition_covers_everything():
     for G in (split_cartan(7), nonsplit_normalizer(5), sl2(3)):
-        parts = orbit_partition(G)
+        parts = vector_orbits(G)
         flat = [v for orbit in parts for v in orbit]
         assert len(flat) == G.p ** 2 - 1
         assert len(set(flat)) == len(flat)
@@ -118,7 +118,7 @@ def test_lazy_stabilizer_without_materializing():
     G = Subgroup.sl2_preimage(p, frozenset(range(1, p)), gens)  # all of GL2
     S = stabilizer(G, (5, 11))
     assert S.order == p * (p - 1)
-    assert G.order == len(orbit_partition(G)[0]) * S.order
+    assert G.order == len(vector_orbits(G)[0]) * S.order
 
 
 def test_orbit_stabilizer_identity_over_census():
@@ -129,7 +129,7 @@ def test_orbit_stabilizer_identity_over_census():
             if v == (0, 0):
                 continue
             S = stabilizer(G, v)
-            orbit = next(o for o in orbit_partition(G) if v in o)
+            orbit = next(o for o in vector_orbits(G) if v in o)
             assert len(orbit) * S.order == G.order
 
 
@@ -152,7 +152,7 @@ def test_nonsplit_normalizer_f5_report():
     assert report.det_index == 1
     assert report.verdict == PASS
     assert all(size % 2 == 0 for size in report.orbit_sizes)
-    for orbit in orbit_partition(G):
+    for orbit in vector_orbits(G):
         assert stabilizer(G, orbit[0]).order <= 2
 
 

@@ -19,3 +19,14 @@ def test_no_assert_statements_in_the_package():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_no_scalar_matrix_kernel_in_the_package():
+    # one GL2 arithmetic kernel: per-key copies live only in the test oracles
+    banned = {"key_mul", "key_inv", "key_pow", "key_is_scalar", "Mat2"}
+    found = [f"{path.name}:{node.lineno} {node.name}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+             and node.name in banned]
+    assert found == []
