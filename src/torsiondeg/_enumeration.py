@@ -331,23 +331,30 @@ def _random_invertible(rng: random.Random, p: int) -> int:
 
 
 def _perm_closure_capped(gens: list[tuple[int, ...]], limit: int):
-    """Closure of permutations, or None once the size exceeds `limit`."""
-    n = len(gens[0])
-    identity = tuple(range(n))
-    elements = {identity}
-    frontier = [identity]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = tuple(x[g[i]] for i in range(n))
-                if y not in elements:
-                    if len(elements) >= limit:
+    """Closure of permutations as an int16 array with one row of images
+    per element, or None once the size exceeds `limit`.
+
+    The product x g, i -> x[g[i]], of every frontier row x with one
+    generator g is the fancy index frontier[:, g]; rows are told apart
+    by their bytes."""
+    images = np.array(gens, dtype=np.int16)
+    n = images.shape[1]
+    frontier = np.arange(n, dtype=np.int16)[None, :]
+    seen = {frontier[0].tobytes()}
+    elements = [frontier]
+    while len(frontier):
+        fresh = []
+        for g in images:
+            for row in frontier[:, g]:
+                key = row.tobytes()
+                if key not in seen:
+                    if len(seen) >= limit:
                         return None
-                    elements.add(y)
-                    new.append(y)
-        frontier = new
-    return elements
+                    seen.add(key)
+                    fresh.append(row)
+        frontier = np.array(fresh, dtype=np.int16).reshape(-1, n)
+        elements.append(frontier)
+    return np.concatenate(elements)
 
 
 def _close_sampled_pair(p: int, x: int, y: int) -> Subgroup:

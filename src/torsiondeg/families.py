@@ -95,7 +95,18 @@ class PrimeShiftClause:
                    for l in primes_upto(cd + 1))
 
     def mark(self, mask: np.ndarray) -> None:
-        _spread_max(mask, _prime_shifts(self.c, len(mask) - 1) > self.C)
+        """Mark the degrees whose largest prime shift exceeds C.
+
+        The boolean "ts[w[s]] s > C" is built one divisor at a time, as
+        t s > C holds exactly when s > C // t, and then spread over the
+        multiples of each s.  No shift value is ever formed.
+        """
+        ts, w = _prime_shifts(self.c, len(mask) - 1)
+        over = np.zeros(len(mask), dtype=bool)
+        for j, t in _sieved_divisors(self.c):
+            lo = self.C // t + 1
+            over[lo:] |= w[lo:] == j
+        _spread_max(mask, over)
 
     def describe(self) -> dict:
         return {"kind": "prime-shift", "c": self.c, "C": self.C}
@@ -199,47 +210,56 @@ class DensityReport:
 # sieves
 # ---------------------------------------------------------------------------
 
+def _sieved_divisors(c: int) -> list[tuple[int, int]]:
+    """The pairs (j, t) with t = ts[j] a divisor of c whose progression
+    t s + 1 can hold a prime shift: every divisor for odd c, the even
+    ones for even c.  For even c and odd t, c/t is even, so s is odd and
+    t s + 1 is even, which leaves only l = 2 (t = s = 1), and t = 2
+    already owns s = 1."""
+    return [(j, t) for j, t in enumerate(divisors(c), 1)
+            if c % 2 or t % 2 == 0]
+
+
 @lru_cache(maxsize=1)
-def _prime_shifts(c: int, x: int) -> np.ndarray:
-    """Read-only int32 array v where v[s] is the largest t s over the
-    divisors t of c with gcd(s, c/t) = 1 and t s + 1 prime, or 0.
+def _prime_shifts(c: int, x: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only arrays (ts, w): ts holds 0 and then the divisors of c in
+    ascending order, and w[s] is the index in ts of the largest divisor t
+    with gcd(s, c/t) = 1 and t s + 1 prime, or 0 if there is none.
 
     A prime l with (l-1) | c d is l = t s + 1 for exactly one divisor
-    t = gcd(l-1, c) of c and one s | d with gcd(s, c/t) = 1, so v[s] is
-    the largest prime shift that every multiple of s admits.  Each
+    t = gcd(l-1, c) of c and one s | d with gcd(s, c/t) = 1, so ts[w[s]] s
+    is the largest prime shift that every multiple of s admits.  Each
     progression t s + 1 is sieved on its own by the primes up to
-    sqrt(t x + 1).  For even c an odd t is skipped: c/t is even, so s is
-    odd and t s + 1 is even, which leaves only l = 2 (t = s = 1), and
-    t = 2 already puts 2 in v[1].  Shifts fit int32 because
-    t s <= c x < MAX_SIEVE < 2^31.
+    sqrt(t x + 1), and its survivors are written as the index of t; the
+    divisors ascend, so the last write is the largest.  w takes the
+    smallest unsigned type that holds len(ts) - 1: one byte per degree
+    for up to 255 divisors.
     """
     limit = c * x + 1
     if limit > MAX_SIEVE:
         raise ValueError(
             f"prime-shift sieve would need all primes up to {limit}; "
             f"the supported bound is {MAX_SIEVE}")
+    ts = np.array([0] + divisors(c), dtype=np.int64)
     sieving = primes_array(math.isqrt(limit)).tolist()
-    composite = np.empty(x + 1, dtype=bool)  # scratch for every t
-    v = np.zeros(x + 1, dtype=np.int32)
-    for t in divisors(c):
-        if c % 2 == 0 and t % 2:
-            continue
-        composite.fill(False)
-        composite[0] = True
+    alive = np.empty(x + 1, dtype=bool)  # scratch for every t
+    w = np.zeros(x + 1, dtype=np.min_scalar_type(len(ts) - 1))
+    for j, t in _sieved_divisors(c):
+        alive.fill(True)
+        alive[0] = False
         for q, _ in factorize(c // t):
-            composite[::q] = True
+            alive[::q] = False
         for q in sieving:
             if q * q > t * x + 1:
                 break
             if t % q == 0:
                 continue  # t s + 1 is 1 mod q
             s0 = -pow(t, -1, q) % q  # t s0 + 1 = 0 mod q
-            composite[s0 + q if t * s0 + 1 == q else s0::q] = True
-        np.logical_not(composite, out=composite)  # now the survivors
-        s = np.flatnonzero(composite).astype(np.int32)
-        v[s] = t * s  # divisors ascend, so the last write is the largest
-    v.setflags(write=False)
-    return v
+            alive[s0 + q if t * s0 + 1 == q else s0::q] = False
+        w[alive] = j
+    ts.setflags(write=False)
+    w.setflags(write=False)
+    return ts, w
 
 
 def _spread_max(out: np.ndarray, v: np.ndarray) -> None:
@@ -265,13 +285,20 @@ def _spread_max(out: np.ndarray, v: np.ndarray) -> None:
 @lru_cache(maxsize=1)
 def _max_prime_shift(c: int, x: int) -> np.ndarray:
     """Read-only int32 array where entry d holds the largest l-1 over
-    primes l with (l-1) | c d, or 0 if there is none: the prime shifts
-    of _prime_shifts spread over the multiples of each s.  Only the
-    cutoff search needs the values; the density path spreads v > C
-    instead.  The last call is cached (4 MB at x = 10^6).
+    primes l with (l-1) | c d, or 0 if there is none.
+
+    Only the cutoff search needs the values.  It forms the shifts
+    ts[w[s]] s of _prime_shifts once and spreads them over the multiples
+    of each s.  They fit int32 because t s <= c x < MAX_SIEVE < 2^31
+    wherever w[s] is nonzero; only at x = 0 can an entry of ts pass 2^31,
+    and then w holds no index of it.  The last call is cached (4 MB at
+    x = 10^6).
     """
+    ts, w = _prime_shifts(c, x)
+    v = ts.astype(np.int32)[w]
+    v *= np.arange(x + 1, dtype=np.int32)
     arr = np.zeros(x + 1, dtype=np.int32)
-    _spread_max(arr, _prime_shifts(c, x))
+    _spread_max(arr, v)
     arr.setflags(write=False)
     return arr
 

@@ -134,6 +134,18 @@ def _np_inv(p, comps):
     return d * di % p, -b * di % p, -c * di % p, a * di % p
 
 
+def _np_pow(p, comps, n: int):
+    """The powers comps^n, n >= 0, of matrices given by components, ints
+    or arrays, by square-and-multiply."""
+    result = (1, 0, 0, 1)
+    while n:
+        if n & 1:
+            result = _np_mul(p, result, comps)
+        comps = _np_mul(p, comps, comps)
+        n >>= 1
+    return result
+
+
 def _np_is_scalar(comps):
     a, b, c, d = comps
     return (b == 0) & (c == 0) & (a == d)
@@ -317,16 +329,19 @@ def _det_closure(p: int, dets: list[int]) -> frozenset[int]:
 
 
 def _sl2_keys(p: int) -> np.ndarray:
-    """All of SL2(F_p) by direct construction, O(p^3)."""
-    keys = []
-    for a in range(p):
-        for b in range(p):
-            for c in range(p):
-                if a:
-                    keys.append(pack(p, a, b, c, (1 + b * c) * pow(a, -1, p) % p))
-                elif b and (-b * c) % p == 1:
-                    keys.extend(pack(p, 0, b, c, d) for d in range(p))
-    return np.array(sorted(keys), dtype=np.int64)
+    """All of SL2(F_p), sorted, by direct construction, O(p^3).
+
+    For a = 0 the determinant -b c = 1 fixes c = -b^-1 and leaves d
+    free; for a != 0 it fixes d = (1 + b c) a^-1.  Each part is built
+    with its free components ascending in key order, and every a = 0 key
+    lies below every a != 0 key, so the concatenation is sorted."""
+    inv = _unit_inverses(p)
+    b, d = np.divmod(np.arange(p, p * p, dtype=np.int64), p)  # b != 0
+    zero = _np_pack(p, (0, b, -inv[b] % p, d))
+    a, b, c = np.unravel_index(np.arange(p * p * (p - 1)), (p - 1, p, p))
+    a += 1
+    nonzero = _np_pack(p, (a, b, c, (1 + b * c) * inv[a] % p))
+    return np.concatenate([zero, nonzero])
 
 
 def _frozen_keys(keys) -> np.ndarray:
@@ -572,8 +587,12 @@ def nonsplit_cartan(p: int) -> Subgroup:
     eps = least_nonresidue(p)
     a, b = np.divmod(np.arange(1, p * p), p)  # by a, then b
     keys = _np_pack(p, (a, eps * b % p, b, a))
+    # k generates iff k^(n/q) != 1 for every prime q | n = p^2 - 1
+    n = p * p - 1
+    exponents = [n // q for q, _ in factorize(n)]
     gen = next((k for k in keys.tolist()
-                if len(_cyclic_keys(p, k)) == p * p - 1), None)
+                if all(_np_pow(p, unpack(p, k), e) != (1, 0, 0, 1)
+                       for e in exponents)), None)
     if gen is None:
         raise RuntimeError(f"no generator of the nonsplit Cartan mod {p}")
     return Subgroup.from_sorted_keys(p, np.sort(keys), generators=[gen])
@@ -592,9 +611,10 @@ def nonsplit_normalizer(p: int) -> Subgroup:
 
 def borel(p: int) -> Subgroup:
     r = primitive_root(p)
-    keys = tuple(sorted(pack(p, a, b, 0, d)
-                        for a in range(1, p) for d in range(1, p)
-                        for b in range(p)))
+    # (a, b, d) ascend lexicographically, so the keys ascend
+    a, b, d = np.unravel_index(np.arange((p - 1) * p * (p - 1)),
+                               (p - 1, p, p - 1))
+    keys = _np_pack(p, (a + 1, b, 0, d + 1))
     gens = [pack(p, 1, 1, 0, 1)]
     if p > 2:
         gens += [pack(p, r, 0, 0, 1), pack(p, 1, 0, 0, r)]

@@ -165,3 +165,25 @@ def oracle_mulclose(p, gens):
                     new.append(y)
         frontier = new
     return tuple(sorted(elements))
+
+
+def oracle_perm_closure_capped(gens, limit):
+    """Closure of permutations given as tuples of images, one composition
+    at a time, or None once the size exceeds `limit`: the reference for
+    _enumeration._perm_closure_capped."""
+    n = len(gens[0])
+    identity = tuple(range(n))
+    elements = {identity}
+    frontier = [identity]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = tuple(x[g[i]] for i in range(n))
+                if y not in elements:
+                    if len(elements) >= limit:
+                        return None
+                    elements.add(y)
+                    new.append(y)
+        frontier = new
+    return elements

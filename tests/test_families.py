@@ -188,6 +188,30 @@ def test_max_prime_shift_equals_full_sieve_loop(c, x):
     assert np.array_equal(_max_prime_shift(c, x), full_sieve_max_shift(c, x))
 
 
+@pytest.mark.parametrize("c", [6, 144])
+def test_prime_shift_table_is_one_read_only_byte_per_degree(c):
+    x = 3000
+    ts, w = _prime_shifts(c, x)
+    assert ts.tolist() == [0] + arith.divisors(c)
+    assert w.dtype == np.uint8 and len(w) == x + 1
+    assert not ts.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[1] = 0
+    # each s owns the largest t with gcd(s, c/t) = 1 and t s + 1 prime
+    for s in range(1, x + 1):
+        owners = [t for t in arith.divisors(c)
+                  if math.gcd(s, c // t) == 1 and arith.is_prime(t * s + 1)]
+        assert ts[w[s]] == max(owners, default=0), s
+
+
+def test_prime_shift_table_widens_past_255_divisors():
+    c = 2 ** 7 * 3 ** 3 * 5 * 7 * 11  # 256 divisors
+    ts, w = _prime_shifts(c, 10)
+    assert len(ts) == 257 and w.dtype == np.uint16
+    assert _max_prime_shift(c, 10).tolist() == [0] + [
+        brute_max_shift(c, d) for d in range(1, 11)]
+
+
 def test_max_prime_shift_cache_is_bounded_and_read_only():
     _max_prime_shift(6, 500)
     arr = _max_prime_shift(144, 700)
@@ -283,19 +307,25 @@ sys.exit(code)
 """
 
 
+def _density_cli_with_peak(path, x):
+    """`density --x x --spec-file path` in a child process; its output
+    and, as the last line of stderr, its VmHWM in kB."""
+    src = Path(arith.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_MAIN, "density", "--x", str(x),
+         "--spec-file", str(path)],
+        env=env, capture_output=True, text=True, timeout=120)
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="reads the peak from /proc/self/status")
 def test_density_cli_rejects_huge_cutoff_before_allocating(tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"clauses": [{"kind": "divisor", "m": 10}]}),
                     encoding="utf-8")
-    src = Path(arith.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(src), os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run(
-        [sys.executable, "-c", _PEAK_RSS_MAIN, "density", "--x",
-         "300000000", "--spec-file", str(path)],
-        env=env, capture_output=True, text=True, timeout=120)
+    out = _density_cli_with_peak(path, 300000000)
     assert out.returncode == 2, out.stderr
     message, peak_kb = out.stderr.strip().splitlines()
     assert "supported bound" in message
@@ -313,7 +343,23 @@ def test_prime_shift_density_memory_per_degree():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / x <= 10
+    assert peak / x <= 5
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the peak from /proc/self/status")
+def test_density_cli_prime_shift_peak_per_degree(tmp_path):
+    # the peak of x = 10^7 over that of x = 10^3 is what the degree
+    # tables cost: about 4 bytes per degree, 38 MB
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"clauses": [
+        {"kind": "prime-shift", "c": 6, "C": 4762}]}), encoding="utf-8")
+    peaks = []
+    for x in (10 ** 7, 10 ** 3):
+        out = _density_cli_with_peak(path, x)
+        assert out.returncode == 0, out.stderr
+        peaks.append(int(out.stderr.strip().splitlines()[-1]))
+    assert peaks[0] - peaks[1] < 50 * 1024  # kB
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,29 @@ class TestStandardSubgroups:
             assert len({oracle_key_pow(p, g, i)
                         for i in range(p * p - 1)}) == C.order
 
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+    def test_nonsplit_cartan_generator_is_first_of_full_order(self, p):
+        eps = gl2.least_nonresidue(p)
+        scan = [pack(p, a, eps * b % p, b, a)
+                for a in range(p) for b in range(p) if (a, b) != (0, 0)]
+        first = next(k for k in scan
+                     if len(gl2._cyclic_keys(p, k)) == p * p - 1)
+        assert list(nonsplit_cartan(p).generators) == [first]
+
+    @pytest.mark.parametrize("p", [5, 7, 13])
+    def test_sl2_and_borel_keys_match_determinant_filter(self, p):
+        keys = np.arange(p ** 4, dtype=np.int64)
+        a, b, c, d = gl2._np_components(p, keys)
+        det = (a * d - b * c) % p
+        assert np.array_equal(gl2._sl2_keys(p), keys[det == 1])
+        assert np.array_equal(borel(p).elements, keys[(det != 0) & (c == 0)])
+
+    def test_sl2_and_borel_counts_at_97(self):
+        p = 97
+        keys = gl2._sl2_keys(p)
+        assert len(keys) == p * (p * p - 1) and (np.diff(keys) > 0).all()
+        assert borel(p).order == p * (p - 1) ** 2
+
     def test_cartan_constructors_reject_p2(self):
         for fn in (split_cartan, split_normalizer, nonsplit_cartan,
                    nonsplit_normalizer):

@@ -35,6 +35,7 @@ from torsiondeg.gl2 import (
     unpack,
     vector_orbits,
 )
+from torsiondeg._enumeration import _perm_closure_capped, _random_invertible
 from torsiondeg.orbits import _all_subgroups_of, _pointwise_stabilizers
 
 from conftest import (
@@ -42,6 +43,7 @@ from conftest import (
     oracle_key_is_scalar,
     oracle_key_mul,
     oracle_mulclose,
+    oracle_perm_closure_capped,
 )
 
 
@@ -69,6 +71,32 @@ def test_closure_of_repeated_and_trivial_generators():
     g = pack(p, 0, 1, 6, 0)
     for gens in ([], [identity], [g, g], [identity, g, identity]):
         assert _mulclose(p, gens).tolist() == list(oracle_mulclose(p, gens))
+
+
+@pytest.mark.parametrize("p", [5, 13, 97])
+def test_perm_closure_matches_tuple_closure(p):
+    # pairs from all of GL2 mostly pass the cap; pairs from a Cartan
+    # normalizer close to a dihedral image of order at most 2(p + 1)
+    rng = random.Random(p)
+    normalizers = [split_normalizer(p).elements, nonsplit_normalizer(p).elements]
+    outcomes = set()
+    for trial in range(24):
+        if trial % 2:
+            base = normalizers[trial // 2 % 2]
+            keys = [int(base[rng.randrange(len(base))]) for _ in range(2)]
+        else:
+            keys = [_random_invertible(rng, p) for _ in range(2)]
+        perms = [gl2.line_permutation(p, k) for k in keys]
+        for limit in (60, 2 * (p + 1) + 4):
+            got = _perm_closure_capped(perms, limit)
+            want = oracle_perm_closure_capped(perms, limit)
+            outcomes.add(want is None)
+            if want is None:
+                assert got is None, (keys, limit)
+            else:
+                assert got.dtype == np.int16 and got.shape == (len(want), p + 1)
+                assert {tuple(row) for row in got.tolist()} == want
+    assert outcomes == {True, False}
 
 
 def test_determinant_pass_matches_scalar_count(monkeypatch):
