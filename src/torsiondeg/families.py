@@ -101,7 +101,7 @@ class PrimeShiftClause:
         t s > C holds exactly when s > C // t, and then spread over the
         multiples of each s.  No shift value is ever formed.
         """
-        ts, w = _prime_shifts(self.c, len(mask) - 1)
+        _, w = _prime_shifts(self.c, len(mask) - 1)
         over = np.zeros(len(mask), dtype=bool)
         for j, t in _sieved_divisors(self.c):
             lo = self.C // t + 1
