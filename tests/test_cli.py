@@ -5,6 +5,7 @@ emitted JSON/CSV, and stderr.  Determinism tests strip exactly the two
 timestamp fields from the manifest and require the rest byte-identical.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -93,6 +94,46 @@ def test_genus_csv_projection(capsys):
     assert lines[0] == "N,genus,min_degree"
     assert lines[11] == "11,1,2"
     assert lines[13].startswith("13,2,")
+
+
+# Expected CSV of every command with a flat or nested projection not
+# covered above; short outputs as literal lines, long ones by sha256.
+CSV_CASES = [
+    (["classify", "--p", "7", "--subgroup", "nonsplit_normalizer"],
+     ["p,order,dickson_class,projective_type,projective_order,det_index,"
+      "det_image_order,contains_sl2",
+      "7,96,NonsplitNormalizer,Dihedral,16,1,6,False"]),
+    (["degrees", "--g", "2", "--generators", "2,3"],
+     ["g,index,stable_bound,closed_point_threshold,"
+      "rr_degree_bound_weierstrass,rr_degree_bound_general",
+      "2,1,2,8,4,3"]),
+    (["density", "--x", "2000"],
+     ["x,count,density", "2000,1395,279/400"]),
+    (["ew", "--c", "2", "--cutoff", "10", "--x", "500"],
+     ["c,cutoff,x,count,density", "2,10,500,352,88/125"]),
+    (["enumerate", "--p", "5"],
+     "6ae35777f47d8ff9d0fa434fbe65493c180747893c65ec22be2aa82d4ed96009"),
+    (["verify-cases", "--primes", "5", "--jobs", "1"],
+     "55bc8019238f6dd99ff42e9ecd1bbccc2eff3152bb6609bc6ab78b2102c24ae5"),
+]
+
+
+@pytest.mark.parametrize("argv,expected", CSV_CASES,
+                         ids=[case[0][0] for case in CSV_CASES])
+def test_csv_projection_is_frozen(capsys, tmp_path, argv, expected):
+    argv = list(argv)
+    if argv[0] == "density":
+        argv += ["--spec-file", write_spec(
+            tmp_path, [{"kind": "divisor", "m": 6},
+                       {"kind": "prime-shift", "c": 2, "C": 10}])]
+    if argv[0] in ("enumerate", "verify-cases"):
+        argv += ["--cache-dir", str(tmp_path)]
+    code, out, err = run(capsys, argv + ["--format", "csv"])
+    assert code == 0 and err == ""
+    if isinstance(expected, str):
+        assert hashlib.sha256(out.encode()).hexdigest() == expected
+    else:
+        assert out.splitlines() == expected
 
 
 def test_degrees_body(capsys):
