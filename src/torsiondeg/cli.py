@@ -22,14 +22,14 @@ import csv
 import io
 import itertools
 import json
-import math
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 from . import arith, cmbounds, curvedeg, families, gl2, orbits
 from ._version import VERSION
@@ -68,24 +68,52 @@ def _big_int(n: int) -> dict:
             "bit_length": n.bit_length()}
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
+# ---------------------------------------------------------------------------
+# flag types: argparse rejects a bad value with a usage message, exit 2
+# ---------------------------------------------------------------------------
+
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than `low`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(
+                f"expects an integer >= {low}, got {text!r}")
+        return value
+    return parse
+
+
+def _prime(text) -> int:
+    try:
+        p = int(text)
+    except ValueError:
+        p = 0
+    if not arith.is_prime(p):
+        raise argparse.ArgumentTypeError(f"{text} is not prime")
+    return p
+
+
+def _int_list(text: str) -> list[int]:
     try:
         values = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise UsageError(f"{flag} expects comma-separated integers, "
-                         f"got {text!r}") from None
+        values = []
     if not values:
-        raise UsageError(f"{flag} is empty")
+        raise argparse.ArgumentTypeError(
+            f"expects comma-separated integers, got {text!r}")
     return values
 
 
-def _parse_primes(text: str) -> list[int]:
-    primes = sorted(set(_parse_int_list(text, "--primes")))
-    for p in primes:
-        if not arith.is_prime(p):
-            raise UsageError(f"--primes: {p} is not prime")
-    return primes
+def _prime_list(text: str) -> list[int]:
+    return sorted(set(map(_prime, _int_list(text))))
 
+
+# ---------------------------------------------------------------------------
+# input files
+# ---------------------------------------------------------------------------
 
 def _load_json(path: str):
     try:
@@ -129,10 +157,7 @@ def _spec_from_file(path: str) -> families.IntegerSetSpec:
 
 
 def _parallel_map(fn, tasks, jobs):
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    if jobs < 1:
-        raise UsageError("--jobs must be a positive integer")
+    jobs = jobs or os.cpu_count() or 1
     if jobs == 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
@@ -160,20 +185,26 @@ def _lemma_task(p):
 # command handlers: return (parameters, body, verdict)
 # ---------------------------------------------------------------------------
 
-def _cmd_verify_cases(args):
-    primes = _parse_primes(args.primes)
-    if args.mode == "sampled":
-        if args.count is None:
-            raise UsageError("sampled mode needs --count")
-        seed = args.seed = args.seed if args.seed is not None else 0
-    else:
+def _sampling(args):
+    """(count, seed) for an enumeration.  The seed is read only in sampled
+    mode, where it defaults to 0 and the manifest echoes that 0."""
+    if args.mode == "exhaustive":
         if args.count is not None:
             raise UsageError("--count only applies to sampled mode")
-        seed = None
-    params = {"primes": primes, "mode": args.mode, "count": args.count,
+        return None, None
+    if args.count is None:
+        raise UsageError("sampled mode needs --count")
+    if args.seed is None:
+        args.seed = 0
+    return args.count, args.seed
+
+
+def _cmd_verify_cases(args):
+    count, seed = _sampling(args)
+    params = {"primes": args.primes, "mode": args.mode, "count": count,
               "ceiling": args.ceiling}
-    tasks = [(p, args.mode, args.count, seed, args.ceiling, args.cache_dir)
-             for p in primes]
+    tasks = [(p, args.mode, count, seed, args.ceiling, args.cache_dir)
+             for p in args.primes]
     results = _parallel_map(_case_task, tasks, args.jobs)
     sweeps = []
     total = violations = 0
@@ -214,23 +245,8 @@ def _cmd_verify_lemmas(args):
     return params, body, ("pass" if ok else "fail")
 
 
-def _analysis_body(G):
-    a = gl2.analyze(G)
-    return {
-        "order": G.order,
-        "dickson_class": a.dickson_class.value,
-        "projective_type": a.projective_type.value,
-        "projective_order": a.projective_order,
-        "det_index": a.det_index,
-        "det_image_order": a.det_image_order,
-        "contains_sl2": G.contains_sl2,
-    }
-
-
 def _cmd_classify(args):
     p = args.p
-    if not arith.is_prime(p):
-        raise UsageError(f"--p: {p} is not prime")
     if (args.subgroup is None) == (args.generators is None):
         raise UsageError("give exactly one of --subgroup or --generators")
     if args.subgroup is not None:
@@ -242,25 +258,29 @@ def _cmd_classify(args):
         G = named[args.subgroup]
         source = {"subgroup": args.subgroup}
     else:
-        keys = _parse_int_list(args.generators, "--generators")
-        G = gl2.close_generators(p, keys)
-        source = {"generators": keys}
-    params = {"p": p, **source}
-    body = {"p": p, "source": source, **_analysis_body(G)}
-    return params, body, "report-only"
+        G = gl2.close_generators(p, args.generators)
+        source = {"generators": args.generators}
+    a = gl2.analyze(G)
+    body = {
+        "p": p,
+        "source": source,
+        "order": G.order,
+        "dickson_class": a.dickson_class.value,
+        "projective_type": a.projective_type.value,
+        "projective_order": a.projective_order,
+        "det_index": a.det_index,
+        "det_image_order": a.det_image_order,
+        "contains_sl2": G.contains_sl2,
+    }
+    return {"p": p, **source}, body, "report-only"
 
 
 def _cmd_enumerate(args):
-    p = args.p
-    if not arith.is_prime(p):
-        raise UsageError(f"--p: {p} is not prime")
-    if args.mode == "sampled":
-        args.seed = args.seed if args.seed is not None else 0
+    count, seed = _sampling(args)
     groups = gl2.enumerate_subgroups(
-        p, args.mode, count=args.count,
-        seed=(args.seed if args.mode == "sampled" else None),
+        args.p, args.mode, count=count, seed=seed,
         ceiling=args.ceiling, cache_dir=args.cache_dir)
-    params = {"p": p, "mode": args.mode, "count": args.count,
+    params = {"p": args.p, "mode": args.mode, "count": count,
               "ceiling": args.ceiling}
     rows = []
     histogram = {}
@@ -274,28 +294,23 @@ def _cmd_enumerate(args):
             "materialized": G.is_materialized,
             "generators": [int(g) for g in G.generators],
         })
-    body = {"p": p, "mode": args.mode, "class_count": len(groups),
+    body = {"p": args.p, "mode": args.mode, "class_count": len(groups),
             "class_histogram": sorted(histogram.items()),
             "classes": rows}
     return params, body, "report-only"
 
 
 def _cmd_genus(args):
-    if args.n_max < 1:
-        raise UsageError("--n-max must be a positive integer")
-    params = {"n_max": args.n_max}
     rows = [{"N": N, "genus": curvedeg.genus_x1(N),
              "min_degree": curvedeg.min_guaranteed_degree(N)}
             for N in range(1, args.n_max + 1)]
-    return params, {"n_max": args.n_max, "rows": rows}, "report-only"
+    return ({"n_max": args.n_max}, {"n_max": args.n_max, "rows": rows},
+            "report-only")
 
 
 def _cmd_degrees(args):
-    if args.g < 0:
-        raise UsageError("--g must be nonnegative")
-    gens = _parse_int_list(args.generators, "--generators")
-    spec = curvedeg.SemigroupSpec(tuple(gens))
-    params = {"g": args.g, "generators": gens}
+    spec = curvedeg.SemigroupSpec(tuple(args.generators))
+    params = {"g": args.g, "generators": args.generators}
     body = {
         "g": args.g,
         "generators": list(spec.generators),
@@ -312,11 +327,8 @@ def _cmd_degrees(args):
 
 
 def _cmd_semigroup(args):
-    gens = _parse_int_list(args.generators, "--generators")
-    if args.target_max < 0:
-        raise UsageError("--target-max must be nonnegative")
-    spec = curvedeg.SemigroupSpec(tuple(gens))
-    params = {"generators": gens, "target_max": args.target_max}
+    spec = curvedeg.SemigroupSpec(tuple(args.generators))
+    params = {"generators": args.generators, "target_max": args.target_max}
     rows = [{"target": t, "representable": curvedeg.representable(t, spec)}
             for t in range(args.target_max + 1)]
     body = {"generators": list(spec.generators), "index": spec.index,
@@ -326,8 +338,6 @@ def _cmd_semigroup(args):
 
 
 def _cmd_density(args):
-    if args.x < 1:
-        raise UsageError("--x must be a positive integer")
     spec = _spec_from_file(args.spec_file)
     params = {"spec_file": args.spec_file, "x": args.x}
     report = families.density_upto(spec, args.x)
@@ -338,13 +348,10 @@ def _cmd_density(args):
 
 
 def _cmd_ew(args):
-    if args.x < 1:
-        raise UsageError("--x must be a positive integer")
     params = {"c": args.c, "cutoff": args.cutoff, "x": args.x}
     spec, report = families.erdos_wagstaff_set(args.c, args.cutoff, args.x)
-    body = {"c": args.c, "cutoff": args.cutoff, "x": args.x,
-            "count": report.count, "density": _frac(report.density),
-            "clauses": spec.describe()}
+    body = {**params, "count": report.count,
+            "density": _frac(report.density), "clauses": spec.describe()}
     return params, body, "report-only"
 
 
@@ -358,11 +365,8 @@ def _profile_for_args(args):
         except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"{args.profile}: {exc}") from None
         return profile, {"file": args.profile, **data}
-    g = args.cm_g
-    if g < 1:
-        raise UsageError("--cm-g must be a positive integer")
-    profile = cmbounds.cm_profile(g)
-    echo = {"family": "cm", "g": g, "p2_c": _big_int(profile.p2_c),
+    profile = cmbounds.cm_profile(args.cm_g)
+    echo = {"family": "cm", "g": args.cm_g, "p2_c": _big_int(profile.p2_c),
             "dim_g": profile.dim_g}
     return profile, echo
 
@@ -374,8 +378,6 @@ def _cmd_bepsilon(args):
         raise UsageError(
             f"--epsilon expects a rational like 1/2 or 0.05, "
             f"got {args.epsilon!r}") from None
-    if args.x < 1:
-        raise UsageError("--x must be a positive integer")
     profile, echo = _profile_for_args(args)
     params = {"profile": args.profile, "cm_g": args.cm_g,
               "epsilon": args.epsilon, "x": args.x}
@@ -405,8 +407,6 @@ def _cmd_bepsilon(args):
 
 
 def _cmd_cm(args):
-    if args.g < 1:
-        raise UsageError("--g must be a positive integer")
     bounds = cmbounds.c_of_g(args.g)
     params = {"g": args.g, "d": args.d}
     table_primes = sorted(set(arith.primes_upto(30))
@@ -420,92 +420,131 @@ def _cmd_cm(args):
                             for p in table_primes],
     }
     if args.d is not None:
-        if args.d < 1:
-            raise UsageError("--d must be a positive integer")
         body["d"] = args.d
         body["allowed_exponents"] = cmbounds.allowed_exponents(args.g, args.d)
     return params, body, "report-only"
 
 
-# ---------------------------------------------------------------------------
-# CSV projections (lossy, tabular commands only)
-# ---------------------------------------------------------------------------
-
-def _csv_verify_cases(body):
-    rows = [["p", "subgroup_id", "class", "det_index", "verdict",
-             "orbit_sizes"]]
-    for sweep in body["sweeps"]:
-        for r in sweep["subgroups"]:
-            rows.append([r["p"], r["subgroup_id"], r["class"],
-                         r["det_index"], r["verdict"],
-                         "|".join(map(str, r["orbit_sizes"]))])
-    return rows
-
-
-def _csv_verify_lemmas(body):
-    rows = [["p", "check", "detail", "verdict"]]
+def _lemma_records(body):
     for entry in body["rows"]:
         for r in entry["split_lines"]:
-            rows.append([entry["p"], "split-line", r["line_index"],
-                         r["verdict"]])
-        rows.append([entry["p"], "nonsplit-bound",
-                     entry["nonsplit"]["max_order"],
-                     entry["nonsplit"]["verdict"]])
-    return rows
+            yield {"p": entry["p"], "check": "split-line",
+                   "detail": r["line_index"], "verdict": r["verdict"]}
+        yield {"p": entry["p"], "check": "nonsplit-bound",
+               "detail": entry["nonsplit"]["max_order"],
+               "verdict": entry["nonsplit"]["verdict"]}
 
 
-def _csv_classify(body):
-    keys = ["p", "order", "dickson_class", "projective_type",
-            "projective_order", "det_index", "det_image_order",
-            "contains_sl2"]
-    return [keys, [body[k] for k in keys]]
+# ---------------------------------------------------------------------------
+# the command table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its help line, its argparse specs as (flags, kwargs)
+    pairs, its handler, and its lossy CSV projection.  `csv` names the
+    columns; `records` picks the body's rows as dicts, a list value
+    becoming one `|`-joined cell.  Commands with no table have `csv=None`
+    and are rejected under --format csv before they compute anything."""
+
+    help: str
+    args: tuple
+    handler: Callable
+    csv: tuple[str, ...] | None = None
+    records: Callable = lambda body: [body]
 
 
-def _csv_enumerate(body):
-    rows = [["order", "dickson_class", "det_image_order", "materialized",
-             "generators"]]
-    for r in body["classes"]:
-        rows.append([r["order"], r["dickson_class"], r["det_image_order"],
-                     r["materialized"], "|".join(map(str, r["generators"]))])
-    return rows
+def _arg(*flags, **spec):
+    return flags, spec
 
 
-def _csv_genus(body):
-    return ([["N", "genus", "min_degree"]]
-            + [[r["N"], r["genus"], r["min_degree"]] for r in body["rows"]])
+_SAMPLING_ARGS = (
+    _arg("--mode", choices=("exhaustive", "sampled"), default="exhaustive"),
+    _arg("--count", type=_int_at_least(1), default=None,
+         help="random subgroups per prime (sampled mode)"),
+    _arg("--ceiling", type=int, default=11,
+         help="largest prime accepted in exhaustive mode"),
+    _arg("--cache-dir", default=None, help="directory for enumeration caches"),
+)
+_POSITIVE = _int_at_least(1)
+_NONNEGATIVE = _int_at_least(0)
 
-
-def _csv_degrees(body):
-    keys = ["g", "index", "stable_bound", "closed_point_threshold",
-            "rr_degree_bound_weierstrass", "rr_degree_bound_general"]
-    return [keys, [body[k] for k in keys]]
-
-
-def _csv_semigroup(body):
-    return ([["target", "representable"]]
-            + [[r["target"], r["representable"]] for r in body["rows"]])
-
-
-def _csv_density(body):
-    return [["x", "count", "density"],
-            [body["x"], body["count"], body["density"]]]
-
-
-def _csv_ew(body):
-    return [["c", "cutoff", "x", "count", "density"],
-            [body[k] for k in ("c", "cutoff", "x", "count", "density")]]
-
-
-_CSV_PROJECTIONS = {
-    "verify-cases": _csv_verify_cases,
-    "verify-lemmas": _csv_verify_lemmas,
-    "classify": _csv_classify,
-    "enumerate": _csv_enumerate,
-    "genus": _csv_genus,
-    "degrees": _csv_degrees,
-    "semigroup": _csv_semigroup,
-    "density": _csv_density,
-    "ew": _csv_ew,
+COMMANDS = {
+    "verify-cases": Command(
+        "orbit-divisibility sweep over subgroup classes",
+        (_arg("--primes", type=_prime_list, required=True,
+              help="comma-separated primes to sweep"), *_SAMPLING_ARGS),
+        _cmd_verify_cases,
+        ("p", "subgroup_id", "class", "det_index", "verdict", "orbit_sizes"),
+        lambda body: (r for s in body["sweeps"] for r in s["subgroups"])),
+    "verify-lemmas": Command(
+        "pointwise line-stabilizer checks",
+        (_arg("--p-min", type=int, default=3),
+         _arg("--p-max", type=int, required=True)),
+        _cmd_verify_lemmas, ("p", "check", "detail", "verdict"),
+        _lemma_records),
+    "classify": Command(
+        "classify one subgroup",
+        (_arg("--p", type=_prime, required=True),
+         _arg("--subgroup", default=None,
+              help="a standard subgroup name (e.g. borel)"),
+         _arg("--generators", type=_int_list, default=None,
+              help="comma-separated packed matrix keys")),
+        _cmd_classify,
+        ("p", "order", "dickson_class", "projective_type", "projective_order",
+         "det_index", "det_image_order", "contains_sl2")),
+    "enumerate": Command(
+        "list subgroup classes up to conjugacy",
+        (_arg("--p", type=_prime, required=True), *_SAMPLING_ARGS),
+        _cmd_enumerate,
+        ("order", "dickson_class", "det_image_order", "materialized",
+         "generators"),
+        lambda body: body["classes"]),
+    "genus": Command(
+        "genus and guaranteed-degree table",
+        (_arg("--n-max", type=_POSITIVE, required=True),),
+        _cmd_genus, ("N", "genus", "min_degree"), lambda body: body["rows"]),
+    "degrees": Command(
+        "closed-point degree thresholds for one curve",
+        (_arg("--g", type=_NONNEGATIVE, required=True, help="genus"),
+         _arg("--generators", type=_int_list, required=True,
+              help="comma-separated point degrees")),
+        _cmd_degrees,
+        ("g", "index", "stable_bound", "closed_point_threshold",
+         "rr_degree_bound_weierstrass", "rr_degree_bound_general")),
+    "semigroup": Command(
+        "representability table of a numerical semigroup",
+        (_arg("--generators", type=_int_list, required=True),
+         _arg("--target-max", type=_NONNEGATIVE, default=50)),
+        _cmd_semigroup, ("target", "representable"),
+        lambda body: body["rows"]),
+    "density": Command(
+        "exact density of a clause-union degree set",
+        (_arg("--spec-file", required=True,
+              help="JSON file with a 'clauses' list"),
+         _arg("--x", type=_POSITIVE, required=True)),
+        _cmd_density, ("x", "count", "density")),
+    "ew": Command(
+        "shifted-prime degree set density",
+        (_arg("--c", type=int, required=True),
+         _arg("--cutoff", type=int, required=True, help="shift cutoff C"),
+         _arg("--x", type=_POSITIVE, required=True)),
+        _cmd_ew, ("c", "cutoff", "x", "count", "density")),
+    "bepsilon": Command(
+        "torsion budget off a small-density excluded set",
+        (_arg("--profile", default=None, help="JSON family profile file"),
+         _arg("--cm-g", type=_POSITIVE, default=None,
+              help="use the built-in CM profile for this dimension"),
+         _arg("--epsilon", required=True,
+              help="density budget, a rational like 1/2 or 0.05"),
+         _arg("--x", type=_POSITIVE, default=10 ** 6)),
+        _cmd_bepsilon),
+    "cm": Command(
+        "CM divisibility constants for a dimension",
+        (_arg("--g", type=_POSITIVE, required=True),
+         _arg("--d", type=_POSITIVE, default=None,
+              help="also list allowed exponents at this degree")),
+        _cmd_cm),
 }
 
 
@@ -521,107 +560,29 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None,
                         help="write the report to this path, not stdout")
-    common.add_argument("--jobs", type=int, default=None,
+    common.add_argument("--jobs", type=_POSITIVE, default=None,
                         help="worker processes (default: all cores)")
     common.add_argument("--seed", type=int, default=None,
                         help="seed for sampled modes")
     common.add_argument("--format", choices=("json", "csv"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify-cases", parents=[common],
-                       help="orbit-divisibility sweep over subgroup classes")
-    p.add_argument("--primes", required=True,
-                   help="comma-separated primes to sweep")
-    p.add_argument("--mode", choices=("exhaustive", "sampled"),
-                   default="exhaustive")
-    p.add_argument("--count", type=int, default=None,
-                   help="random subgroups per prime (sampled mode)")
-    p.add_argument("--ceiling", type=int, default=11,
-                   help="largest prime accepted in exhaustive mode")
-    p.add_argument("--cache-dir", default=None,
-                   help="directory for enumeration caches")
-    p.set_defaults(handler=_cmd_verify_cases)
-
-    p = sub.add_parser("verify-lemmas", parents=[common],
-                       help="pointwise line-stabilizer checks")
-    p.add_argument("--p-min", type=int, default=3)
-    p.add_argument("--p-max", type=int, required=True)
-    p.set_defaults(handler=_cmd_verify_lemmas)
-
-    p = sub.add_parser("classify", parents=[common],
-                       help="classify one subgroup")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--subgroup", default=None,
-                   help="a standard subgroup name (e.g. borel)")
-    p.add_argument("--generators", default=None,
-                   help="comma-separated packed matrix keys")
-    p.set_defaults(handler=_cmd_classify)
-
-    p = sub.add_parser("enumerate", parents=[common],
-                       help="list subgroup classes up to conjugacy")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--mode", choices=("exhaustive", "sampled"),
-                   default="exhaustive")
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--ceiling", type=int, default=11)
-    p.add_argument("--cache-dir", default=None)
-    p.set_defaults(handler=_cmd_enumerate)
-
-    p = sub.add_parser("genus", parents=[common],
-                       help="genus and guaranteed-degree table")
-    p.add_argument("--n-max", type=int, required=True)
-    p.set_defaults(handler=_cmd_genus)
-
-    p = sub.add_parser("degrees", parents=[common],
-                       help="closed-point degree thresholds for one curve")
-    p.add_argument("--g", type=int, required=True, help="genus")
-    p.add_argument("--generators", required=True,
-                   help="comma-separated point degrees")
-    p.set_defaults(handler=_cmd_degrees)
-
-    p = sub.add_parser("semigroup", parents=[common],
-                       help="representability table of a numerical semigroup")
-    p.add_argument("--generators", required=True)
-    p.add_argument("--target-max", type=int, default=50)
-    p.set_defaults(handler=_cmd_semigroup)
-
-    p = sub.add_parser("density", parents=[common],
-                       help="exact density of a clause-union degree set")
-    p.add_argument("--spec-file", required=True,
-                   help="JSON file with a 'clauses' list")
-    p.add_argument("--x", type=int, required=True)
-    p.set_defaults(handler=_cmd_density)
-
-    p = sub.add_parser("ew", parents=[common],
-                       help="shifted-prime degree set density")
-    p.add_argument("--c", type=int, required=True)
-    p.add_argument("--cutoff", type=int, required=True,
-                   help="shift cutoff C")
-    p.add_argument("--x", type=int, required=True)
-    p.set_defaults(handler=_cmd_ew)
-
-    p = sub.add_parser("bepsilon", parents=[common],
-                       help="torsion budget off a small-density excluded set")
-    p.add_argument("--profile", default=None,
-                   help="JSON family profile file")
-    p.add_argument("--cm-g", type=int, default=None,
-                   help="use the built-in CM profile for this dimension")
-    p.add_argument("--epsilon", required=True,
-                   help="density budget, a rational like 1/2 or 0.05")
-    p.add_argument("--x", type=int, default=10 ** 6)
-    p.set_defaults(handler=_cmd_bepsilon)
-
-    p = sub.add_parser("cm", parents=[common],
-                       help="CM divisibility constants for a dimension")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--d", type=int, default=None,
-                   help="also list allowed exponents at this degree")
-    p.set_defaults(handler=_cmd_cm)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=command.help)
+        for flags, spec in command.args:
+            p.add_argument(*flags, **spec)
     return parser
 
 
-def _render(args, params, body, verdict, started, finished) -> str:
+def _render(args, command, params, body, verdict, started, finished) -> str:
+    if args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(command.csv)
+        for record in command.records(body):
+            cells = (record[key] for key in command.csv)
+            writer.writerow(["|".join(map(str, v)) if isinstance(v, list)
+                             else v for v in cells])
+        return buf.getvalue()
     manifest = {
         "command": args.command,
         "parameters": params,
@@ -631,18 +592,9 @@ def _render(args, params, body, verdict, started, finished) -> str:
         "started": started,
         "finished": finished,
     }
-    if args.format == "json":
-        doc = {"schema_version": SCHEMA_VERSION, "manifest": manifest,
-               "report": body}
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    projection = _CSV_PROJECTIONS.get(args.command)
-    if projection is None:
-        raise UsageError(
-            f"{args.command} reports have no CSV projection; use json")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(projection(body))
-    return buf.getvalue()
+    doc = {"schema_version": SCHEMA_VERSION, "manifest": manifest,
+           "report": body}
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def main(argv=None) -> int:
@@ -651,14 +603,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    command = COMMANDS[args.command]
     started = _utc_now()
     try:
-        params, body, verdict = args.handler(args)
-        text = _render(args, params, body, verdict, started, _utc_now())
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        if args.format == "csv" and command.csv is None:
+            raise UsageError(
+                f"{args.command} reports have no CSV projection; use json")
+        params, body, verdict = command.handler(args)
+        text = _render(args, command, params, body, verdict, started,
+                       _utc_now())
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -88,12 +88,6 @@ def torsion_reach(d: int) -> int:
     return max(N for N in range(1, bound + 1) if min_guaranteed_degree(N) <= d)
 
 
-def genus_table(bound: int) -> list[tuple[int, int, int]]:
-    """Rows (N, genus, min_guaranteed_degree) for 1 <= N <= bound."""
-    return [(N, genus_x1(N), min_guaranteed_degree(N))
-            for N in range(1, bound + 1)]
-
-
 # ---------------------------------------------------------------------------
 # numerical semigroups
 # ---------------------------------------------------------------------------

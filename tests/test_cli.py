@@ -64,6 +64,23 @@ def test_argparse_failures_exit_2(capsys):
     assert run(capsys, ["genus", "--n-max", "5", "--format", "xml"])[0] == 2
 
 
+@pytest.mark.parametrize("argv", [["cm", "--g", "1"],
+                                  ["genus", "--n-max", "3"]])
+def test_jobs_is_checked_without_a_pool(capsys, argv):
+    code, out, err = run(capsys, argv + ["--jobs", "0"])
+    assert (code, out) == (2, "") and "--jobs" in err
+
+
+def test_csv_is_rejected_before_computing(capsys, monkeypatch):
+    def refuse(*args):
+        raise RuntimeError("the budget procedure ran")
+
+    monkeypatch.setattr(families, "b_epsilon_procedure", refuse)
+    code, out, err = run(capsys, ["bepsilon", "--cm-g", "1",
+                                  "--epsilon", "1/2", "--format", "csv"])
+    assert (code, out) == (2, "") and "CSV" in err
+
+
 def test_out_writes_file_and_silences_stdout(capsys, tmp_path):
     path = tmp_path / "genus.json"
     code, out, err = run(capsys, ["genus", "--n-max", "4",
@@ -92,8 +109,9 @@ def test_genus_csv_projection(capsys):
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "N,genus,min_degree"
+    assert len(lines) == 14
     assert lines[11] == "11,1,2"
-    assert lines[13].startswith("13,2,")
+    assert lines[13] == "13,2,4"
 
 
 # Expected CSV of every command with a flat or nested projection not

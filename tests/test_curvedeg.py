@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from torsiondeg.curvedeg import (
     SemigroupSpec,
     closed_point_degree_threshold,
-    genus_table,
     genus_x1,
     min_guaranteed_degree,
     representable,
@@ -87,13 +86,6 @@ def test_min_guaranteed_degree_examples():
     assert min_guaranteed_degree(4) == 1
     assert min_guaranteed_degree(11) == 2
     assert min_guaranteed_degree(17) == 10
-
-
-def test_genus_table_rows():
-    rows = genus_table(13)
-    assert len(rows) == 13
-    assert rows[10] == (11, 1, 2)
-    assert rows[12] == (13, 2, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -30,3 +30,22 @@ def test_no_scalar_matrix_kernel_in_the_package():
              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
              and node.name in banned]
     assert found == []
+
+
+
+def _add_parser_calls(tree):
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "add_parser"]
+
+
+def test_commands_are_declared_only_in_the_table():
+    # one way to declare a CLI command: the parser loop over cli.COMMANDS
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in SOURCES}
+    everywhere = [name for name, tree in trees.items()
+                  for _ in _add_parser_calls(tree)]
+    in_loop = [loop for loop in ast.walk(trees["cli.py"])
+               if isinstance(loop, ast.For)
+               and "COMMANDS" in ast.unparse(loop.iter)
+               and _add_parser_calls(loop)]
+    assert everywhere == ["cli.py"] and len(in_loop) == 1
