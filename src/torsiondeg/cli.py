@@ -245,6 +245,19 @@ def _cmd_verify_lemmas(args):
     return params, body, ("pass" if ok else "fail")
 
 
+def _analysis_body(G):
+    a = gl2.analyze(G)
+    return {
+        "order": G.order,
+        "dickson_class": a.dickson_class.value,
+        "projective_type": a.projective_type.value,
+        "projective_order": a.projective_order,
+        "det_index": a.det_index,
+        "det_image_order": a.det_image_order,
+        "contains_sl2": G.contains_sl2,
+    }
+
+
 def _cmd_classify(args):
     p = args.p
     if (args.subgroup is None) == (args.generators is None):
@@ -260,19 +273,9 @@ def _cmd_classify(args):
     else:
         G = gl2.close_generators(p, args.generators)
         source = {"generators": args.generators}
-    a = gl2.analyze(G)
-    body = {
-        "p": p,
-        "source": source,
-        "order": G.order,
-        "dickson_class": a.dickson_class.value,
-        "projective_type": a.projective_type.value,
-        "projective_order": a.projective_order,
-        "det_index": a.det_index,
-        "det_image_order": a.det_image_order,
-        "contains_sl2": G.contains_sl2,
-    }
-    return {"p": p, **source}, body, "report-only"
+    params = {"p": p, **source}
+    body = {"p": p, "source": source, **_analysis_body(G)}
+    return params, body, "report-only"
 
 
 def _cmd_enumerate(args):
@@ -301,11 +304,11 @@ def _cmd_enumerate(args):
 
 
 def _cmd_genus(args):
+    params = {"n_max": args.n_max}
     rows = [{"N": N, "genus": curvedeg.genus_x1(N),
              "min_degree": curvedeg.min_guaranteed_degree(N)}
             for N in range(1, args.n_max + 1)]
-    return ({"n_max": args.n_max}, {"n_max": args.n_max, "rows": rows},
-            "report-only")
+    return params, {"n_max": args.n_max, "rows": rows}, "report-only"
 
 
 def _cmd_degrees(args):
@@ -350,8 +353,9 @@ def _cmd_density(args):
 def _cmd_ew(args):
     params = {"c": args.c, "cutoff": args.cutoff, "x": args.x}
     spec, report = families.erdos_wagstaff_set(args.c, args.cutoff, args.x)
-    body = {**params, "count": report.count,
-            "density": _frac(report.density), "clauses": spec.describe()}
+    body = {"c": args.c, "cutoff": args.cutoff, "x": args.x,
+            "count": report.count, "density": _frac(report.density),
+            "clauses": spec.describe()}
     return params, body, "report-only"
 
 
@@ -425,6 +429,10 @@ def _cmd_cm(args):
     return params, body, "report-only"
 
 
+# ---------------------------------------------------------------------------
+# the command table
+# ---------------------------------------------------------------------------
+
 def _lemma_records(body):
     for entry in body["rows"]:
         for r in entry["split_lines"]:
@@ -434,10 +442,6 @@ def _lemma_records(body):
                "detail": entry["nonsplit"]["max_order"],
                "verdict": entry["nonsplit"]["verdict"]}
 
-
-# ---------------------------------------------------------------------------
-# the command table
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Command:
@@ -458,16 +462,16 @@ def _arg(*flags, **spec):
     return flags, spec
 
 
+_POSITIVE = _int_at_least(1)
+_NONNEGATIVE = _int_at_least(0)
 _SAMPLING_ARGS = (
     _arg("--mode", choices=("exhaustive", "sampled"), default="exhaustive"),
-    _arg("--count", type=_int_at_least(1), default=None,
+    _arg("--count", type=_POSITIVE, default=None,
          help="random subgroups per prime (sampled mode)"),
     _arg("--ceiling", type=int, default=11,
          help="largest prime accepted in exhaustive mode"),
     _arg("--cache-dir", default=None, help="directory for enumeration caches"),
 )
-_POSITIVE = _int_at_least(1)
-_NONNEGATIVE = _int_at_least(0)
 
 COMMANDS = {
     "verify-cases": Command(

@@ -32,7 +32,6 @@ def test_no_scalar_matrix_kernel_in_the_package():
     assert found == []
 
 
-
 def _add_parser_calls(tree):
     return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
             and getattr(node.func, "attr", None) == "add_parser"]
