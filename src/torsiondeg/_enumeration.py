@@ -42,6 +42,7 @@ search along a transporter equation.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import os
@@ -56,11 +57,13 @@ from .gl2 import (
     Subgroup,
     _det_closure,
     _fixed_lines_for_generators,
+    _key_dtype,
     _np_components,
     _np_inv,
     _np_is_scalar,
     _np_mul,
     _np_pack,
+    _orbit_labels,
     _sorted_member,
     _stabilized_conjugate_pair_for_generators,
     _stabilized_line_pair_for_generators,
@@ -70,7 +73,7 @@ from .gl2 import (
     unpack,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 SAMPLED_PRIME_LIMIT = 97
 
 
@@ -483,6 +486,48 @@ def _cache_path(cache_dir, p, mode, count, seed) -> Path:
     return Path(cache_dir) / f"{name}-v{VERSION}.json"
 
 
+def _wire_dtype(p: int) -> np.dtype:
+    """Little-endian integers wide enough for every key mod p."""
+    return np.dtype(_key_dtype(p)).newbyteorder("<")
+
+
+def _encode_keys(p: int, keys: np.ndarray) -> str:
+    return base64.b64encode(keys.astype(_wire_dtype(p)).tobytes()).decode()
+
+
+def _decode_keys(p: int, text: str) -> np.ndarray:
+    """Keys written by _encode_keys; ValueError if the text is not base64
+    of whole keys."""
+    raw = base64.b64decode(text, validate=True)
+    return np.frombuffer(raw, dtype=_wire_dtype(p)).astype(np.int64)
+
+
+def _is_generated(p: int, gens: list[int], keys: np.ndarray) -> bool:
+    """Whether the keys, meant to ascend, are exactly the group <gens>.
+
+    No closure is built.  If the keys ascend strictly within [0, p^4),
+    contain the identity and are mapped into themselves by right
+    multiplication with each (invertible) generator, then each generator
+    permutes them and <gens> acts on them on the right.  The orbit of the
+    identity is <gens> itself, so the keys are <gens> exactly when they
+    form that one orbit: when min-label propagation along the generator
+    steps labels every key with position 0."""
+    n = len(keys)
+    if (not n or keys[0] < 0 or keys[-1] >= p ** 4
+            or not (keys[1:] > keys[:-1]).all()
+            or not _sorted_member(keys, pack(p, 1, 0, 0, 1))):
+        return False
+    comps = _np_components(p, keys)
+    images = []
+    for g in gens:
+        products = _np_pack(p, _np_mul(p, comps, unpack(p, g)))
+        at = np.minimum(np.searchsorted(keys, products), n - 1)
+        if not np.array_equal(keys[at], products):
+            return False  # not closed under this generator
+        images.append(at)
+    return not _orbit_labels(n, images).any()
+
+
 def _save_cache(path: Path, p, mode, count, seed, groups) -> None:
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -498,6 +543,8 @@ def _save_cache(path: Path, p, mode, count, seed, groups) -> None:
                 "order": G.order,
                 "sl2_preimage": not G.is_materialized,
                 "det_image": sorted(G.det_image),
+                **({"elements": _encode_keys(p, G.elements)}
+                   if G.is_materialized else {}),
             }
             for G in groups
         ],
@@ -517,35 +564,46 @@ def _save_cache(path: Path, p, mode, count, seed, groups) -> None:
 
 
 def _load_cache(path: Path, p, mode):
+    """The classes stored at path, or None unless every one of them is
+    proven to be what it claims: stored elements are checked against their
+    generators (_is_generated), orders and determinant images against the
+    group they describe."""
     try:
         payload = json.loads(path.read_text())
     except (OSError, ValueError):
         return None
-    if (payload.get("schema_version") != SCHEMA_VERSION
+    if (not isinstance(payload, dict)
+            or payload.get("schema_version") != SCHEMA_VERSION
             or payload.get("code_version") != VERSION
             or payload.get("p") != p or payload.get("mode") != mode):
         return None
     groups = []
-    for entry in payload["classes"]:
-        try:
+    try:
+        for entry in payload["classes"]:
             flat = [[g[0][0], g[0][1], g[1][0], g[1][1]]
                     for g in entry["generators"]]
             if any(not (isinstance(v, int) and 0 <= v < p)
                    for g in flat for v in g):
                 return None
             gens = [pack(p, *g) for g in flat]
-        except (TypeError, ValueError, IndexError):
-            return None
-        if any(key_det(p, g) == 0 for g in gens):
-            return None  # a singular matrix generates no group
-        if entry["sl2_preimage"]:
-            dets = _det_closure(p, [key_det(p, g) for g in gens])
-            G = Subgroup.sl2_preimage(p, dets, gens)
-        else:
-            G = Subgroup.generated_by(p, gens)  # re-close; trust nothing else
-        if G.order != entry["order"] or sorted(G.det_image) != entry["det_image"]:
-            return None  # stale or corrupted cache
-        groups.append(G)
+            if any(key_det(p, g) == 0 for g in gens):
+                return None  # a singular matrix generates no group
+            if entry["sl2_preimage"]:
+                dets = _det_closure(p, [key_det(p, g) for g in gens])
+                G = Subgroup.sl2_preimage(p, dets, gens)
+            else:
+                # normalized as generated_by would
+                gens = sorted(set(gens))
+                keys = _decode_keys(p, entry["elements"])
+                if not _is_generated(p, gens, keys):
+                    return None
+                G = Subgroup(p, generators=gens, elements=keys)
+            if (G.order != entry["order"]
+                    or sorted(G.det_image) != entry["det_image"]):
+                return None  # stale or corrupted cache
+            groups.append(G)
+    except (KeyError, TypeError, ValueError, IndexError):
+        return None
     return groups
 
 

@@ -187,16 +187,16 @@ def _lemma_task(p):
 
 def _sampling(args):
     """(count, seed) for an enumeration.  The seed is read only in sampled
-    mode, where it defaults to 0 and the manifest echoes that 0."""
+    mode, where it defaults to 0; `args.seed_read` keeps it for the
+    manifest."""
     if args.mode == "exhaustive":
         if args.count is not None:
             raise UsageError("--count only applies to sampled mode")
         return None, None
     if args.count is None:
         raise UsageError("sampled mode needs --count")
-    if args.seed is None:
-        args.seed = 0
-    return args.count, args.seed
+    args.seed_read = 0 if args.seed is None else args.seed
+    return args.count, args.seed_read
 
 
 def _cmd_verify_cases(args):
@@ -227,7 +227,8 @@ def _cmd_verify_cases(args):
 
 def _cmd_verify_lemmas(args):
     if args.p_max < args.p_min:
-        raise UsageError("--p-max must be at least --p-min")
+        raise UsageError(
+            f"--p-max {args.p_max} is below --p-min {args.p_min}")
     primes = [p for p in range(max(args.p_min, 3), args.p_max + 1)
               if p % 2 and arith.is_prime(p)]
     if not primes:
@@ -591,7 +592,7 @@ def _render(args, command, params, body, verdict, started, finished) -> str:
         "command": args.command,
         "parameters": params,
         "code_version": VERSION,
-        "seed": args.seed,
+        "seed": args.seed_read,
         "verdict": verdict,
         "started": started,
         "finished": finished,
@@ -608,6 +609,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     command = COMMANDS[args.command]
+    args.seed_read = None  # set by a handler that reads --seed
     started = _utc_now()
     try:
         if args.format == "csv" and command.csv is None:

@@ -382,6 +382,7 @@ class Subgroup:
             self.contains_sl2 = True
             self.order = p * (p * p - 1) * len(self.det_image)
         self._fingerprint = None
+        self._vector_partition = None
 
     # -- construction -----------------------------------------------------
 
@@ -739,36 +740,54 @@ def vector_orbit_sizes(G: Subgroup) -> list[int]:
     return [len(orbit) for orbit in vector_orbits(G)]
 
 
+def _orbit_labels(n: int, images) -> np.ndarray:
+    """The least index in the orbit of each of 0, ..., n-1 under the group
+    generated by permutations of range(n), each given by its array of
+    images.
+
+    Min-label propagation with pointer jumping: a round gives every index
+    the least of its own label and its images' labels, then replaces each
+    label by the label it points at until none moves.  A label only falls
+    and always names an index of the same orbit.  A round that changes
+    nothing leaves no label above the label of an image; as each step
+    i -> g(i) lies on a cycle of g, labels are then constant on orbits,
+    each orbit labelled by its least index."""
+    label = np.arange(n)
+    while True:
+        low = label.copy()
+        for img in images:
+            np.minimum(low, label[img], out=low)
+        jumped = low[low]
+        while (jumped != low).any():
+            low, jumped = jumped, jumped[jumped]
+        if (low == label).all():
+            return label
+        label = low
+
+
 def vector_orbits(G: Subgroup) -> list[list[tuple[int, int]]]:
     """Orbits on nonzero vectors, each listed from its lexicographically
-    least member, orbits ordered by that representative."""
+    least member, orbits ordered by that representative.
+
+    Without SL2 the orbits are found once per subgroup, for its
+    fingerprint and for the divisibility check alike; each call lists
+    them afresh."""
     p = G.p
     if G.contains_sl2:
         # SL2 is transitive on nonzero vectors
         return [list(product(range(p), repeat=2))[1:]]
-    gens = [unpack(p, g) for g in G.generators]
-    seen = [False] * (p * p)
-    seen[0] = True
-    orbits = []
-    for start in range(1, p * p):
-        if seen[start]:
-            continue
-        seen[start] = True
-        orbit = [start]
-        frontier = [start]
-        while frontier:
-            new = []
-            for vk in frontier:
-                x, y = divmod(vk, p)
-                for a, b, c, d in gens:
-                    wk = ((a * x + b * y) % p) * p + (c * x + d * y) % p
-                    if not seen[wk]:
-                        seen[wk] = True
-                        orbit.append(wk)
-                        new.append(wk)
-            frontier = new
-        orbits.append([divmod(vk, p) for vk in sorted(orbit)])
-    return orbits
+    if G._vector_partition is None:
+        x, y = np.divmod(np.arange(p * p), p)
+        images = [(a * x + b * y) % p * p + (c * x + d * y) % p
+                  for a, b, c, d in (unpack(p, g) for g in G.generators)]
+        label = _orbit_labels(p * p, images)[1:]
+        # stable: each orbit ascends, and orbits follow their least index
+        order = np.argsort(label, kind="stable")
+        cuts = (np.flatnonzero(np.diff(label[order])) + 1).tolist()
+        G._vector_partition = np.divmod(order + 1, p), cuts
+    (xs, ys), cuts = G._vector_partition
+    vectors = list(zip(xs.tolist(), ys.tolist()))
+    return [vectors[i:j] for i, j in zip([0, *cuts], [*cuts, len(vectors)])]
 
 
 # ---------------------------------------------------------------------------

@@ -287,6 +287,22 @@ def test_verify_cases_sampled_deterministic(capsys, cache_dir):
     assert strip_times(first) == strip_times(second)
 
 
+@pytest.mark.parametrize("argv", [["enumerate", "--p", "5"],
+                                  ["genus", "--n-max", "3"]])
+def test_manifest_seed_is_null_where_nothing_reads_it(capsys, argv):
+    code, out, _ = run(capsys, argv + ["--seed", "9"])
+    assert code == 0
+    assert json.loads(out)["manifest"]["seed"] is None
+
+
+def test_manifest_seed_is_the_one_read(capsys):
+    argv = ["enumerate", "--p", "5", "--mode", "sampled", "--count", "3"]
+    for extra, seed in (([], 0), (["--seed", "9"], 9)):
+        code, out, _ = run(capsys, argv + extra)
+        assert code == 0
+        assert json.loads(out)["manifest"]["seed"] == seed
+
+
 def test_verify_cases_rejections(capsys):
     code, _, err = run(capsys, ["verify-cases", "--primes", "4"])
     assert code == 2 and "not prime" in err
@@ -383,7 +399,9 @@ def test_verify_lemmas_csv_and_rejections(capsys):
     lines = out.splitlines()
     assert lines[0] == "p,check,detail,verdict"
     assert sum(1 for l in lines if l.startswith("3,split-line")) == 4
-    assert run(capsys, ["verify-lemmas", "--p-max", "2"])[0] == 2
+    code, _, err = run(capsys, ["verify-lemmas", "--p-max", "2"])
+    # the default --p-min is named, as no --p-min was given
+    assert code == 2 and "--p-min 3" in err
     assert run(capsys, ["verify-lemmas", "--p-min", "11",
                         "--p-max", "7"])[0] == 2
 

@@ -25,6 +25,7 @@ from torsiondeg.gl2 import (
     DicksonClass,
     Subgroup,
     UnclassifiableSubgroupError,
+    _mulclose,
     classify,
     close_generators,
     enumerate_subgroups,
@@ -578,6 +579,7 @@ def test_failed_cache_save_keeps_previous_file(tmp_path):
         """A class whose order the encoder reaches only after it has
         written the classes before it."""
         generators = census[0].generators
+        elements = census[0].elements
         order = object()
         is_materialized = True
         det_image = census[0].det_image
@@ -590,6 +592,141 @@ def test_failed_cache_save_keeps_previous_file(tmp_path):
     reloaded = _enumeration._load_cache(path, 5, "exhaustive")
     assert ([G.elements.tolist() for G in reloaded]
             == [G.elements.tolist() for G in census])
+
+
+def _non_member(p, keys):
+    """The least invertible key outside the sorted keys."""
+    members = set(keys.tolist())
+    return next(k for k in range(p ** 4) if key_det(p, k) and k not in members)
+
+
+def _coset_added(p, keys):
+    x = gl2.unpack(p, _non_member(p, keys))
+    coset = gl2._np_pack(p, gl2._np_mul(p, x, gl2._np_components(p, keys)))
+    return np.sort(np.concatenate([keys, coset]))
+
+
+def _identity_dropped(p, keys):
+    return keys[keys != pack(p, 1, 0, 0, 1)]
+
+
+def _adjacent_swapped(p, keys):
+    keys = keys.copy()
+    keys[[1, 2]] = keys[[2, 1]]
+    return keys
+
+
+# one defect each; arrays are stored with an order and determinant image
+# that match them, so only the element check can catch them
+CACHE_DEFECTS = {
+    "key dropped": lambda p, keys: keys[:-1],
+    "non-member swapped in": lambda p, keys: np.sort(
+        np.append(keys[:-1], _non_member(p, keys))),
+    "closed left coset added": _coset_added,
+    "duplicate key": lambda p, keys: np.sort(np.append(keys, keys[1])),
+    "unsorted keys": _adjacent_swapped,
+    "identity missing": _identity_dropped,
+    "key beyond p^4": lambda p, keys: np.append(keys[:-1], p ** 4),
+    "bad base64": lambda p, keys: "bm90IGtleXM*",
+}
+
+
+@pytest.mark.parametrize("defect", sorted(CACHE_DEFECTS))
+def test_tampered_cache_elements_are_recomputed(tmp_path, defect):
+    p = 5
+    fresh = enumerate_subgroups(p, cache_dir=tmp_path)
+    (path,) = tmp_path.glob(f"gl2enum-p{p}-*.json")
+    original = path.read_text()
+    payload = json.loads(original)
+    # a class with two generators, small enough to have non-members
+    entry = next(e for e in payload["classes"]
+                 if len(e["generators"]) == 2 and 4 < e["order"] < 100)
+    keys = _enumeration._decode_keys(p, entry["elements"])
+    tampered = CACHE_DEFECTS[defect](p, keys)
+    if isinstance(tampered, str):
+        entry["elements"] = tampered
+    else:
+        a, b, c, d = gl2._np_components(p, tampered)
+        entry["order"] = len(tampered)
+        entry["det_image"] = sorted(set(((a * d - b * c) % p).tolist()))
+        entry["elements"] = _enumeration._encode_keys(p, tampered)
+    path.write_text(json.dumps(payload))
+    assert _enumeration._load_cache(path, p, "exhaustive") is None
+    census = enumerate_subgroups(p, cache_dir=tmp_path)
+    assert ([G.elements.tolist() for G in census]
+            == [G.elements.tolist() for G in fresh])
+    assert path.read_text() == original  # rewritten
+
+
+def _random_generators(rng, p):
+    """One to three generators of a group small enough to close: random
+    elements of GL2 itself up to p = 13, of a conjugate of a Borel or of
+    a Cartan normalizer beyond."""
+    if p <= 13:
+        return [_enumeration._random_invertible(rng, p)
+                for _ in range(rng.randint(1, 3))]
+    pool = rng.choice([gl2.borel, gl2.split_normalizer,
+                       gl2.nonsplit_normalizer])(p)
+    members = pool.elements.tolist()
+    picks = gl2._np_components(p, np.array(
+        [rng.choice(members) for _ in range(rng.randint(1, 2))]))
+    h = gl2.unpack(p, _enumeration._random_invertible(rng, p))
+    return gl2._np_pack(p, gl2._np_mul(p, gl2._np_mul(p, h, picks),
+                                       gl2._np_inv(p, h))).tolist()
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 53])
+def test_element_check_accepts_closures_only(p):
+    rng = random.Random(p)
+    for _ in range(6):
+        gens = sorted(set(_random_generators(rng, p)))
+        keys = _mulclose(p, gens)
+        assert _enumeration._is_generated(p, gens, keys)
+        short = np.delete(keys, rng.randrange(len(keys)))
+        assert not _enumeration._is_generated(p, gens, short)
+
+
+# A cache hit at p = 5 and 7 closes no generators, and a tampered file is
+# recomputed; run with and without -O, so no check here may be an assert.
+_CACHE_HIT_SCRIPT = """
+import json, sys
+from pathlib import Path
+from torsiondeg import _enumeration, gl2
+
+cache = Path(sys.argv[1])
+fresh = {p: gl2.enumerate_subgroups(p, cache_dir=cache) for p in (5, 7)}
+closures = []
+gl2._mulclose = lambda p, gens: closures.append(p)
+for p, census in fresh.items():
+    hit = gl2.enumerate_subgroups(p, cache_dir=cache)
+    if ([(G.generators, G.elements.tolist()) for G in hit]
+            != [(G.generators, G.elements.tolist()) for G in census]):
+        sys.exit(f"cache hit at p = {p} differs")
+if closures:
+    sys.exit(f"a cache hit closed generators at p = {closures}")
+(path,) = cache.glob("gl2enum-p5-*.json")
+payload = json.loads(path.read_text())
+entry = next(e for e in payload["classes"] if e["order"] > 4)
+keys = _enumeration._decode_keys(5, entry["elements"])
+entry["elements"] = _enumeration._encode_keys(5, keys[:-1])
+entry["order"] -= 1
+path.write_text(json.dumps(payload))
+if _enumeration._load_cache(path, 5, "exhaustive") is not None:
+    sys.exit("a tampered cache was trusted")
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_cache_hit_closes_nothing(tmp_path, flags):
+    src = Path(_enumeration.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", _CACHE_HIT_SCRIPT, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "ok\n"
 
 
 def test_cache_distinguishes_sampled_parameters(tmp_path):

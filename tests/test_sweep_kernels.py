@@ -36,7 +36,11 @@ from torsiondeg.gl2 import (
     vector_orbits,
 )
 from torsiondeg._enumeration import _perm_closure_capped, _random_invertible
-from torsiondeg.orbits import _all_subgroups_of, _pointwise_stabilizers
+from torsiondeg.orbits import (
+    _all_subgroups_of,
+    _pointwise_stabilizers,
+    verify_case_divisibility,
+)
 
 from conftest import (
     oracle_key_inv,
@@ -352,6 +356,21 @@ def test_vector_orbits_match_search(p):
         orbits = oracle_vector_orbits(G)
         assert vector_orbits(G) == orbits
         assert gl2.vector_orbit_sizes(G) == [len(o) for o in orbits]
+
+
+def test_vector_orbits_are_labelled_once_per_subgroup(monkeypatch):
+    calls = []
+
+    def counted(n, images):
+        calls.append(n)
+        return label_orbits(n, images)
+
+    label_orbits = gl2._orbit_labels
+    monkeypatch.setattr(gl2, "_orbit_labels", counted)
+    groups = enumerate_subgroups(5)
+    for G in groups:
+        verify_case_divisibility(G)  # its fingerprint asks for them too
+    assert len(calls) == sum(not G.contains_sl2 for G in groups)
 
 
 # ---------------------------------------------------------------------------
