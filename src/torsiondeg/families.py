@@ -41,6 +41,10 @@ from .arith import (
 
 MAX_SIEVE = 2 * 10 ** 8
 
+# Bytes per sieve block and per chunk of a pass over a degree table: the
+# scratch that the prime-shift path holds besides its per-degree tables.
+_BLOCK = 1 << 20
+
 # Budget products over every prime up to L get genuinely astronomical (L
 # can reach 10^8 for tight epsilon), so materialization is capped and the
 # structured outputs carry enough to compare budgets exactly without it.
@@ -97,16 +101,24 @@ class PrimeShiftClause:
     def mark(self, mask: np.ndarray) -> None:
         """Mark the degrees whose largest prime shift exceeds C.
 
-        The boolean "ts[w[s]] s > C" is built one divisor at a time, as
-        t s > C holds exactly when s > C // t, and then spread over the
-        multiples of each s.  No shift value is ever formed.
+        The degrees s with ts[w[s]] s > C, that is w[s] = j and
+        s > C // t, are ORed into mask one block at a time, and those up
+        to sqrt(x) are also kept in a small array; _spread_up then
+        spreads both over their multiples.  The spread reads mask as it
+        stands, which is exact because every clause marks a set closed
+        under taking multiples, so the union marked so far is one too.
+        No shift value is ever formed.
         """
-        _, w = _prime_shifts(self.c, len(mask) - 1)
-        over = np.zeros(len(mask), dtype=bool)
+        x = len(mask) - 1
+        _, w = _prime_shifts(self.c, x)
+        small = np.zeros(math.isqrt(x) + 1, dtype=bool)
         for j, t in _sieved_divisors(self.c):
             lo = self.C // t + 1
-            over[lo:] |= w[lo:] == j
-        _spread_max(mask, over)
+            small[lo:] |= w[lo:len(small)] == j
+            for start in range(lo, x + 1, _BLOCK):
+                block = mask[start:start + _BLOCK]
+                block |= w[start:start + _BLOCK] == j
+        _spread_up(mask, small)
 
     def describe(self) -> dict:
         return {"kind": "prime-shift", "c": self.c, "C": self.C}
@@ -230,56 +242,79 @@ def _prime_shifts(c: int, x: int) -> tuple[np.ndarray, np.ndarray]:
     t = gcd(l-1, c) of c and one s | d with gcd(s, c/t) = 1, so ts[w[s]] s
     is the largest prime shift that every multiple of s admits.  Each
     progression t s + 1 is sieved on its own by the primes up to
-    sqrt(t x + 1), and its survivors are written as the index of t; the
-    divisors ascend, so the last write is the largest.  w takes the
-    smallest unsigned type that holds len(ts) - 1: one byte per degree
-    for up to 255 divisors.
+    sqrt(t x + 1), one block of _BLOCK degrees at a time, each prime's
+    first multiple in the block computed afresh; its survivors are
+    written as the index of t, and the divisors ascend, so the last write
+    is the largest.  w takes the smallest unsigned type that holds
+    len(ts) - 1: one byte per degree for up to 255 divisors.
+
+    The shifts t s reach c x, and _max_prime_shift holds them as int32,
+    so c x + 1 is bounded by MAX_SIEVE < 2^31.
     """
-    limit = c * x + 1
-    if limit > MAX_SIEVE:
+    if c * x + 1 > MAX_SIEVE:
         raise ValueError(
-            f"prime-shift sieve would need all primes up to {limit}; "
-            f"the supported bound is {MAX_SIEVE}")
+            f"prime shifts at c = {c}, x = {x} reach c x = {c * x}; the "
+            f"supported bound of the int32 shift table is "
+            f"c x + 1 <= {MAX_SIEVE}")
     ts = np.array([0] + divisors(c), dtype=np.int64)
-    sieving = primes_array(math.isqrt(limit)).tolist()
-    alive = np.empty(x + 1, dtype=bool)  # scratch for every t
+    sieved = _sieved_divisors(c)
+    sieving = primes_array(math.isqrt(c * x + 1)).tolist()
     w = np.zeros(x + 1, dtype=np.min_scalar_type(len(ts) - 1))
-    for j, t in _sieved_divisors(c):
-        alive.fill(True)
-        alive[0] = False
-        for q, _ in factorize(c // t):
-            alive[::q] = False
-        for q in sieving:
-            if q * q > t * x + 1:
-                break
-            if t % q == 0:
-                continue  # t s + 1 is 1 mod q
-            s0 = -pow(t, -1, q) % q  # t s0 + 1 = 0 mod q
-            alive[s0 + q if t * s0 + 1 == q else s0::q] = False
-        w[alive] = j
+    alive = np.empty(min(_BLOCK, x), dtype=bool)  # scratch for every block
+    for lo in range(1, x + 1, _BLOCK):
+        hi = min(lo + _BLOCK, x + 1)  # the block is s in [lo, hi)
+        block = alive[:hi - lo]
+        for j, t in sieved:
+            block.fill(True)
+            for q, _ in factorize(c // t):
+                block[-lo % q::q] = False  # gcd(s, c/t) = 1
+            for q in sieving:
+                if q * q > t * (hi - 1) + 1:
+                    break
+                if t % q == 0:
+                    continue  # t s + 1 is 1 mod q
+                start = (-pow(t, -1, q) - lo) % q  # t s + 1 = 0 mod q
+                if t * (lo + start) + 1 == q:
+                    start += q  # q itself is prime
+                block[start::q] = False
+            w[lo:hi][block] = j
     ts.setflags(write=False)
     w.setflags(write=False)
     return ts, w
 
 
-def _spread_max(out: np.ndarray, v: np.ndarray) -> None:
-    """out[d] = max(out[d], max of v[s] over s | d), in place.
+def _spread_up(out: np.ndarray, small: np.ndarray) -> None:
+    """Spread maxima over multiples, in place, with x = len(out) - 1 and
+    small of length isqrt(x) + 1: afterwards out[d] is at least small[s]
+    for every s | d with s <= sqrt(x), and at least out[s] for every
+    s | d with s > sqrt(x).
 
-    Strided maxima over the multiples of each s <= sqrt(x) with v[s]
-    nonzero, and for the larger s, whose multiples k s have k < sqrt(x),
-    one maximum per k.  On booleans the maximum is a logical or, so
-    spreading v > C marks exactly the degrees whose largest prime shift
-    exceeds C.
+    Each s with small[s] nonzero gets one strided maximum over its
+    multiples.  A multiple k s of a larger s has k < sqrt(x), and is
+    reached from s through the prime powers of k: every prime power
+    q <= sqrt(x) has one pass out[q m] = max(out[q m], out[m]) over
+    m > sqrt(x), which reads what the earlier passes wrote.  A pass only
+    copies a value onto a multiple, so the result is exact whenever the
+    answer is nondecreasing along divisibility, as the largest prime
+    shift is, and so the set of degrees where it exceeds C (on booleans
+    the maximum is a logical or).  Passes run in chunks of _BLOCK bytes,
+    so the copy numpy makes of an overlapping operand stays one block.
     """
     x = len(out) - 1
-    r = math.isqrt(x)
-    for step in np.flatnonzero(v[1:r + 1]) + 1:
-        view = out[step::step]
-        np.maximum(view, v[step], out=view)
-    for k in range(1, x // (r + 1) + 1):
-        hi = x // k
-        view = out[k * (r + 1):k * hi + 1:k]
-        np.maximum(view, v[r + 1:hi + 1], out=view)
+    r = len(small) - 1
+    step = _BLOCK // out.itemsize
+    for s in np.flatnonzero(small[1:]) + 1:
+        view = out[s::s]
+        np.maximum(view, small[s], out=view)
+    for p in primes_upto(r):
+        q = p
+        while q <= r:
+            n = x // q
+            for lo in range(r + 1, n + 1, step):
+                hi = min(lo + step, n + 1)
+                view = out[q * lo:q * hi:q]
+                np.maximum(view, out[lo:hi], out=view)
+            q *= p
 
 
 @lru_cache(maxsize=1)
@@ -288,17 +323,19 @@ def _max_prime_shift(c: int, x: int) -> np.ndarray:
     primes l with (l-1) | c d, or 0 if there is none.
 
     Only the cutoff search needs the values.  It forms the shifts
-    ts[w[s]] s of _prime_shifts once and spreads them over the multiples
-    of each s.  They fit int32 because t s <= c x < MAX_SIEVE < 2^31
-    wherever w[s] is nonzero; only at x = 0 can an entry of ts pass 2^31,
-    and then w holds no index of it.  The last call is cached (4 MB at
-    x = 10^6).
+    ts[w[s]] s of _prime_shifts once, in place and one block at a time,
+    and spreads them over the multiples of each s with _spread_up.  They
+    fit int32 because t s <= c x < MAX_SIEVE < 2^31 wherever w[s] is
+    nonzero; only at x = 0 can an entry of ts pass 2^31, and then w holds
+    no index of it.  The last call is cached (4 MB at x = 10^6).
     """
     ts, w = _prime_shifts(c, x)
-    v = ts.astype(np.int32)[w]
-    v *= np.arange(x + 1, dtype=np.int32)
-    arr = np.zeros(x + 1, dtype=np.int32)
-    _spread_max(arr, v)
+    arr = ts.astype(np.int32)[w]
+    step = _BLOCK // arr.itemsize
+    for lo in range(0, x + 1, step):
+        block = arr[lo:lo + step]
+        block *= np.arange(lo, lo + len(block), dtype=np.int32)
+    _spread_up(arr, arr[:math.isqrt(x) + 1].copy())
     arr.setflags(write=False)
     return arr
 
@@ -330,8 +367,10 @@ def find_cutoff_C(epsilon, c: int, x: int) -> int:
 
     Order statistics give it directly: with K the largest allowed count,
     the (K+1)-th largest value of the per-degree maximal shift is the
-    answer (0 when everything fits).  np.partition places that one value
-    without sorting the rest.
+    answer (0 when everything fits).  The table is read one chunk of
+    _BLOCK bytes at a time, and after each chunk np.partition keeps the
+    K+1 largest values seen without sorting them, so the table is never
+    copied whole.
     """
     eps = Fraction(epsilon)
     if not 0 < eps <= 1:
@@ -340,8 +379,18 @@ def find_cutoff_C(epsilon, c: int, x: int) -> int:
     allowed = int(eps * x)  # floor; count <= allowed <=> density <= eps
     if allowed >= x:
         return 0
-    kth = x - 1 - allowed  # (allowed+1)-th largest
-    C = int(np.partition(ms[1:], kth)[kth])
+    k = allowed + 1
+    step = _BLOCK // ms.itemsize
+    top = np.empty(min(k + step, x), dtype=ms.dtype)  # negated: kept first
+    n = 0
+    for lo in range(1, x + 1, step):
+        chunk = ms[lo:lo + step]
+        np.negative(chunk, out=top[n:n + len(chunk)])
+        n += len(chunk)
+        if n > k:
+            top[:n].partition(k - 1)
+            n = k
+    C = -int(top[:k].max())
     count = int((ms[1:] > C).sum())
     if Fraction(count, x) > eps:  # pragma: no cover - defensive
         raise RuntimeError(

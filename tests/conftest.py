@@ -1,4 +1,7 @@
+import math
 import random
+
+import numpy as np
 
 from torsiondeg import gl2
 
@@ -187,3 +190,26 @@ def oracle_perm_closure_capped(gens, limit):
                     new.append(y)
         frontier = new
     return elements
+
+
+# ---------------------------------------------------------------------------
+# divisor spreads with a separate value table: the reference for the
+# in-place kernel families._spread_up
+# ---------------------------------------------------------------------------
+
+def oracle_spread_max(out, v):
+    """out[d] = max(out[d], max of v[s] over s | d), in place.
+
+    Strided maxima over the multiples of each s <= sqrt(x) with v[s]
+    nonzero, and for the larger s, whose multiples k s have k < sqrt(x),
+    one maximum per k.  On booleans the maximum is a logical or.
+    """
+    x = len(out) - 1
+    r = math.isqrt(x)
+    for step in np.flatnonzero(v[1:r + 1]) + 1:
+        view = out[step::step]
+        np.maximum(view, v[step], out=view)
+    for k in range(1, x // (r + 1) + 1):
+        hi = x // k
+        view = out[k * (r + 1):k * hi + 1:k]
+        np.maximum(view, v[r + 1:hi + 1], out=view)

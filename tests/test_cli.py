@@ -516,6 +516,15 @@ def test_bepsilon_rejections(capsys, tmp_path):
     assert code == 2 and "prof.json" in err
 
 
+def test_bepsilon_beyond_the_shift_table_is_refused(capsys):
+    # c = 144 at g = 1, so c x = 1.44e9 would pass the int32 shift table
+    code, out, err = run(capsys, ["bepsilon", "--cm-g", "1",
+                                  "--epsilon", "1/2", "--x", "10000000"])
+    assert code == 2 and out == ""
+    assert "supported bound" in err and "1440000000" in err
+    assert "int32" in err and "all primes" not in err
+
+
 def test_cm_report(capsys):
     code, out, err = run(capsys, ["cm", "--g", "1", "--d", "1"])
     assert code == 0

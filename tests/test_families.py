@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from torsiondeg import arith, cli, cmbounds
+from conftest import oracle_spread_max
+from torsiondeg import arith, cli, cmbounds, families
 from torsiondeg.families import (
     MAX_SIEVE,
     BEpsilonResult,
@@ -41,6 +42,7 @@ from torsiondeg.families import (
     _int_nth_root,
     _max_prime_shift,
     _prime_shifts,
+    _spread_up,
     _tail_within,
 )
 
@@ -52,6 +54,14 @@ def brute_max_shift(c, d):
         if arith.is_prime(e + 1):
             best = max(best, e)
     return best
+
+
+def brute_owner(c, s):
+    """The largest divisor t of c with gcd(s, c/t) = 1 and t s + 1 prime,
+    else 0."""
+    return max((t for t in arith.divisors(c)
+                if math.gcd(s, c // t) == 1 and arith.is_prime(t * s + 1)),
+               default=0)
 
 
 def full_sieve_max_shift(c, x):
@@ -199,9 +209,7 @@ def test_prime_shift_table_is_one_read_only_byte_per_degree(c):
         w[1] = 0
     # each s owns the largest t with gcd(s, c/t) = 1 and t s + 1 prime
     for s in range(1, x + 1):
-        owners = [t for t in arith.divisors(c)
-                  if math.gcd(s, c // t) == 1 and arith.is_prime(t * s + 1)]
-        assert ts[w[s]] == max(owners, default=0), s
+        assert ts[w[s]] == brute_owner(c, s), s
 
 
 def test_prime_shift_table_widens_past_255_divisors():
@@ -210,6 +218,83 @@ def test_prime_shift_table_widens_past_255_divisors():
     assert len(ts) == 257 and w.dtype == np.uint16
     assert _max_prime_shift(c, 10).tolist() == [0] + [
         brute_max_shift(c, d) for d in range(1, 11)]
+
+
+@pytest.fixture(params=[5, 64])
+def tiny_blocks(request, monkeypatch):
+    """Sieve blocks and pass chunks of a few bytes, so that small x
+    crosses many of them; the cached tables are rebuilt on both sides."""
+    monkeypatch.setattr(families, "_BLOCK", request.param)
+    _prime_shifts.cache_clear()
+    _max_prime_shift.cache_clear()
+    yield request.param
+    _prime_shifts.cache_clear()
+    _max_prime_shift.cache_clear()
+
+
+@pytest.mark.parametrize("c", [1, 2, 6, 35, 144])
+def test_blocked_sieve_matches_the_owner_scan(tiny_blocks, c):
+    x = 1200
+    ts, w = _prime_shifts(c, x)
+    assert w[0] == 0
+    assert [int(ts[w[s]]) for s in range(1, x + 1)] == [
+        brute_owner(c, s) for s in range(1, x + 1)]
+
+
+def test_blocked_sieve_keeps_a_prime_modulus_in_a_later_block(tiny_blocks):
+    # t s0 + 1 = q is itself one of the sieving primes, and s0 lies past
+    # the first block, so its block must skip q's first multiple
+    c, t, x = 2, 2, 9000
+    s0 = next(s for s in range(tiny_blocks + 1, x)
+              if arith.is_prime(t * s + 1))
+    assert (t * s0 + 1) ** 2 <= t * x + 1
+    ts, w = _prime_shifts(c, x)
+    assert ts[w[s0]] == t
+    assert [int(ts[w[s]]) for s in range(1, x + 1)] == [
+        brute_owner(c, s) for s in range(1, x + 1)]
+
+
+@pytest.mark.parametrize("c,x", [(1, 0), (6, 1), (6, 2), (6, 3000),
+                                 (144, 3000), (35, 2500)])
+def test_blocked_max_prime_shift_matches_the_full_sieve(tiny_blocks, c, x):
+    assert np.array_equal(_max_prime_shift(c, x), full_sieve_max_shift(c, x))
+
+
+@pytest.mark.parametrize("c,C", [(1, 3), (6, 40), (12, 300), (144, 2000)])
+def test_blocked_density_matches_naive_membership(tiny_blocks, c, C):
+    x = 1500
+    spec = IntegerSetSpec((DivClause(7), PrimeShiftClause(c, C),
+                           PrimePowerDivClause(2, 20)))
+    naive = sum(1 for d in range(1, x + 1) if spec.contains(d))
+    assert density_upto(spec, x).count == naive
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=600),
+       st.sampled_from([bool, np.int32]),
+       st.sampled_from([5, 64, 1 << 20]),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_spread_up_matches_the_two_array_oracle(x, dtype, block, seed):
+    rng = np.random.default_rng(seed)
+
+    def sparse(rate):
+        vals = rng.integers(1, 10 ** 6, size=x + 1)
+        vals *= rng.random(x + 1) < rate
+        vals[0] = 0  # degrees start at 1
+        return vals.astype(dtype)
+
+    # a set closed under multiples already in out, as earlier clauses
+    # leave the mask
+    base = np.zeros(x + 1, dtype=dtype)
+    oracle_spread_max(base, sparse(0.01))
+    v = sparse(0.05)
+    expected = base.copy()
+    oracle_spread_max(expected, v)
+    out = np.maximum(base, v)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(families, "_BLOCK", block)
+        _spread_up(out, v[:math.isqrt(x) + 1].copy())
+    assert np.array_equal(out, expected)
 
 
 def test_max_prime_shift_cache_is_bounded_and_read_only():
@@ -332,25 +417,33 @@ def test_density_cli_rejects_huge_cutoff_before_allocating(tmp_path):
     assert int(peak_kb) < 100 * 1024  # kB
 
 
-def test_prime_shift_density_memory_per_degree():
+def _traced_density_peak(spec, x):
     # numpy reports its buffers to tracemalloc, so the peak is exact
-    x = 10 ** 6
     _prime_shifts.cache_clear()
     _max_prime_shift.cache_clear()
     tracemalloc.start()
     try:
-        density_upto(IntegerSetSpec((PrimeShiftClause(6, 4762),)), x)
-        peak = tracemalloc.get_traced_memory()[1]
+        density_upto(spec, x)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / x <= 5
+
+
+def test_prime_shift_density_memory_per_degree():
+    # the mask and w take one byte per degree; the sieve block is a fixed
+    # 1 MB, so the peaks at two cutoffs are compared
+    spec = IntegerSetSpec((PrimeShiftClause(6, 4762),))
+    low, high = (_traced_density_peak(spec, x)
+                 for x in (10 ** 6, 2 * 10 ** 6))
+    assert (high - low) / 10 ** 6 <= 2.5
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="reads the peak from /proc/self/status")
 def test_density_cli_prime_shift_peak_per_degree(tmp_path):
     # the peak of x = 10^7 over that of x = 10^3 is what the degree
-    # tables cost: about 4 bytes per degree, 38 MB
+    # tables cost: the mask and w at 2 bytes per degree, 20 MB, and one
+    # 1 MB sieve block
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"clauses": [
         {"kind": "prime-shift", "c": 6, "C": 4762}]}), encoding="utf-8")
@@ -359,7 +452,7 @@ def test_density_cli_prime_shift_peak_per_degree(tmp_path):
         out = _density_cli_with_peak(path, x)
         assert out.returncode == 0, out.stderr
         peaks.append(int(out.stderr.strip().splitlines()[-1]))
-    assert peaks[0] - peaks[1] < 50 * 1024  # kB
+    assert peaks[0] - peaks[1] < 25 * 1024  # kB
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +558,15 @@ def sorted_cutoff(epsilon, c, x):
 @pytest.mark.parametrize("c,x", [(1, 2000), (6, 3000), (144, 2500)])
 def test_find_cutoff_matches_sorted_order_statistic(c, x):
     for eps in (1, Fraction(1, 2), Fraction(1, 10), Fraction(1, 100),
-                Fraction(1, x)):
+                Fraction(1, x), Fraction(x - 1, x)):
+        assert find_cutoff_C(eps, c, x) == sorted_cutoff(eps, c, x), eps
+
+
+@pytest.mark.parametrize("c,x", [(6, 3000), (144, 2500)])
+def test_blocked_find_cutoff_matches_sorted_order_statistic(tiny_blocks, c,
+                                                            x):
+    for eps in (Fraction(1, 2), Fraction(1, 10), Fraction(1, x),
+                Fraction(x - 1, x)):
         assert find_cutoff_C(eps, c, x) == sorted_cutoff(eps, c, x), eps
 
 

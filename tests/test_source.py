@@ -32,6 +32,17 @@ def test_no_scalar_matrix_kernel_in_the_package():
     assert found == []
 
 
+def test_one_spread_kernel_in_the_package():
+    # the budget and density paths share the in-place families._spread_up;
+    # the two-array _spread_max lives only in the test oracles
+    defined = [f"{path.name} {node.name}"
+               for path in SOURCES
+               for node in ast.walk(ast.parse(path.read_text("utf-8")))
+               if isinstance(node, ast.FunctionDef)
+               and node.name.startswith("_spread")]
+    assert defined == ["families.py _spread_up"]
+
+
 def _add_parser_calls(tree):
     return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
             and getattr(node.func, "attr", None) == "add_parser"]
