@@ -56,8 +56,9 @@ from .arith import factorize, is_prime
 from .gl2 import (
     Subgroup,
     _det_closure,
-    _fixed_lines_for_generators,
+    _fixed_lines,
     _key_dtype,
+    _line_images,
     _np_components,
     _np_inv,
     _np_is_scalar,
@@ -66,9 +67,8 @@ from .gl2 import (
     _orbit_labels,
     _sorted_member,
     _stabilized_conjugate_pair_for_generators,
-    _stabilized_line_pair_for_generators,
+    _stabilized_line_pair,
     key_det,
-    line_permutation,
     pack,
     unpack,
 )
@@ -333,16 +333,16 @@ def _random_invertible(rng: random.Random, p: int) -> int:
             return k
 
 
-def _perm_closure_capped(gens: list[tuple[int, ...]], limit: int):
-    """Closure of permutations as an int16 array with one row of images
-    per element, or None once the size exceeds `limit`.
+def _perm_closure_capped(images: np.ndarray, limit: int):
+    """Closure of the permutations given by the rows of images, as an
+    array with one row of images per element, or None once the size
+    exceeds `limit`.
 
     The product x g, i -> x[g[i]], of every frontier row x with one
     generator g is the fancy index frontier[:, g]; rows are told apart
     by their bytes."""
-    images = np.array(gens, dtype=np.int16)
     n = images.shape[1]
-    frontier = np.arange(n, dtype=np.int16)[None, :]
+    frontier = np.arange(n, dtype=images.dtype)[None, :]
     seen = {frontier[0].tobytes()}
     elements = [frontier]
     while len(frontier):
@@ -355,17 +355,18 @@ def _perm_closure_capped(gens: list[tuple[int, ...]], limit: int):
                         return None
                     seen.add(key)
                     fresh.append(row)
-        frontier = np.array(fresh, dtype=np.int16).reshape(-1, n)
+        frontier = np.array(fresh, dtype=images.dtype).reshape(-1, n)
         elements.append(frontier)
     return np.concatenate(elements)
 
 
 def _close_sampled_pair(p: int, x: int, y: int) -> Subgroup:
     gens = [x, y]
+    images = _line_images(p, gens)
     if (p < 5
-            or _fixed_lines_for_generators(p, gens)  # inside a Borel
+            or len(_fixed_lines(images))  # inside a Borel
             # inside a split or a nonsplit normalizer
-            or _stabilized_line_pair_for_generators(p, gens) is not None
+            or _stabilized_line_pair(images) is not None
             or _stabilized_conjugate_pair_for_generators(p, gens) is not None):
         return Subgroup.generated_by(p, gens)
     # No invariant line, line pair, or conjugate point pair: the projective
@@ -373,8 +374,7 @@ def _close_sampled_pair(p: int, x: int, y: int) -> Subgroup:
     # (order <= 60) or contains PSL2.  At p = 5 an image of order 60 is
     # already all of PSL2.
     limit = 59 if p == 5 else 60
-    perms = [line_permutation(p, g) for g in gens]
-    if _perm_closure_capped(perms, limit) is not None:
+    if _perm_closure_capped(images, limit) is not None:
         return Subgroup.generated_by(p, gens)
     det_image = _det_closure(p, [key_det(p, g) for g in gens])
     return Subgroup.sl2_preimage(p, det_image, gens)

@@ -290,22 +290,30 @@ def _spread_up(out: np.ndarray, small: np.ndarray) -> None:
     s | d with s > sqrt(x).
 
     Each s with small[s] nonzero gets one strided maximum over its
-    multiples.  A multiple k s of a larger s has k < sqrt(x), and is
-    reached from s through the prime powers of k: every prime power
-    q <= sqrt(x) has one pass out[q m] = max(out[q m], out[m]) over
-    m > sqrt(x), which reads what the earlier passes wrote.  A pass only
-    copies a value onto a multiple, so the result is exact whenever the
-    answer is nondecreasing along divisibility, as the largest prime
-    shift is, and so the set of degrees where it exceeds C (on booleans
-    the maximum is a logical or).  Passes run in chunks of _BLOCK bytes,
-    so the copy numpy makes of an overlapping operand stays one block.
+    multiples, unless some proper divisor t of s has small[t] >= small[s]:
+    the passes over the divisors of s then lift its multiples as far.  The
+    walk up s that finds these s zeroes them in a list copy of small, so
+    small itself is only read.  A multiple k s of a larger s has k <
+    sqrt(x), and is reached from s through the prime powers of k: every
+    prime power q <= sqrt(x) has one pass out[q m] = max(out[q m], out[m])
+    over m > sqrt(x), which reads what the earlier passes wrote.  A pass
+    only copies a value onto a multiple, so the result is exact whenever the
+    answer is nondecreasing along divisibility, as the largest prime shift
+    is, and so the set of degrees where it exceeds C (on booleans the
+    maximum is a logical or).  Passes run in chunks of _BLOCK bytes, so the
+    copy numpy makes of an overlapping operand stays one block.
     """
     x = len(out) - 1
     r = len(small) - 1
     step = _BLOCK // out.itemsize
-    for s in np.flatnonzero(small[1:]) + 1:
-        view = out[s::s]
-        np.maximum(view, small[s], out=view)
+    left = small.tolist()
+    for s in range(1, r + 1):
+        if left[s]:
+            for t in range(2 * s, r + 1, s):
+                if left[t] <= left[s]:
+                    left[t] = 0
+            view = out[s::s]
+            np.maximum(view, small[s], out=view)
     for p in primes_upto(r):
         q = p
         while q <= r:

@@ -5,7 +5,10 @@ column vectors: M(x, y) = (a*x + b*y, c*x + d*y).  For fast set arithmetic
 a matrix packs into the single integer key ((a*p + b)*p + c)*p + d and a
 subgroup keeps its elements as one sorted, read-only int64 array of such
 keys.  All matrix arithmetic runs on arrays of components (`_np_mul`,
-`_np_inv`), with Python ints standing in for single matrices.
+`_np_inv`), with Python ints standing in for single matrices.  The p + 1
+lines of F_p^2 are known by index: line i < p is spanned by (1, i) and
+line p by (0, 1), and `_line_images` gives how matrices permute them as
+rows of such indices.
 
 The classification implemented by `classify` sorts every subgroup into one
 of seven buckets with a fixed precedence:
@@ -173,69 +176,6 @@ def _projective_orders(p: int, keys) -> np.ndarray:
             return orders
         acc = _np_mul(p, acc, comps)
     raise RuntimeError("projective order exceeded p + 1")
-
-
-# ---------------------------------------------------------------------------
-# element and line types
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, order=True)
-class Line:
-    """A one-dimensional subspace of F_p^2, normalized representative.
-
-    The representative (x, y) has its first nonzero coordinate equal to 1,
-    so there are exactly p+1 lines: (1, s) for each slope s, plus (0, 1).
-    """
-
-    p: int
-    x: int
-    y: int
-
-    def __post_init__(self):
-        if (self.x, self.y) != ((1, self.y) if self.x == 1 else (0, 1)):
-            raise ValueError(f"({self.x},{self.y}) is not a normalized representative")
-        if not (0 <= self.y < self.p):
-            raise ValueError("representative not reduced")
-
-    @classmethod
-    def through(cls, p, x, y):
-        x, y = x % p, y % p
-        if x == 0 and y == 0:
-            raise ValueError("zero vector spans no line")
-        if x != 0:
-            return cls(p, 1, y * pow(x, -1, p) % p)
-        return cls(p, 0, 1)
-
-    @classmethod
-    def from_index(cls, p, i):
-        return cls(p, 1, i) if i < p else cls(p, 0, 1)
-
-    @property
-    def index(self) -> int:
-        """Position in the canonical ordering: slope for (1,s), p for (0,1)."""
-        return self.y if self.x == 1 else self.p
-
-    def vectors(self):
-        """All p-1 nonzero vectors on the line."""
-        return [(t * self.x % self.p, t * self.y % self.p)
-                for t in range(1, self.p)]
-
-
-def all_lines(p: int) -> list[Line]:
-    return [Line.from_index(p, i) for i in range(p + 1)]
-
-
-# the line scans of one generator list each ask for its permutations
-@lru_cache(maxsize=64)
-def line_permutation(p: int, key: int) -> tuple[int, ...]:
-    """How a matrix permutes the p+1 lines, as a tuple over line indices."""
-    a, b, c, d = unpack(p, key)
-    images = []
-    for i in range(p + 1):
-        x, y = (1, i) if i < p else (0, 1)
-        nx, ny = (a * x + b * y) % p, (c * x + d * y) % p
-        images.append(ny * pow(nx, -1, p) % p if nx else p)
-    return tuple(images)
 
 
 # ---------------------------------------------------------------------------
@@ -664,30 +604,52 @@ def _require_odd(p, what):
 # line actions
 # ---------------------------------------------------------------------------
 
-def _fixed_lines_for_generators(p: int, gen_keys) -> list[int]:
-    """Indices of the lines that every generator maps to themselves."""
-    perms = [line_permutation(p, g) for g in gen_keys]
-    return [i for i in range(p + 1) if all(perm[i] == i for perm in perms)]
+def _line_vectors(p: int):
+    """The spanning vectors (x, y) of lines 0, ..., p as two arrays:
+    (1, i) for line i < p, and (0, 1) for line p."""
+    i = np.arange(p + 1)
+    return (i < p).astype(np.int64), np.where(i < p, i, 1)
 
 
-def stabilized_lines(G: Subgroup) -> set[Line]:
-    """Lines L with gL = L for every g in G (checked on generators)."""
-    return {Line.from_index(G.p, i)
-            for i in _fixed_lines_for_generators(G.p, G.generators)}
+def _line_images(p: int, keys) -> np.ndarray:
+    """How each matrix permutes the p + 1 lines: row r holds the index of
+    the image of every line under keys[r].  An image (x, y) is line
+    y / x when x != 0, and line p when x = 0."""
+    a, b, c, d = (v[:, None] for v in
+                  _np_components(p, np.asarray(keys, dtype=np.int64)))
+    x, y = _line_vectors(p)
+    nx, ny = (a * x + b * y) % p, (c * x + d * y) % p
+    images = np.where(nx != 0, ny * _unit_inverses(p)[nx] % p, p)
+    return images.astype(np.int16 if p < 2 ** 15 - 1 else np.int32)
 
 
-def _stabilized_line_pair_for_generators(p: int, gen_keys):
+def _fixed_lines(images: np.ndarray) -> np.ndarray:
+    """Indices of the lines that every row of images maps to itself."""
+    return np.flatnonzero((images == np.arange(images.shape[1])).all(axis=0))
+
+
+def _stabilized_line_pair(images: np.ndarray):
     """The first pair (i, j), i < j, of line indices whose unordered pair
-    every generator permutes, or None."""
-    perms = [line_permutation(p, g) for g in gen_keys]
-    for i in range(p + 1):
-        # a generator that moves line i must move it to its partner j
-        moved = {perm[i] for perm in perms} - {i}
-        partners = moved if len(moved) == 1 else () if moved else range(p + 1)
-        for j in sorted(partners):
-            if j > i and all({perm[i], perm[j]} == {i, j} for perm in perms):
-                return (i, j)
-    return None
+    every row of images permutes, or None.
+
+    A line that some row moves can pair only with its image under the
+    first row that moves it, and does when every row keeps both lines
+    inside the pair.  A line that no row moves can pair only with another
+    such line, so the first two of those are the other candidate."""
+    lines = np.arange(images.shape[1])
+    fixed = _fixed_lines(images)
+    pairs = [(int(fixed[0]), int(fixed[1]))] if len(fixed) > 1 else []
+    if len(fixed) < len(lines):
+        partner = images[(images != lines).argmax(axis=0), lines]
+        of_partner = images[:, partner]
+        ok = (((images == lines) | (images == partner)).all(axis=0)
+              & ((of_partner == lines) | (of_partner == partner)).all(axis=0)
+              & (partner != lines))
+        # the least line of a valid pair comes before its partner
+        hit = np.flatnonzero(ok)
+        if len(hit):
+            pairs.append((int(hit[0]), int(partner[hit[0]])))
+    return min(pairs, default=None)
 
 
 def _stabilized_conjugate_pair_for_generators(p: int, gen_keys):
@@ -882,9 +844,10 @@ def classify(G: Subgroup) -> DicksonClass:
     """
     if G.contains_sl2:
         return DicksonClass.CONTAINS_SL
-    if stabilized_lines(G):
+    images = _line_images(G.p, G.generators)
+    if len(_fixed_lines(images)):
         return DicksonClass.BOREL
-    if _stabilized_line_pair_for_generators(G.p, G.generators) is not None:
+    if _stabilized_line_pair(images) is not None:
         return DicksonClass.SPLIT_NORMALIZER
     if _stabilized_conjugate_pair_for_generators(G.p, G.generators):
         return DicksonClass.NONSPLIT_NORMALIZER

@@ -22,14 +22,13 @@ import numpy as np
 
 from .gl2 import (
     DicksonClass,
-    Line,
     ProjectiveType,
     Subgroup,
+    _line_vectors,
     _np_components,
     _np_mul,
     _np_pack,
     _sorted_member,
-    all_lines,
     classify,
     det_index,
     pack,
@@ -180,8 +179,9 @@ def _pointwise_stabilizers(N: Subgroup) -> list[np.ndarray]:
     p = N.p
     keys = N.elements
     a, b, c, d = _np_components(p, keys)
+    xs, ys = _line_vectors(p)
     return [keys[((a * x + b * y) % p == x) & ((c * x + d * y) % p == y)]
-            for x, y in ((line.x, line.y) for line in all_lines(p))]
+            for x, y in zip(xs.tolist(), ys.tolist())]
 
 
 def _all_subgroups_of(p: int, keys: np.ndarray) -> list[frozenset[int]]:
@@ -232,18 +232,18 @@ def _all_subgroups_of(p: int, keys: np.ndarray) -> list[frozenset[int]]:
     return sorted(named, key=lambda S: (len(S), sorted(S)))
 
 
-def _subgroup_shape(p: int, line: Line, keys: frozenset[int]) -> str | None:
+def _subgroup_shape(p: int, line: int, keys: frozenset[int]) -> str | None:
     mats = [unpack(p, k) for k in sorted(keys)]
     nontrivial = [m for m in mats if m != (1, 0, 0, 1)]
-    if line.index == 0 and all(
+    if line == 0 and all(
             a == 1 and b == 0 and c == 0 for a, b, c, _ in mats):
         return SHAPE_DIAG_FIX_FIRST
-    if line.index == p and all(
+    if line == p and all(
             d == 1 and b == 0 and c == 0 for _, b, c, d in mats):
         return SHAPE_DIAG_FIX_SECOND
-    if len(nontrivial) <= 1 and 0 < line.index < p:
-        c0 = pow(line.y, -1, p)  # line through (c0, 1)
-        expected = (0, c0, pow(c0, -1, p), 0)
+    if len(nontrivial) <= 1 and 0 < line < p:
+        # [[0, 1/i], [i, 0]] fixes the vector (1, i) of line i
+        expected = (0, pow(line, -1, p), line, 0)
         if all(m == expected for m in nontrivial):
             return SHAPE_ANTIDIAG_INVOLUTION
     return None
@@ -255,7 +255,7 @@ def verify_split_pointwise_stabilizers(p: int) -> list[LineStabilizerReport]:
     fixing an axis, or generated by a single antidiagonal involution."""
     reports = []
     stabilizers = _pointwise_stabilizers(split_normalizer(p))
-    for line, keys in zip(all_lines(p), stabilizers):
+    for line, keys in enumerate(stabilizers):
         shapes = set()
         ok = True
         subgroups = _all_subgroups_of(p, keys)
@@ -266,7 +266,7 @@ def verify_split_pointwise_stabilizers(p: int) -> list[LineStabilizerReport]:
             else:
                 shapes.add(shape)
         reports.append(LineStabilizerReport(
-            p, line.index, len(keys), len(subgroups),
+            p, line, len(keys), len(subgroups),
             tuple(sorted(shapes)), PASS if ok else VIOLATION))
     return reports
 

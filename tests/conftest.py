@@ -52,6 +52,19 @@ def oracle_projective_order(p, key):
     raise AssertionError("projective order exceeded p+1")
 
 
+def oracle_line_permutation(p, key):
+    """How a matrix permutes the p+1 lines, as a tuple over line indices,
+    one line at a time: line i < p is spanned by (1, i), line p by (0, 1).
+    The scalar reference for gl2._line_images."""
+    a, b, c, d = gl2.unpack(p, key)
+    images = []
+    for i in range(p + 1):
+        x, y = (1, i) if i < p else (0, 1)
+        nx, ny = (a * x + b * y) % p, (c * x + d * y) % p
+        images.append(ny * pow(nx, -1, p) % p if nx else p)
+    return tuple(images)
+
+
 def oracle_proj_canonical(p, key):
     """Least packed key among the scalar multiples of a matrix."""
     a, b, c, d = gl2.unpack(p, key)

@@ -297,6 +297,38 @@ def test_spread_up_matches_the_two_array_oracle(x, dtype, block, seed):
     assert np.array_equal(out, expected)
 
 
+def _spread_keeps_multiples_above_their_divisor(seed):
+    # for some s, small[2 s] exceeds small[s], so 2 s still needs its own
+    # pass to lift its multiples higher than the pass over s does; the
+    # multiples at or below small[s] need none
+    rng = np.random.default_rng(seed)
+    x = int(rng.integers(36, 3000))
+    r = math.isqrt(x)
+    v = np.zeros(x + 1, dtype=np.int32)
+    for s in rng.choice(np.arange(1, r // 2 + 1), size=3):
+        v[s] = rng.integers(1, 1000)
+        v[2 * s] = v[s] + rng.integers(1, 1000)
+        lower = np.arange(3 * s, x + 1, s)
+        lower = rng.choice(lower, size=min(len(lower), 8), replace=False)
+        v[lower] = rng.integers(1, v[s] + 1, size=len(lower))
+    expected = np.zeros_like(v)
+    oracle_spread_max(expected, v)
+    out = v.copy()
+    _spread_up(out, v[:r + 1].copy())
+    assert np.array_equal(out, expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_spread_up_keeps_a_multiple_above_its_divisor(seed):
+    _spread_keeps_multiples_above_their_divisor(seed)
+
+
+def test_blocked_spread_up_keeps_a_multiple_above_its_divisor(tiny_blocks):
+    for seed in range(30):
+        _spread_keeps_multiples_above_their_divisor(seed)
+
+
 def test_max_prime_shift_cache_is_bounded_and_read_only():
     _max_prime_shift(6, 500)
     arr = _max_prime_shift(144, 700)

@@ -11,11 +11,9 @@ from hypothesis import assume, given, strategies as st
 from torsiondeg import gl2
 from torsiondeg.gl2 import (
     DicksonClass,
-    Line,
     MaterializationError,
     ProjectiveType,
     Subgroup,
-    all_lines,
     analyze,
     borel,
     classify,
@@ -30,7 +28,6 @@ from torsiondeg.gl2 import (
     sl2,
     split_cartan,
     split_normalizer,
-    stabilized_lines,
     standard_subgroups,
     unpack,
     vector_orbit_sizes,
@@ -45,6 +42,7 @@ from conftest import (
     oracle_key_is_scalar,
     oracle_key_mul,
     oracle_key_pow,
+    oracle_line_permutation,
     oracle_projective_order,
     oracle_projective_type_from_elements,
     projective_order_histogram,
@@ -122,30 +120,6 @@ def test_projective_orders_match_scalar_powering(p):
         keys = random.Random(p).sample(keys, 5000)
     assert (gl2._projective_orders(p, keys).tolist()
             == [oracle_projective_order(p, k) for k in keys])
-
-
-class TestLine:
-    def test_there_are_p_plus_one_lines(self):
-        for p in (2, 3, 5, 11):
-            lines = all_lines(p)
-            assert len(lines) == p + 1
-            assert len(set(lines)) == p + 1
-
-    def test_through_normalizes(self):
-        assert Line.through(5, 2, 4) == Line(5, 1, 2)
-        assert Line.through(5, 0, 3) == Line(5, 0, 1)
-        assert Line.through(7, 3, 3) == Line(7, 1, 1)
-        with pytest.raises(ValueError):
-            Line.through(5, 0, 0)
-
-    def test_every_nonzero_vector_lies_on_its_line(self):
-        p = 7
-        for x in range(p):
-            for y in range(p):
-                if (x, y) == (0, 0):
-                    continue
-                line = Line.through(p, x, y)
-                assert (x, y) in line.vectors()
 
 
 # ---------------------------------------------------------------------------
@@ -283,18 +257,24 @@ class TestStandardSubgroups:
 # lines under subgroups
 # ---------------------------------------------------------------------------
 
+def stabilized_lines(G):
+    """Indices of the lines every generator of G maps to themselves."""
+    return gl2._fixed_lines(gl2._line_images(G.p, G.generators)).tolist()
+
+
 class TestLineActions:
     def test_trivial_group_stabilizes_everything(self):
         G = close_generators(5, [])
-        assert stabilized_lines(G) == set(all_lines(5))
+        assert stabilized_lines(G) == [0, 1, 2, 3, 4, 5]
 
     def test_split_cartan_stabilizes_the_axes(self):
+        # line 0 is spanned by (1, 0), line p by (0, 1)
         G = split_cartan(5)
-        assert stabilized_lines(G) == {Line(5, 1, 0), Line(5, 0, 1)}
+        assert stabilized_lines(G) == [0, 5]
 
     def test_sl2_stabilizes_nothing(self):
         G = sl2(5)
-        assert stabilized_lines(G) == set()
+        assert stabilized_lines(G) == []
 
     def test_stabilized_lines_agree_with_full_element_check(self):
         # generator-based containment equals the elementwise definition
@@ -307,10 +287,10 @@ class TestLineActions:
                 if key_det(p, k):
                     keys.append(k)
             G = close_generators(p, keys)
-            perms = [gl2.line_permutation(p, k) for k in G.elements.tolist()]
-            by_elements = {i for i in range(p + 1)
-                           if all(perm[i] == i for perm in perms)}
-            assert {l.index for l in stabilized_lines(G)} == by_elements
+            perms = [oracle_line_permutation(p, k) for k in G.elements.tolist()]
+            by_elements = [i for i in range(p + 1)
+                           if all(perm[i] == i for perm in perms)]
+            assert stabilized_lines(G) == by_elements
 
 
 # ---------------------------------------------------------------------------

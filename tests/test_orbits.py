@@ -236,8 +236,10 @@ def test_split_pointwise_stabilizers_p5():
 
 def test_split_pointwise_stabilizer_example_matrix():
     from torsiondeg.orbits import _pointwise_stabilizers
-    from torsiondeg.gl2 import Line, split_normalizer
-    keys = _pointwise_stabilizers(split_normalizer(5))[Line.through(5, 2, 1).index]
+    from torsiondeg.gl2 import split_normalizer
+    # the line through (2, 1) is spanned by (1, 2^-1) = (1, 3) mod 5, so
+    # its index is 3
+    keys = _pointwise_stabilizers(split_normalizer(5))[3]
     mats = sorted(unpack(5, k) for k in keys)
     assert mats == [(0, 2, 3, 0), (1, 0, 0, 1)]
 

@@ -21,15 +21,27 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def _definitions(names):
+    """Where the package defines a function or class of one of the names."""
+    return [f"{path.name}:{node.lineno} {node.name}"
+            for path in SOURCES
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name in names]
+
+
 def test_no_scalar_matrix_kernel_in_the_package():
     # one GL2 arithmetic kernel: per-key copies live only in the test oracles
-    banned = {"key_mul", "key_inv", "key_pow", "key_is_scalar", "Mat2"}
-    found = [f"{path.name}:{node.lineno} {node.name}"
-             for path in SOURCES
-             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-             and node.name in banned]
-    assert found == []
+    assert _definitions({"key_mul", "key_inv", "key_pow", "key_is_scalar",
+                         "Mat2"}) == []
+
+
+def test_one_line_action_kernel_in_the_package():
+    # every reader of the line action takes gl2._line_images rows; the
+    # scalar line permutation lives only in the test oracles
+    assert _definitions({"Line", "all_lines", "line_permutation",
+                         "stabilized_lines", "_fixed_lines_for_generators",
+                         "_stabilized_line_pair_for_generators"}) == []
 
 
 def test_one_spread_kernel_in_the_package():

@@ -2,8 +2,9 @@
 
 Each oracle here is a test-local copy of the per-key code that a kernel of
 `gl2` or `orbits` replaced: the closure (`conftest.oracle_mulclose`), the
-scan for a Galois-conjugate pair of points, the pointwise line stabilizers
-with their subgroup lattices, and the vector-orbit search.  The frozen
+scan for a Galois-conjugate pair of points, the line action with its
+fixed lines and line pairs, the pointwise line stabilizers with their
+subgroup lattices, and the vector-orbit search.  The frozen
 digests pin the report bodies of the two sweep commands.
 """
 
@@ -23,9 +24,11 @@ from hypothesis import given, settings, strategies as st
 from torsiondeg import cli, gl2
 from torsiondeg.gl2 import (
     Subgroup,
+    _fixed_lines,
+    _line_images,
     _mulclose,
     _stabilized_conjugate_pair_for_generators,
-    all_lines,
+    _stabilized_line_pair,
     enumerate_subgroups,
     key_det,
     least_nonresidue,
@@ -46,6 +49,7 @@ from conftest import (
     oracle_key_inv,
     oracle_key_is_scalar,
     oracle_key_mul,
+    oracle_line_permutation,
     oracle_mulclose,
     oracle_perm_closure_capped,
 )
@@ -90,10 +94,10 @@ def test_perm_closure_matches_tuple_closure(p):
             keys = [int(base[rng.randrange(len(base))]) for _ in range(2)]
         else:
             keys = [_random_invertible(rng, p) for _ in range(2)]
-        perms = [gl2.line_permutation(p, k) for k in keys]
+        images = _line_images(p, keys)
         for limit in (60, 2 * (p + 1) + 4):
-            got = _perm_closure_capped(perms, limit)
-            want = oracle_perm_closure_capped(perms, limit)
+            got = _perm_closure_capped(images, limit)
+            want = oracle_perm_closure_capped(images.tolist(), limit)
             outcomes.add(want is None)
             if want is None:
                 assert got is None, (keys, limit)
@@ -221,11 +225,39 @@ def test_conjugate_pair_scan_random_pairs(p, count):
 
 
 # ---------------------------------------------------------------------------
-# lines fixed and line pairs permuted by the generators
+# the line action, lines fixed and line pairs permuted by the generators
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("p", [2, 3, 5, 13, 97])
+def test_line_images_match_scalar_permutations(p):
+    # every invertible key where there are few, seeded ones above
+    rng = random.Random(p)
+    keys = (_invertible(p) if p <= 5
+            else [_random_invertible(rng, p) for _ in range(400)])
+    images = _line_images(p, keys)
+    assert images.dtype == np.int16 and images.shape == (len(keys), p + 1)
+    assert images.tolist() == [list(oracle_line_permutation(p, k))
+                               for k in keys]
+
+
+def test_line_images_of_no_keys():
+    for p in (2, 5, 97):
+        assert _line_images(p, []).shape == (0, p + 1)
+
+
+def test_line_images_widen_past_int16():
+    # line indices run up to p, which int16 holds only below 32767
+    p = 32771
+    rng = random.Random(p)
+    keys = [_random_invertible(rng, p) for _ in range(3)]
+    images = _line_images(p, keys)
+    assert images.dtype == np.int32
+    assert images.tolist() == [list(oracle_line_permutation(p, k))
+                               for k in keys]
+
+
 def oracle_line_pair(p, gen_keys):
-    perms = [gl2.line_permutation(p, g) for g in gen_keys]
+    perms = [oracle_line_permutation(p, g) for g in gen_keys]
     for i in range(p + 1):
         for j in range(i + 1, p + 1):
             if all({perm[i], perm[j]} == {i, j} for perm in perms):
@@ -233,7 +265,7 @@ def oracle_line_pair(p, gen_keys):
     return None
 
 
-@pytest.mark.parametrize("p", [5, 13])
+@pytest.mark.parametrize("p", [2, 3, 5, 13])
 def test_line_scans_match_scalar_reference(p):
     rng = random.Random(p)
     keys = _invertible(p)
@@ -245,11 +277,11 @@ def test_line_scans_match_scalar_reference(p):
         pool = monomial if rng.random() < 0.5 else keys
         cases.append([pool[rng.randrange(len(pool))] for _ in range(2)])
     for gens in cases:
-        perms = [gl2.line_permutation(p, g) for g in gens]
-        assert gl2._fixed_lines_for_generators(p, gens) == [
+        perms = [oracle_line_permutation(p, g) for g in gens]
+        images = _line_images(p, gens)
+        assert _fixed_lines(images).tolist() == [
             i for i in range(p + 1) if all(perm[i] == i for perm in perms)]
-        assert (gl2._stabilized_line_pair_for_generators(p, gens)
-                == oracle_line_pair(p, gens))
+        assert _stabilized_line_pair(images) == oracle_line_pair(p, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +289,8 @@ def test_line_scans_match_scalar_reference(p):
 # ---------------------------------------------------------------------------
 
 def oracle_pointwise_stabilizer_keys(N, line):
-    p, v = N.p, (line.x, line.y)
+    p = N.p
+    v = (1, line) if line < p else (0, 1)
     keys = []
     for k in N.elements.tolist():
         a, b, c, d = unpack(p, k)
@@ -288,8 +321,12 @@ def oracle_all_subgroups_of(p, keys):
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_line_stabilizer_lattices_match_scalar_reference(p):
     for N in (split_normalizer(p), nonsplit_normalizer(p)):
-        for line, keys in zip(all_lines(p), _pointwise_stabilizers(N)):
+        stabilizers = _pointwise_stabilizers(N)
+        assert len(stabilizers) == p + 1
+        for line, keys in enumerate(stabilizers):
             assert keys.tolist() == oracle_pointwise_stabilizer_keys(N, line)
+            # fixing a line pointwise fixes it in the line action
+            assert (_line_images(p, keys)[:, line] == line).all()
             assert (_all_subgroups_of(p, keys)
                     == oracle_all_subgroups_of(p, keys.tolist()))
 
