@@ -607,8 +607,9 @@ def _require_odd(p, what):
 def _line_vectors(p: int):
     """The spanning vectors (x, y) of lines 0, ..., p as two arrays:
     (1, i) for line i < p, and (0, 1) for line p."""
-    i = np.arange(p + 1)
-    return (i < p).astype(np.int64), np.where(i < p, i, 1)
+    x, y = np.ones(p + 1, dtype=np.int64), np.arange(p + 1)
+    x[p], y[p] = 0, 1
+    return x, y
 
 
 def _line_images(p: int, keys) -> np.ndarray:
@@ -632,23 +633,26 @@ def _stabilized_line_pair(images: np.ndarray):
     """The first pair (i, j), i < j, of line indices whose unordered pair
     every row of images permutes, or None.
 
-    A line that some row moves can pair only with its image under the
-    first row that moves it, and does when every row keeps both lines
-    inside the pair.  A line that no row moves can pair only with another
-    such line, so the first two of those are the other candidate."""
+    A line that some row moves can pair only with its image under such a
+    row (the loop keeps the last one), and does when every row keeps both
+    lines inside the pair.  A line that no row moves can pair only with
+    another such line, so the first two of those are the other
+    candidate."""
     lines = np.arange(images.shape[1])
     fixed = _fixed_lines(images)
     pairs = [(int(fixed[0]), int(fixed[1]))] if len(fixed) > 1 else []
-    if len(fixed) < len(lines):
-        partner = images[(images != lines).argmax(axis=0), lines]
-        of_partner = images[:, partner]
-        ok = (((images == lines) | (images == partner)).all(axis=0)
-              & ((of_partner == lines) | (of_partner == partner)).all(axis=0)
-              & (partner != lines))
-        # the least line of a valid pair comes before its partner
-        hit = np.flatnonzero(ok)
-        if len(hit):
-            pairs.append((int(hit[0]), int(partner[hit[0]])))
+    partner = lines.copy()
+    for row in images:
+        moved = row != lines
+        partner[moved] = row[moved]
+    of_partner = images[:, partner]
+    ok = (((images == lines) | (images == partner)).all(axis=0)
+          & ((of_partner == lines) | (of_partner == partner)).all(axis=0)
+          & (partner != lines))
+    # the least line of a valid pair comes before its partner
+    hit = np.flatnonzero(ok)
+    if len(hit):
+        pairs.append((int(hit[0]), int(partner[hit[0]])))
     return min(pairs, default=None)
 
 
