@@ -42,8 +42,8 @@ search along a transporter equation.
 
 from __future__ import annotations
 
+from _blake2 import blake2b  # not hashlib: see gl2
 import base64
-import hashlib
 import json
 import os
 import random
@@ -127,8 +127,8 @@ def _indicator(p: int, keys: np.ndarray) -> np.ndarray:
 
 
 def _digest(sorted_keys: np.ndarray) -> bytes:
-    return hashlib.blake2b(np.ascontiguousarray(sorted_keys, dtype="<i8")
-                           .tobytes(), digest_size=12).digest()
+    return blake2b(np.ascontiguousarray(sorted_keys, dtype="<i8")
+                   .tobytes(), digest_size=12).digest()
 
 
 def _left_cosets(p, big: np.ndarray, sub_keys: np.ndarray):

@@ -25,7 +25,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -160,6 +159,8 @@ def _parallel_map(fn, tasks, jobs):
     jobs = jobs or os.cpu_count() or 1
     if jobs == 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
+    # imported here: a serial run need not load the pool machinery
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         return list(pool.map(fn, tasks))  # input order, schedule-free
 

@@ -101,23 +101,23 @@ class PrimeShiftClause:
     def mark(self, mask: np.ndarray) -> None:
         """Mark the degrees whose largest prime shift exceeds C.
 
-        The degrees s with ts[w[s]] s > C, that is w[s] = j and
-        s > C // t, are ORed into mask one block at a time, and those up
-        to sqrt(x) are also kept in a small array; _spread_up then
-        spreads both over their multiples.  The spread reads mask as it
-        stands, which is exact because every clause marks a set closed
-        under taking multiples, so the union marked so far is one too.
-        No shift value is ever formed.
+        A degree s with t s + 1 prime and gcd(s, c/t) = 1 for some sieved
+        divisor t with s > C // t is ORed into mask straight from the
+        blocks of _progression_blocks, and those up to sqrt(x) are also
+        kept in a small array; _spread_up then spreads both over their
+        multiples.  The spread reads mask as it stands, which is exact
+        because every clause marks a set closed under taking multiples,
+        so the union marked so far is one too.  No per-degree array is
+        held besides mask, and no shift value is ever formed.
         """
         x = len(mask) - 1
-        _, w = _prime_shifts(self.c, x)
         small = np.zeros(math.isqrt(x) + 1, dtype=bool)
-        for j, t in _sieved_divisors(self.c):
-            lo = self.C // t + 1
-            small[lo:] |= w[lo:len(small)] == j
-            for start in range(lo, x + 1, _BLOCK):
-                block = mask[start:start + _BLOCK]
-                block |= w[start:start + _BLOCK] == j
+        for lo, t, alive in _progression_blocks(self.c, x):
+            start = max(self.C // t + 1, lo)
+            hi = lo + len(alive)
+            mask[start:hi] |= alive[start - lo:]
+            if start < len(small):
+                small[start:hi] |= alive[start - lo:len(small) - lo]
         _spread_up(mask, small)
 
     def describe(self) -> dict:
@@ -222,52 +222,30 @@ class DensityReport:
 # sieves
 # ---------------------------------------------------------------------------
 
-def _sieved_divisors(c: int) -> list[tuple[int, int]]:
-    """The pairs (j, t) with t = ts[j] a divisor of c whose progression
-    t s + 1 can hold a prime shift: every divisor for odd c, the even
-    ones for even c.  For even c and odd t, c/t is even, so s is odd and
-    t s + 1 is even, which leaves only l = 2 (t = s = 1), and t = 2
-    already owns s = 1."""
-    return [(j, t) for j, t in enumerate(divisors(c), 1)
-            if c % 2 or t % 2 == 0]
-
-
-@lru_cache(maxsize=1)
-def _prime_shifts(c: int, x: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only arrays (ts, w): ts holds 0 and then the divisors of c in
-    ascending order, and w[s] is the index in ts of the largest divisor t
-    with gcd(s, c/t) = 1 and t s + 1 prime, or 0 if there is none.
+def _progression_blocks(c: int, x: int):
+    """Yield (lo, t, alive) for each block of _BLOCK degrees s in
+    [lo, lo + len(alive)) and, within it, each sieved divisor t of c in
+    ascending order: alive[s - lo] says that gcd(s, c/t) = 1 and t s + 1
+    is prime.  alive is one scratch array, refilled for the next yield.
 
     A prime l with (l-1) | c d is l = t s + 1 for exactly one divisor
-    t = gcd(l-1, c) of c and one s | d with gcd(s, c/t) = 1, so ts[w[s]] s
-    is the largest prime shift that every multiple of s admits.  Each
-    progression t s + 1 is sieved on its own by the primes up to
-    sqrt(t x + 1), one block of _BLOCK degrees at a time, each prime's
-    first multiple in the block computed afresh; its survivors are
-    written as the index of t, and the divisors ascend, so the last write
-    is the largest.  w takes the smallest unsigned type that holds
-    len(ts) - 1: one byte per degree for up to 255 divisors.
-
-    The shifts t s reach c x, and _max_prime_shift holds them as int32,
-    so c x + 1 is bounded by MAX_SIEVE < 2^31.
+    t = gcd(l-1, c) of c and one s | d with gcd(s, c/t) = 1.  For even c
+    only the even t are sieved: for odd t, c/t is even, so s is odd and
+    t s + 1 is even, which leaves only l = 2 (t = s = 1), and t = 2
+    already owns s = 1.  Each progression t s + 1 is sieved on its own by
+    the primes up to sqrt(t x + 1), each prime's first multiple in the
+    block computed afresh.
     """
-    if c * x + 1 > MAX_SIEVE:
-        raise ValueError(
-            f"prime shifts at c = {c}, x = {x} reach c x = {c * x}; the "
-            f"supported bound of the int32 shift table is "
-            f"c x + 1 <= {MAX_SIEVE}")
-    ts = np.array([0] + divisors(c), dtype=np.int64)
-    sieved = _sieved_divisors(c)
+    sieved = [t for t in divisors(c) if c % 2 or t % 2 == 0]
     sieving = primes_array(math.isqrt(c * x + 1)).tolist()
-    w = np.zeros(x + 1, dtype=np.min_scalar_type(len(ts) - 1))
-    alive = np.empty(min(_BLOCK, x), dtype=bool)  # scratch for every block
+    scratch = np.empty(min(_BLOCK, x), dtype=bool)
     for lo in range(1, x + 1, _BLOCK):
         hi = min(lo + _BLOCK, x + 1)  # the block is s in [lo, hi)
-        block = alive[:hi - lo]
-        for j, t in sieved:
-            block.fill(True)
+        alive = scratch[:hi - lo]
+        for t in sieved:
+            alive.fill(True)
             for q, _ in factorize(c // t):
-                block[-lo % q::q] = False  # gcd(s, c/t) = 1
+                alive[-lo % q::q] = False  # gcd(s, c/t) = 1
             for q in sieving:
                 if q * q > t * (hi - 1) + 1:
                     break
@@ -276,11 +254,8 @@ def _prime_shifts(c: int, x: int) -> tuple[np.ndarray, np.ndarray]:
                 start = (-pow(t, -1, q) - lo) % q  # t s + 1 = 0 mod q
                 if t * (lo + start) + 1 == q:
                     start += q  # q itself is prime
-                block[start::q] = False
-            w[lo:hi][block] = j
-    ts.setflags(write=False)
-    w.setflags(write=False)
-    return ts, w
+                alive[start::q] = False
+            yield lo, t, alive
 
 
 def _spread_up(out: np.ndarray, small: np.ndarray) -> None:
@@ -330,15 +305,22 @@ def _max_prime_shift(c: int, x: int) -> np.ndarray:
     """Read-only int32 array where entry d holds the largest l-1 over
     primes l with (l-1) | c d, or 0 if there is none.
 
-    Only the cutoff search needs the values.  It forms the shifts
-    ts[w[s]] s of _prime_shifts once, in place and one block at a time,
-    and spreads them over the multiples of each s with _spread_up.  They
-    fit int32 because t s <= c x < MAX_SIEVE < 2^31 wherever w[s] is
-    nonzero; only at x = 0 can an entry of ts pass 2^31, and then w holds
-    no index of it.  The last call is cached (4 MB at x = 10^6).
+    Only the cutoff search needs the values.  Each block of
+    _progression_blocks writes its divisor t at the degrees s it keeps
+    alive; the divisors ascend, so the last write is the largest.  The
+    entries are then multiplied by s in place, one chunk at a time, and
+    spread over the multiples of each s with _spread_up.  The shifts t s
+    reach c x, so c x + 1 is bounded by MAX_SIEVE < 2^31, the int32
+    range.  The last call is cached (4 MB at x = 10^6).
     """
-    ts, w = _prime_shifts(c, x)
-    arr = ts.astype(np.int32)[w]
+    if c * x + 1 > MAX_SIEVE:
+        raise ValueError(
+            f"prime shifts at c = {c}, x = {x} reach c x = {c * x}; the "
+            f"supported bound of the int32 shift table is "
+            f"c x + 1 <= {MAX_SIEVE}")
+    arr = np.zeros(x + 1, dtype=np.int32)
+    for lo, t, alive in _progression_blocks(c, x):
+        arr[lo:lo + len(alive)][alive] = t
     step = _BLOCK // arr.itemsize
     for lo in range(0, x + 1, step):
         block = arr[lo:lo + step]
@@ -730,7 +712,10 @@ def b_epsilon_procedure(profile: FamilyProfile, epsilon, x: int, *,
     n_map = PrimeExponentMap(profile.p1_rule, N, L, small_primes)
     excluded = IntegerSetSpec((PrimeShiftClause(profile.p2_c, C),
                                PrimePowerDivClause(N, L)))
-    report = density_upto(excluded, x)
+    # recounted from the table C was chosen from, so nothing is sieved twice
+    mask = _max_prime_shift(profile.p2_c, x) > C
+    PrimePowerDivClause(N, L).mark(mask)
+    report = DensityReport(x, int(mask[1:].sum()))
     if report.density > eps:  # pragma: no cover - defensive
         raise RuntimeError(
             f"certificate violated: excluded density {report.density} "

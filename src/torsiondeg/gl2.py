@@ -26,7 +26,9 @@ both conditions are checked on generators only.
 
 from __future__ import annotations
 
-import hashlib
+# hashlib.blake2b is this same object, but importing hashlib also maps
+# OpenSSL's libcrypto, which nothing here uses
+from _blake2 import blake2b
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -439,7 +441,7 @@ class Subgroup:
 
     def fingerprint_id(self) -> str:
         raw = repr(self.fingerprint()).encode()
-        return hashlib.blake2b(raw, digest_size=12).hexdigest()
+        return blake2b(raw, digest_size=12).hexdigest()
 
 
 # keys per chunk of the determinant pass: bounds its temporary arrays

@@ -7,6 +7,10 @@ timestamp fields from the manifest and require the rest byte-identical.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -523,6 +527,33 @@ def test_bepsilon_beyond_the_shift_table_is_refused(capsys):
     assert code == 2 and out == ""
     assert "supported bound" in err and "1440000000" in err
     assert "int32" in err and "all primes" not in err
+
+
+# the last line of stderr lists which of the audited modules are loaded
+_IMPORT_AUDIT = """
+import sys
+from torsiondeg import cli
+for argv in (["bepsilon", "--cm-g", "1", "--x", "1000", "--epsilon", "1/2"],
+             ["verify-cases", "--primes", "5", "--jobs", "1"]):
+    if cli.main(argv) != 0:
+        sys.exit(1)
+print([name for name in ("_blake2", "_hashlib", "multiprocessing",
+                         "concurrent.futures.process")
+       if name in sys.modules], file=sys.stderr)
+"""
+
+
+def test_serial_commands_load_neither_openssl_nor_the_pool(tmp_path):
+    # hashlib would map OpenSSL's libcrypto for two blake2b calls, and the
+    # process pool is needed only when a pool is made
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", _IMPORT_AUDIT], env=env,
+                         cwd=tmp_path, capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr.strip().splitlines()[-1] == "['_blake2']"
 
 
 def test_cm_report(capsys):

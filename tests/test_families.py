@@ -41,7 +41,7 @@ from torsiondeg.families import (
     _PrimesUpTo,
     _int_nth_root,
     _max_prime_shift,
-    _prime_shifts,
+    _progression_blocks,
     _spread_up,
     _tail_within,
 )
@@ -62,6 +62,19 @@ def brute_owner(c, s):
     return max((t for t in arith.divisors(c)
                 if math.gcd(s, c // t) == 1 and arith.is_prime(t * s + 1)),
                default=0)
+
+
+def progression_owners(c, x):
+    """Per degree s, the largest t that _progression_blocks keeps alive
+    at s, else 0; the divisors must ascend within each block."""
+    owner = [0] * (x + 1)
+    last = None
+    for lo, t, alive in _progression_blocks(c, x):
+        assert last is None or last[0] != lo or last[1] < t
+        last = (lo, t)
+        for s in (lo + np.flatnonzero(alive)).tolist():
+            owner[s] = max(owner[s], t)
+    return owner
 
 
 def full_sieve_max_shift(c, x):
@@ -199,23 +212,18 @@ def test_max_prime_shift_equals_full_sieve_loop(c, x):
 
 
 @pytest.mark.parametrize("c", [6, 144])
-def test_prime_shift_table_is_one_read_only_byte_per_degree(c):
+def test_progression_blocks_match_the_owner_scan(c):
     x = 3000
-    ts, w = _prime_shifts(c, x)
-    assert ts.tolist() == [0] + arith.divisors(c)
-    assert w.dtype == np.uint8 and len(w) == x + 1
-    assert not ts.flags.writeable and not w.flags.writeable
-    with pytest.raises(ValueError):
-        w[1] = 0
     # each s owns the largest t with gcd(s, c/t) = 1 and t s + 1 prime
-    for s in range(1, x + 1):
-        assert ts[w[s]] == brute_owner(c, s), s
+    assert progression_owners(c, x) == [0] + [
+        brute_owner(c, s) for s in range(1, x + 1)]
 
 
 def test_prime_shift_table_widens_past_255_divisors():
     c = 2 ** 7 * 3 ** 3 * 5 * 7 * 11  # 256 divisors
-    ts, w = _prime_shifts(c, 10)
-    assert len(ts) == 257 and w.dtype == np.uint16
+    assert len(arith.divisors(c)) == 256
+    assert progression_owners(c, 10) == [0] + [
+        brute_owner(c, s) for s in range(1, 11)]
     assert _max_prime_shift(c, 10).tolist() == [0] + [
         brute_max_shift(c, d) for d in range(1, 11)]
 
@@ -223,21 +231,17 @@ def test_prime_shift_table_widens_past_255_divisors():
 @pytest.fixture(params=[5, 64])
 def tiny_blocks(request, monkeypatch):
     """Sieve blocks and pass chunks of a few bytes, so that small x
-    crosses many of them; the cached tables are rebuilt on both sides."""
+    crosses many of them; the cached table is rebuilt on both sides."""
     monkeypatch.setattr(families, "_BLOCK", request.param)
-    _prime_shifts.cache_clear()
     _max_prime_shift.cache_clear()
     yield request.param
-    _prime_shifts.cache_clear()
     _max_prime_shift.cache_clear()
 
 
 @pytest.mark.parametrize("c", [1, 2, 6, 35, 144])
 def test_blocked_sieve_matches_the_owner_scan(tiny_blocks, c):
     x = 1200
-    ts, w = _prime_shifts(c, x)
-    assert w[0] == 0
-    assert [int(ts[w[s]]) for s in range(1, x + 1)] == [
+    assert progression_owners(c, x) == [0] + [
         brute_owner(c, s) for s in range(1, x + 1)]
 
 
@@ -248,10 +252,9 @@ def test_blocked_sieve_keeps_a_prime_modulus_in_a_later_block(tiny_blocks):
     s0 = next(s for s in range(tiny_blocks + 1, x)
               if arith.is_prime(t * s + 1))
     assert (t * s0 + 1) ** 2 <= t * x + 1
-    ts, w = _prime_shifts(c, x)
-    assert ts[w[s0]] == t
-    assert [int(ts[w[s]]) for s in range(1, x + 1)] == [
-        brute_owner(c, s) for s in range(1, x + 1)]
+    owners = progression_owners(c, x)
+    assert owners[s0] == t
+    assert owners == [0] + [brute_owner(c, s) for s in range(1, x + 1)]
 
 
 @pytest.mark.parametrize("c,x", [(1, 0), (6, 1), (6, 2), (6, 3000),
@@ -403,6 +406,19 @@ def test_sieve_size_guard():
         _max_prime_shift(10 ** 6, 10 ** 6)
 
 
+def test_prime_shift_density_past_the_int32_table():
+    # c x = 2.16e8 passes the int32 table of the cutoff search, which
+    # refuses it, but the density path forms no shift value
+    c, x = 720720, 300
+    assert c * x + 1 > MAX_SIEVE
+    with pytest.raises(ValueError, match="int32"):
+        _max_prime_shift(c, x)
+    shifts = sorted(brute_max_shift(c, d) for d in range(1, x + 1))
+    for C in (0, shifts[75], shifts[150], shifts[225], shifts[290]):
+        spec = IntegerSetSpec((PrimeShiftClause(c, C),))
+        assert density_upto(spec, x).count == sum(v > C for v in shifts), C
+
+
 def test_density_rejects_cutoff_beyond_the_supported_bound():
     spec = IntegerSetSpec((DivClause(10),))
     with pytest.raises(ValueError, match="supported bound"):
@@ -451,8 +467,6 @@ def test_density_cli_rejects_huge_cutoff_before_allocating(tmp_path):
 
 def _traced_density_peak(spec, x):
     # numpy reports its buffers to tracemalloc, so the peak is exact
-    _prime_shifts.cache_clear()
-    _max_prime_shift.cache_clear()
     tracemalloc.start()
     try:
         density_upto(spec, x)
@@ -462,20 +476,20 @@ def _traced_density_peak(spec, x):
 
 
 def test_prime_shift_density_memory_per_degree():
-    # the mask and w take one byte per degree; the sieve block is a fixed
-    # 1 MB, so the peaks at two cutoffs are compared
+    # the mask is the only per-degree array, one byte per degree; the
+    # sieve block is a fixed 1 MB, so the peaks at two cutoffs past one
+    # block are compared
     spec = IntegerSetSpec((PrimeShiftClause(6, 4762),))
     low, high = (_traced_density_peak(spec, x)
-                 for x in (10 ** 6, 2 * 10 ** 6))
-    assert (high - low) / 10 ** 6 <= 2.5
+                 for x in (4 * 10 ** 6, 8 * 10 ** 6))
+    assert (high - low) / (4 * 10 ** 6) <= 1.25
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="reads the peak from /proc/self/status")
 def test_density_cli_prime_shift_peak_per_degree(tmp_path):
-    # the peak of x = 10^7 over that of x = 10^3 is what the degree
-    # tables cost: the mask and w at 2 bytes per degree, 20 MB, and one
-    # 1 MB sieve block
+    # the peak of x = 10^7 over that of x = 10^3 is what the degree mask
+    # costs, 1 byte per degree or 10 MB, plus one 1 MB sieve block
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"clauses": [
         {"kind": "prime-shift", "c": 6, "C": 4762}]}), encoding="utf-8")
@@ -484,7 +498,7 @@ def test_density_cli_prime_shift_peak_per_degree(tmp_path):
         out = _density_cli_with_peak(path, x)
         assert out.returncode == 0, out.stderr
         peaks.append(int(out.stderr.strip().splitlines()[-1]))
-    assert peaks[0] - peaks[1] < 25 * 1024  # kB
+    assert peaks[0] - peaks[1] < 14 * 1024  # kB
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -548,6 +549,14 @@ class TestAnalyze:
 # ---------------------------------------------------------------------------
 
 class TestFingerprint:
+    def test_id_is_the_blake2b_digest_of_the_fingerprint(self):
+        # the package takes blake2b from _blake2, not hashlib; the digest
+        # must be the one hashlib gives
+        for G in standard_subgroups(7).values():
+            raw = repr(G.fingerprint()).encode()
+            expected = hashlib.blake2b(raw, digest_size=12).hexdigest()
+            assert G.fingerprint_id() == expected
+
     def test_distinguishes_standard_subgroups(self):
         for p in (5, 7, 11):
             prints = {name: G.fingerprint_id()

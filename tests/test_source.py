@@ -55,6 +55,36 @@ def test_one_spread_kernel_in_the_package():
     assert defined == ["families.py _spread_up"]
 
 
+def test_no_hashlib_import_in_the_package():
+    # importing hashlib maps OpenSSL's libcrypto; the package takes the
+    # same blake2b from _blake2
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Import)
+             and any(alias.name == "hashlib" for alias in node.names)
+             or isinstance(node, ast.ImportFrom) and node.module == "hashlib"]
+    assert found == []
+
+
+def test_one_progression_sieve_in_the_package():
+    # only families._progression_blocks sieves the progressions t s + 1,
+    # so only it takes the primes up to a square root; the density mask
+    # and the int32 shift table both read its blocks
+    assert not any("_prime_shifts" in path.read_text(encoding="utf-8")
+                   for path in SOURCES)
+    sievers = [f"{path.name} {func.name}"
+               for path in SOURCES
+               for func in ast.walk(ast.parse(path.read_text("utf-8")))
+               if isinstance(func, ast.FunctionDef)
+               and any(isinstance(call, ast.Call)
+                       and ast.unparse(call.func).endswith(("primes_array",
+                                                            "primes_upto"))
+                       and "isqrt" in ast.unparse(call)
+                       for call in ast.walk(func))]
+    assert sievers == ["families.py _progression_blocks"]
+
+
 def _add_parser_calls(tree):
     return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
             and getattr(node.func, "attr", None) == "add_parser"]
