@@ -43,7 +43,9 @@ MAX_SIEVE = 2 * 10 ** 8
 
 # Bytes per sieve block and per chunk of a pass over a degree table: the
 # scratch that the prime-shift path holds besides its per-degree tables.
+# The sieving primes it lists stop at one block too: 82,025 primes.
 _BLOCK = 1 << 20
+MAX_SIEVING_PRIME = _BLOCK
 
 # Budget products over every prime up to L get genuinely astronomical (L
 # can reach 10^8 for tight epsilon), so materialization is capped and the
@@ -128,8 +130,6 @@ def _int_nth_root(n: int, k: int) -> int:
     """Largest r with r**k <= n (0 for n < 1); pure-integer bisection."""
     if n < 1:
         return 0
-    if k == 1:
-        return n
     lo, hi = 0, 1 << ((n.bit_length() + k - 1) // k + 1)
     while lo + 1 < hi:
         mid = (lo + hi) // 2
@@ -222,6 +222,16 @@ class DensityReport:
 # sieves
 # ---------------------------------------------------------------------------
 
+def _sieving_root(c: int, x: int) -> int:
+    """isqrt(c x + 1), refused past MAX_SIEVING_PRIME."""
+    root = math.isqrt(c * x + 1)
+    if root > MAX_SIEVING_PRIME:
+        raise ValueError(f"prime shifts at c = {c}, x = {x} sieve by the "
+                         f"primes up to {root}; the supported bound of "
+                         f"the sieving primes is {MAX_SIEVING_PRIME}")
+    return root
+
+
 def _progression_blocks(c: int, x: int):
     """Yield (lo, t, alive) for each block of _BLOCK degrees s in
     [lo, lo + len(alive)) and, within it, each sieved divisor t of c in
@@ -237,7 +247,7 @@ def _progression_blocks(c: int, x: int):
     block computed afresh.
     """
     sieved = [t for t in divisors(c) if c % 2 or t % 2 == 0]
-    sieving = primes_array(math.isqrt(c * x + 1)).tolist()
+    sieving = primes_array(_sieving_root(c, x)).tolist()
     scratch = np.empty(min(_BLOCK, x), dtype=bool)
     for lo in range(1, x + 1, _BLOCK):
         hi = min(lo + _BLOCK, x + 1)  # the block is s in [lo, hi)
@@ -308,10 +318,9 @@ def _max_prime_shift(c: int, x: int) -> np.ndarray:
     Only the cutoff search needs the values.  Each block of
     _progression_blocks writes its divisor t at the degrees s it keeps
     alive; the divisors ascend, so the last write is the largest.  The
-    entries are then multiplied by s in place, one chunk at a time, and
-    spread over the multiples of each s with _spread_up.  The shifts t s
-    reach c x, so c x + 1 is bounded by MAX_SIEVE < 2^31, the int32
-    range.  The last call is cached (4 MB at x = 10^6).
+    entries are multiplied by s in place, chunk by chunk, and spread with
+    _spread_up.  The shifts t s reach c x, so c x + 1 is bounded by
+    MAX_SIEVE < 2^31.  The last call is cached (4 MB at x = 10^6).
     """
     if c * x + 1 > MAX_SIEVE:
         raise ValueError(
@@ -338,6 +347,9 @@ def density_upto(spec: IntegerSetSpec, x: int) -> DensityReport:
         raise ValueError(
             f"density sieve would need a mask of {x + 1} degrees; "
             f"the supported bound is {MAX_SIEVE}")
+    for clause in spec.clauses:
+        if isinstance(clause, PrimeShiftClause):
+            _sieving_root(clause.c, x)  # refused before the mask is made
     mask = np.zeros(x + 1, dtype=bool)
     for clause in spec.clauses:
         clause.mark(mask)
@@ -625,9 +637,7 @@ class PrimeExponentMap(Mapping):
 def _product_tree(factors: list[int]) -> int:
     """Balanced product: keeps the big-integer multiplications between
     operands of comparable size, which sequential accumulation does not."""
-    vals = list(factors)
-    if not vals:
-        return 1
+    vals = list(factors) or [1]
     while len(vals) > 1:
         nxt = [vals[i] * vals[i + 1] for i in range(0, len(vals) - 1, 2)]
         if len(vals) % 2:
@@ -669,8 +679,9 @@ def b_epsilon_procedure(profile: FamilyProfile, epsilon, x: int, *,
     half buys the exponent N via the union bound over l <= L.  The
     profile then forces p^N | degree beyond exponent n_l at each prime,
     so every surviving torsion order divides prod l^(n_l - 1), and B is
-    one more than that.  The excluded set's density is recounted exactly
-    and must honor the certificate.
+    one more than that.  The excluded set's density is recounted from the
+    shift table C was chosen from, so it checks only the prime-power half
+    afresh (the tests recount it all), and must honor the certificate.
 
     The budget integer is only materialized within the caps (primes
     below L, estimated decimal digits); beyond them B_eps is None and
@@ -710,11 +721,11 @@ def b_epsilon_procedure(profile: FamilyProfile, epsilon, x: int, *,
         else:
             B_eps = 1 + _product_tree([l ** e for l, e in exponents])
     n_map = PrimeExponentMap(profile.p1_rule, N, L, small_primes)
-    excluded = IntegerSetSpec((PrimeShiftClause(profile.p2_c, C),
-                               PrimePowerDivClause(N, L)))
-    # recounted from the table C was chosen from, so nothing is sieved twice
-    mask = _max_prime_shift(profile.p2_c, x) > C
-    PrimePowerDivClause(N, L).mark(mask)
+    shift = PrimeShiftClause(profile.p2_c, C)
+    power = PrimePowerDivClause(N, L)
+    excluded = IntegerSetSpec((shift, power))
+    mask = _max_prime_shift(shift.c, x) > shift.C
+    power.mark(mask)
     report = DensityReport(x, int(mask[1:].sum()))
     if report.density > eps:  # pragma: no cover - defensive
         raise RuntimeError(

@@ -26,8 +26,9 @@ both conditions are checked on generators only.
 
 from __future__ import annotations
 
-# hashlib.blake2b is this same object, but importing hashlib also maps
-# OpenSSL's libcrypto, which nothing here uses
+# hashlib.blake2b is this same object from CPython's private _blake2 (it
+# never takes blake2b from OpenSSL, so no build has one without the
+# other), but importing hashlib also maps OpenSSL's libcrypto.
 from _blake2 import blake2b
 from dataclasses import dataclass
 from enum import Enum

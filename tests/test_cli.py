@@ -458,6 +458,14 @@ def test_density_malformed_inputs(capsys, tmp_path):
     assert run(capsys, ["density", "--spec-file", empty, "--x", "10"])[0] == 2
 
 
+def test_ew_refuses_sieving_primes_past_the_bound(capsys):
+    # c(2) x + 1 = 5e15, so the sieving primes would reach 7e7
+    code, out, err = run(capsys, ["ew", "--c", "501645312000",
+                                  "--cutoff", "0", "--x", "10000"])
+    assert code == 2 and out == ""
+    assert "sieving primes" in err and "supported bound" in err
+
+
 def test_ew_matches_library(capsys):
     code, out, err = run(capsys, ["ew", "--c", "2", "--cutoff", "4",
                                   "--x", "100"])

@@ -19,6 +19,7 @@ from conftest import oracle_spread_max
 from torsiondeg import arith, cli, cmbounds, families
 from torsiondeg.families import (
     MAX_SIEVE,
+    MAX_SIEVING_PRIME,
     BEpsilonResult,
     DensityReport,
     DivClause,
@@ -419,6 +420,23 @@ def test_prime_shift_density_past_the_int32_table():
         assert density_upto(spec, x).count == sum(v > C for v in shifts), C
 
 
+# c(2), the prime-shift multiplier of g = 2, with 1,216 divisors
+_C2 = 501_645_312_000
+
+
+def test_sieving_primes_are_bounded():
+    # the progressions are sieved by the primes up to isqrt(c x + 1)
+    bound = MAX_SIEVING_PRIME
+    assert families._sieving_root(1, bound * bound - 1) == bound
+    with pytest.raises(ValueError, match="supported bound"):
+        families._sieving_root(1, (bound + 1) ** 2 - 1)
+    with pytest.raises(ValueError, match="sieving primes"):
+        density_upto(IntegerSetSpec((PrimeShiftClause(_C2, 10 ** 6),)),
+                     10 ** 4)
+    with pytest.raises(ValueError, match="sieving primes"):
+        erdos_wagstaff_set(10 ** 18, 0, 1)
+
+
 def test_density_rejects_cutoff_beyond_the_supported_bound():
     spec = IntegerSetSpec((DivClause(10),))
     with pytest.raises(ValueError, match="supported bound"):
@@ -462,6 +480,21 @@ def test_density_cli_rejects_huge_cutoff_before_allocating(tmp_path):
     assert out.returncode == 2, out.stderr
     message, peak_kb = out.stderr.strip().splitlines()
     assert "supported bound" in message
+    assert int(peak_kb) < 100 * 1024  # kB
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the peak from /proc/self/status")
+def test_density_cli_rejects_huge_sieving_primes_before_allocating(tmp_path):
+    # at c(2) and x = 10^4 the sieving primes would reach 7e7
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"clauses": [
+        {"kind": "divisor", "m": 10},
+        {"kind": "prime-shift", "c": _C2, "C": 10 ** 6}]}), encoding="utf-8")
+    out = _density_cli_with_peak(path, 10 ** 4)
+    assert out.returncode == 2, out.stderr
+    message, peak_kb = out.stderr.strip().splitlines()
+    assert "sieving primes" in message and "supported bound" in message
     assert int(peak_kb) < 100 * 1024  # kB
 
 

@@ -80,7 +80,8 @@ def test_one_progression_sieve_in_the_package():
                and any(isinstance(call, ast.Call)
                        and ast.unparse(call.func).endswith(("primes_array",
                                                             "primes_upto"))
-                       and "isqrt" in ast.unparse(call)
+                       and any(root in ast.unparse(call)
+                               for root in ("isqrt", "_sieving_root"))
                        for call in ast.walk(func))]
     assert sievers == ["families.py _progression_blocks"]
 
