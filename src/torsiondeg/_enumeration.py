@@ -554,9 +554,11 @@ def _save_cache(path: Path, p, mode, count, seed, groups) -> None:
     # partway never leaves a truncated cache behind
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
+        # json.dumps without indent takes the C encoder: json.dump, or
+        # any indent, falls back to the pure-Python one
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         with open(tmp, "w") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+            fh.write(text + "\n")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -8,8 +8,7 @@ guard on its documented search range.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from itertools import compress
 
 __all__ = [
     "divisors",
@@ -54,20 +53,28 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def prime_sieve(limit: int) -> np.ndarray:
-    """Boolean array of length limit+1; index i is True iff i is prime."""
+def prime_sieve(limit: int) -> bytearray:
+    """limit+1 bytes; byte i is 1 iff i is prime.
+
+    A bytearray, not a numpy array: every sieve the commands run is small,
+    and `cm` then starts without numpy.
+    """
     if limit < 0:
         raise ValueError("limit must be nonnegative")
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for q in range(2, int(limit**0.5) + 1):
+    sieve = bytearray(b"\x01") * (limit + 1)
+    sieve[:2] = bytes(min(limit + 1, 2))
+    for q in range(2, math.isqrt(limit) + 1):
         if sieve[q]:
-            sieve[q * q :: q] = False
+            sieve[q * q :: q] = bytes((limit - q * q) // q + 1)
     return sieve
 
 
-def primes_array(limit: int) -> np.ndarray:
-    return np.flatnonzero(prime_sieve(limit)).astype(np.int64)
+def primes_array(limit: int):
+    """The primes <= limit, ascending, as an int64 numpy array."""
+    import numpy as np
+
+    sieve = np.frombuffer(prime_sieve(limit), dtype=np.bool_)
+    return np.flatnonzero(sieve).astype(np.int64, copy=False)
 
 
 def prime_count(n: int) -> int:
@@ -79,6 +86,8 @@ def prime_count(n: int) -> int:
     S(v) -= S(v // p) - S(p - 1) for v >= p^2, leaves S(v) = pi(v).
     O(n^(3/4)) exact int64 work on two arrays of length sqrt(n).
     """
+    import numpy as np
+
     if n < 2:
         return 0
     r = math.isqrt(n)
@@ -104,7 +113,7 @@ def primes_upto(x: int) -> list[int]:
     """All primes <= x, ascending."""
     if x < 2:
         return []
-    return primes_array(x).tolist()
+    return list(compress(range(x + 1), prime_sieve(x)))
 
 
 def factorize(n: int) -> tuple[tuple[int, int], ...]:

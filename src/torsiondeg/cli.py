@@ -9,6 +9,10 @@ byte-identical, whatever --jobs is; timestamps live only in the manifest
 so a determinism check strips exactly two keys.  CSV is a lossy
 projection for the tabular commands.
 
+Only `arith` loads with this module: each handler imports the layers it
+runs, so `cm`, `genus`, `degrees`, `semigroup` and `--version` start
+without numpy.
+
 Exit codes: 0 = pass or report-only, 1 = a verification failure
 (a divisibility violation, an unclassifiable subgroup, a failed
 certificate), 2 = usage or input errors.  Rationals are serialized as
@@ -30,7 +34,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
-from . import arith, cmbounds, curvedeg, families, gl2, orbits
+from . import arith
 from ._version import VERSION
 
 SCHEMA_VERSION = 1
@@ -125,6 +129,8 @@ def _load_json(path: str):
 
 
 def _clause_from_dict(data, where: str):
+    from . import families
+
     if not isinstance(data, dict):
         raise UsageError(f"{where}: clause must be an object")
     kind = data.get("kind")
@@ -143,7 +149,9 @@ def _clause_from_dict(data, where: str):
     raise UsageError(f"{where}: unknown clause kind {kind!r}")
 
 
-def _spec_from_file(path: str) -> families.IntegerSetSpec:
+def _spec_from_file(path: str):
+    from . import families
+
     data = _load_json(path)
     if not isinstance(data, dict) or "clauses" not in data:
         raise UsageError(f"{path}: expected an object with a 'clauses' list")
@@ -170,6 +178,8 @@ def _parallel_map(fn, tasks, jobs):
 # ---------------------------------------------------------------------------
 
 def _case_task(task):
+    from . import gl2, orbits
+
     p, mode, count, seed, ceiling, cache_dir = task
     groups = gl2.enumerate_subgroups(p, mode, count=count, seed=seed,
                                      ceiling=ceiling, cache_dir=cache_dir)
@@ -177,6 +187,8 @@ def _case_task(task):
 
 
 def _lemma_task(p):
+    from . import orbits
+
     split = [asdict(r) for r in orbits.verify_split_pointwise_stabilizers(p)]
     nonsplit = asdict(orbits.verify_nonsplit_pointwise_stabilizers(p))
     return p, split, nonsplit
@@ -201,6 +213,9 @@ def _sampling(args):
 
 
 def _cmd_verify_cases(args):
+    # loaded before _parallel_map forks, so no worker imports them anew
+    from . import gl2, orbits  # noqa: F401
+
     count, seed = _sampling(args)
     params = {"primes": args.primes, "mode": args.mode, "count": count,
               "ceiling": args.ceiling}
@@ -227,6 +242,8 @@ def _cmd_verify_cases(args):
 
 
 def _cmd_verify_lemmas(args):
+    from . import orbits  # loads gl2 too, before _parallel_map forks
+
     if args.p_max < args.p_min:
         raise UsageError(
             f"--p-max {args.p_max} is below --p-min {args.p_min}")
@@ -248,6 +265,8 @@ def _cmd_verify_lemmas(args):
 
 
 def _analysis_body(G):
+    from . import gl2
+
     a = gl2.analyze(G)
     return {
         "order": G.order,
@@ -261,6 +280,8 @@ def _analysis_body(G):
 
 
 def _cmd_classify(args):
+    from . import gl2
+
     p = args.p
     if (args.subgroup is None) == (args.generators is None):
         raise UsageError("give exactly one of --subgroup or --generators")
@@ -281,6 +302,8 @@ def _cmd_classify(args):
 
 
 def _cmd_enumerate(args):
+    from . import gl2
+
     count, seed = _sampling(args)
     groups = gl2.enumerate_subgroups(
         args.p, args.mode, count=count, seed=seed,
@@ -306,6 +329,8 @@ def _cmd_enumerate(args):
 
 
 def _cmd_genus(args):
+    from . import curvedeg
+
     params = {"n_max": args.n_max}
     rows = [{"N": N, "genus": curvedeg.genus_x1(N),
              "min_degree": curvedeg.min_guaranteed_degree(N)}
@@ -314,6 +339,8 @@ def _cmd_genus(args):
 
 
 def _cmd_degrees(args):
+    from . import curvedeg
+
     spec = curvedeg.SemigroupSpec(tuple(args.generators))
     params = {"g": args.g, "generators": args.generators}
     body = {
@@ -332,6 +359,8 @@ def _cmd_degrees(args):
 
 
 def _cmd_semigroup(args):
+    from . import curvedeg
+
     spec = curvedeg.SemigroupSpec(tuple(args.generators))
     params = {"generators": args.generators, "target_max": args.target_max}
     rows = [{"target": t, "representable": curvedeg.representable(t, spec)}
@@ -343,6 +372,8 @@ def _cmd_semigroup(args):
 
 
 def _cmd_density(args):
+    from . import families
+
     spec = _spec_from_file(args.spec_file)
     params = {"spec_file": args.spec_file, "x": args.x}
     report = families.density_upto(spec, args.x)
@@ -353,6 +384,8 @@ def _cmd_density(args):
 
 
 def _cmd_ew(args):
+    from . import families
+
     params = {"c": args.c, "cutoff": args.cutoff, "x": args.x}
     spec, report = families.erdos_wagstaff_set(args.c, args.cutoff, args.x)
     body = {"c": args.c, "cutoff": args.cutoff, "x": args.x,
@@ -362,6 +395,8 @@ def _cmd_ew(args):
 
 
 def _profile_for_args(args):
+    from . import cmbounds, families
+
     if (args.profile is None) == (args.cm_g is None):
         raise UsageError("give exactly one of --profile or --cm-g")
     if args.profile is not None:
@@ -378,6 +413,8 @@ def _profile_for_args(args):
 
 
 def _cmd_bepsilon(args):
+    from . import families
+
     try:
         eps = Fraction(args.epsilon)
     except (ValueError, ZeroDivisionError):
@@ -413,6 +450,8 @@ def _cmd_bepsilon(args):
 
 
 def _cmd_cm(args):
+    from . import cmbounds
+
     bounds = cmbounds.c_of_g(args.g)
     params = {"g": args.g, "d": args.d}
     table_primes = sorted(set(arith.primes_upto(30))

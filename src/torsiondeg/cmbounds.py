@@ -35,7 +35,6 @@ from .arith import (
     phi_preimage_divisors,
     primes_upto,
 )
-from .families import FamilyProfile, rule_from_template, validate_profile
 
 
 @dataclass(frozen=True)
@@ -149,9 +148,12 @@ def cm_p1_exponent(g: int, p: int, N: int) -> int:
     return N + ord_p(c_of_g(g).c, p) + 1
 
 
-def cm_profile(g: int) -> FamilyProfile:
-    """Package the dimension-g constants for the budget pipeline:
-    p2_c = c(g) and the escalation rule of cm_p1_exponent."""
+def cm_profile(g: int):
+    """Package the dimension-g constants for the budget pipeline as a
+    families.FamilyProfile: p2_c = c(g) and the escalation rule of
+    cm_p1_exponent.  families (and numpy) load here, not with `cm`."""
+    from .families import FamilyProfile, rule_from_template, validate_profile
+
     c = c_of_g(g).c
     profile = FamilyProfile(
         p2_c=c,

@@ -62,6 +62,15 @@ def test_primes_upto():
     ps = arith.primes_upto(10**4)
     assert len(ps) == 1229
     assert all(arith.is_prime(q) for q in ps[:100])
+    # brute-force oracle for the one bytearray sieve, at every x <= 2000
+    oracle = [q for q in range(2001) if arith.is_prime(q)]
+    for x in range(-2, 2001):
+        assert arith.primes_upto(x) == [q for q in oracle if q <= x], x
+    # the numpy view of the same sieve, and the sieve-free count
+    big = arith.primes_array(2**20)
+    assert big.dtype == np.int64
+    assert big.tolist() == arith.primes_upto(2**20)
+    assert len(big) == arith.prime_count(2**20) == 82025
 
 
 @given(st.integers(2, 10**6))

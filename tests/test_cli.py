@@ -539,29 +539,67 @@ def test_bepsilon_beyond_the_shift_table_is_refused(capsys):
 
 # the last line of stderr lists which of the audited modules are loaded
 _IMPORT_AUDIT = """
+import json
 import sys
 from torsiondeg import cli
-for argv in (["bepsilon", "--cm-g", "1", "--x", "1000", "--epsilon", "1/2"],
-             ["verify-cases", "--primes", "5", "--jobs", "1"]):
-    if cli.main(argv) != 0:
-        sys.exit(1)
-print([name for name in ("_blake2", "_hashlib", "multiprocessing",
-                         "concurrent.futures.process")
-       if name in sys.modules], file=sys.stderr)
+at_map = []  # the torsiondeg modules held each time _parallel_map is entered
+parallel_map = cli._parallel_map
+def watched(*args):
+    at_map.append(sorted(m for m in sys.modules if m.startswith("torsiondeg.")))
+    return parallel_map(*args)
+cli._parallel_map = watched
+code = cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "modules": sorted(sys.modules),
+                  "at_map": at_map}), file=sys.stderr)
 """
 
 
-def test_serial_commands_load_neither_openssl_nor_the_pool(tmp_path):
-    # hashlib would map OpenSSL's libcrypto for two blake2b calls, and the
-    # process pool is needed only when a pool is made
+def _import_audit(tmp_path, *argv):
+    """Run one command in a fresh interpreter: what it imported, and what
+    it held when it entered cli._parallel_map."""
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(src), os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", _IMPORT_AUDIT], env=env,
-                         cwd=tmp_path, capture_output=True, text=True,
-                         timeout=120)
+    out = subprocess.run([sys.executable, "-c", _IMPORT_AUDIT, *argv],
+                         env=env, cwd=tmp_path, capture_output=True,
+                         text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stderr.strip().splitlines()[-1] == "['_blake2']"
+    audit = json.loads(out.stderr.strip().splitlines()[-1])
+    assert audit["code"] == 0, (argv, audit["code"])
+    audit["layers"] = {m.removeprefix("torsiondeg.")
+                       for m in audit["modules"]
+                       if m.startswith("torsiondeg.")}
+    return audit
+
+
+def test_serial_commands_load_neither_openssl_nor_the_pool(tmp_path):
+    # each command imports only the layers it runs
+    for argv in (["--version"], ["cm", "--g", "1", "--d", "16"],
+                 ["genus", "--n-max", "3"]):
+        audit = _import_audit(tmp_path, *argv)
+        assert "numpy" not in audit["modules"], argv
+    bepsilon = _import_audit(tmp_path, "bepsilon", "--cm-g", "1", "--x",
+                             "1000", "--epsilon", "1/2")
+    assert not bepsilon["layers"] & {"gl2", "orbits", "_enumeration",
+                                     "curvedeg"}
+    cases = _import_audit(tmp_path, "verify-cases", "--primes", "5",
+                          "--jobs", "1")
+    assert not cases["layers"] & {"families", "cmbounds"}
+    # hashlib would map OpenSSL's libcrypto for two blake2b calls, and the
+    # process pool is needed only when a pool is made
+    for audit, expected in ((bepsilon, []), (cases, ["_blake2"])):
+        assert [name for name in ("_blake2", "_hashlib", "multiprocessing",
+                                  "concurrent.futures.process")
+                if name in audit["modules"]] == expected
+    # the parent loads what the pool workers run before it forks, or each
+    # worker imports numpy, gl2 and orbits again on its own
+    lemmas = _import_audit(tmp_path, "verify-lemmas", "--p-max", "7",
+                           "--jobs", "1")
+    for audit in (cases, lemmas):
+        (held,) = audit["at_map"]
+        assert {"torsiondeg.gl2", "torsiondeg.orbits"} <= set(held)
+        assert not {"torsiondeg.families", "torsiondeg.cmbounds",
+                    "torsiondeg.curvedeg"} & set(held)
 
 
 def test_cm_report(capsys):

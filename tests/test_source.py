@@ -1,7 +1,10 @@
 """Checks over the package source itself."""
 
 import ast
+import importlib
 from pathlib import Path
+
+import pytest
 
 import torsiondeg
 
@@ -102,3 +105,23 @@ def test_commands_are_declared_only_in_the_table():
                and "COMMANDS" in ast.unparse(loop.iter)
                and _add_parser_calls(loop)]
     assert everywhere == ["cli.py"] and len(in_loop) == 1
+
+
+def test_public_names_resolve_to_their_submodule_objects():
+    # the package resolves its names lazily; each is the very object its
+    # defining submodule holds
+    for name in torsiondeg.__all__:
+        obj = getattr(torsiondeg, name)
+        if name == "__version__":
+            continue
+        module = importlib.import_module(obj.__module__)
+        assert module.__name__.startswith("torsiondeg."), name
+        assert getattr(module, name) is obj, name
+    assert set(torsiondeg.__all__) <= set(dir(torsiondeg))
+    namespace = {}
+    exec("from torsiondeg import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(torsiondeg.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        torsiondeg.no_such_name
+    assert not hasattr(torsiondeg, "primes_array")  # not exported
