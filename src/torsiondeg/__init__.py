@@ -26,7 +26,7 @@ _EXPORTS = {
     ),
     "orbits": (
         "LineStabilizerReport", "OrbitReport", "PointwiseBoundReport",
-        "exceptional_prime_bound", "stabilizer", "verify_case_divisibility",
+        "stabilizer", "verify_case_divisibility",
         "verify_nonsplit_pointwise_stabilizers",
         "verify_split_pointwise_stabilizers",
     ),
@@ -39,7 +39,7 @@ _EXPORTS = {
         "BEpsilonResult", "DivClause", "FamilyProfile", "IntegerSetSpec",
         "PrimePowerDivClause", "PrimeShiftClause", "b_epsilon_procedure",
         "b_eps_dominates", "density_upto", "erdos_wagstaff_set",
-        "find_cutoff_C", "profile_from_dict",
+        "find_cutoff_C", "profile_from_dict", "spec_from_dict",
     ),
     "cmbounds": (
         "CmBoundSet", "allowed_exponents", "c_of_g", "cm_p1_exponent",

@@ -128,39 +128,13 @@ def _load_json(path: str):
         raise UsageError(f"{path}: invalid JSON ({exc})") from None
 
 
-def _clause_from_dict(data, where: str):
-    from . import families
-
-    if not isinstance(data, dict):
-        raise UsageError(f"{where}: clause must be an object")
-    kind = data.get("kind")
-    try:
-        if kind == "divisor":
-            return families.DivClause(int(data["m"]))
-        if kind == "prime-shift":
-            return families.PrimeShiftClause(int(data["c"]), int(data["C"]))
-        if kind == "prime-power-div":
-            return families.PrimePowerDivClause(int(data["N"]),
-                                                int(data["L"]))
-    except KeyError as exc:
-        raise UsageError(f"{where}: missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"{where}: {exc}") from None
-    raise UsageError(f"{where}: unknown clause kind {kind!r}")
-
-
 def _spec_from_file(path: str):
     from . import families
 
-    data = _load_json(path)
-    if not isinstance(data, dict) or "clauses" not in data:
-        raise UsageError(f"{path}: expected an object with a 'clauses' list")
-    clauses = data["clauses"]
-    if not isinstance(clauses, list) or not clauses:
-        raise UsageError(f"{path}: 'clauses' must be a nonempty list")
-    return families.IntegerSetSpec(tuple(
-        _clause_from_dict(c, f"{path}: clauses[{i}]")
-        for i, c in enumerate(clauses)))
+    try:
+        return families.spec_from_dict(_load_json(path))
+    except ValueError as exc:
+        raise UsageError(f"{path}: {exc}") from None
 
 
 def _parallel_map(fn, tasks, jobs):
@@ -408,7 +382,7 @@ def _profile_for_args(args):
         return profile, {"file": args.profile, **data}
     profile = cmbounds.cm_profile(args.cm_g)
     echo = {"family": "cm", "g": args.cm_g, "p2_c": _big_int(profile.p2_c),
-            "dim_g": profile.dim_g}
+            "dim_g": args.cm_g}
     return profile, echo
 
 

@@ -152,14 +152,8 @@ def cm_profile(g: int):
     """Package the dimension-g constants for the budget pipeline as a
     families.FamilyProfile: p2_c = c(g) and the escalation rule of
     cm_p1_exponent.  families (and numpy) load here, not with `cm`."""
-    from .families import FamilyProfile, rule_from_template, validate_profile
+    from .families import FamilyProfile, rule_from_template
 
     c = c_of_g(g).c
-    profile = FamilyProfile(
-        p2_c=c,
-        p1_rule=rule_from_template({"kind": "cm", "c": c}),
-        merelian_B=None,
-        dim_g=g,
-    )
-    validate_profile(profile)
-    return profile
+    return FamilyProfile(p2_c=c,
+                         p1_rule=rule_from_template({"kind": "cm", "c": c}))

@@ -72,20 +72,9 @@ def genus_x1(N: int) -> int:
 @lru_cache(maxsize=None)
 def min_guaranteed_degree(N: int) -> int:
     """Least degree from which points of level N are guaranteed:
-    max(1, 2 * genus)."""
+    max(1, 2 * genus).  Finite for every N, so torsion is not typically
+    bounded; the genus report gives it as min_degree."""
     return max(1, 2 * genus_x1(N))
-
-
-def torsion_reach(d: int) -> int:
-    """The largest level N whose guaranteed degree is at most d.
-
-    The scan window N <= isqrt(24 d) + 25 suffices: beyond it the genus
-    lower bound forces 2 g(X1(N)) > d.
-    """
-    if d < 1:
-        raise ValueError("the degree must be a positive integer")
-    bound = math.isqrt(24 * d) + 25
-    return max(N for N in range(1, bound + 1) if min_guaranteed_degree(N) <= d)
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +159,11 @@ def closed_point_degree_threshold(g: int, spec) -> int:
     return max(stable_bound(spec), 2 * g - 1 + sum(spec.generators))
 
 
-def rr_degree_bound(g: int, has_rational_point: bool = True,
-                    weierstrass: bool = True) -> int:
+def rr_degree_bound(g: int, weierstrass: bool = True) -> int:
     """Degree bound from Riemann-Roch at a rational base point: 1 in genus
     zero, otherwise 2g, improved to g+1 when the base point is known not
     to be a Weierstrass point.  The default assumes nothing about the
     point and uses the bound valid in all cases."""
-    if not has_rational_point:
-        raise ValueError("the bound requires a rational base point")
     if g < 0:
         raise ValueError("genus must be nonnegative")
     if g == 0:

@@ -1,11 +1,13 @@
 """Density analytics for divisor-structured degree sets and the
 excluded-set/torsion-budget procedure.
 
-Degree sets are finite unions of two clause shapes: "m divides d" and
-"some prime l with l-1 > C satisfies (l-1) | c d".  Densities are exact
-counts at a finite cutoff x, reported as rationals; all asymptotic
-statements in the surrounding theory are only ever approximated by such
-finite-cutoff proxies, and reports say so by carrying x.
+Degree sets are finite unions of three clause shapes: "m divides d"
+(divisor), "some prime l with l-1 > C satisfies (l-1) | c d"
+(prime-shift) and "l^N divides d for some prime l <= L"
+(prime-power-div).  Densities are exact counts at a finite cutoff x,
+reported as rationals; all asymptotic statements in the surrounding
+theory are only ever approximated by such finite-cutoff proxies, and
+reports say so by carrying x.
 
 The main pipeline (b_epsilon_procedure) picks the least shift cutoff C
 whose clause has density at most epsilon/2, converts it to a prime bound
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
@@ -31,7 +33,6 @@ import numpy as np
 from .arith import (
     divisors,
     factorize,
-    glm_order,
     is_prime,
     ord_p,
     prime_count,
@@ -198,6 +199,35 @@ class IntegerSetSpec:
 
     def describe(self) -> list[dict]:
         return [clause.describe() for clause in self.clauses]
+
+
+_CLAUSE_KINDS = {"divisor": DivClause, "prime-shift": PrimeShiftClause,
+                 "prime-power-div": PrimePowerDivClause}
+
+
+def spec_from_dict(data) -> IntegerSetSpec:
+    """The spec of a JSON object {"clauses": [...]}, each clause in the
+    form its describe() gives; errors name the clause as clauses[i]."""
+    if not isinstance(data, dict) or "clauses" not in data:
+        raise ValueError("expected an object with a 'clauses' list")
+    if not isinstance(data["clauses"], list) or not data["clauses"]:
+        raise ValueError("'clauses' must be a nonempty list")
+    parsed = []
+    for i, clause in enumerate(data["clauses"]):
+        where = f"clauses[{i}]"
+        if not isinstance(clause, dict):
+            raise ValueError(f"{where}: clause must be an object")
+        kind = clause.get("kind")
+        cls = _CLAUSE_KINDS.get(kind) if isinstance(kind, str) else None
+        if cls is None:
+            raise ValueError(f"{where}: unknown clause kind {kind!r}")
+        try:
+            parsed.append(cls(*(int(clause[f.name]) for f in fields(cls))))
+        except KeyError as exc:
+            raise ValueError(f"{where}: missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{where}: {exc}") from None
+    return IntegerSetSpec(tuple(parsed))
 
 
 @dataclass(frozen=True)
@@ -407,50 +437,31 @@ def find_cutoff_C(epsilon, c: int, x: int) -> int:
 
 @dataclass(frozen=True)
 class FamilyProfile:
-    """The constants a family contributes to the budget pipeline.
+    """All that the budget pipeline reads of a family.
 
     p2_c: a point of prime order l on a member over F forces
     (l-1)/p2_c | [F:Q].  p1_rule(p, N): a point of order p^n with
-    n >= p1_rule(p, N) forces p^N | [F:Q].  merelian_B: optional
-    degree-indexed bound on torsion order, needed by the exponent
-    searches.  si_prime_cutoff is annotation only.
+    n >= p1_rule(p, N) forces p^N | [F:Q]; that it is >= 1 and
+    nondecreasing in N is spot-checked wherever a profile is built.
     """
 
     p2_c: int
     p1_rule: Callable[[int, int], int]
-    merelian_B: Optional[Callable[[int], int]] = None
-    dim_g: int = 1
-    si_prime_cutoff: Optional[int] = None
 
     def __post_init__(self):
         if self.p2_c < 1:
             raise ValueError("p2_c must be a positive integer")
-        if self.dim_g < 1:
-            raise ValueError("dim_g must be a positive integer")
-
-
-def validate_profile(profile: FamilyProfile) -> None:
-    """Spot-check the monotonicity contracts on sampled inputs."""
-    for p in (2, 3, 5, 7):
-        values = [profile.p1_rule(p, N) for N in range(1, 6)]
-        if any(v < 1 for v in values):
-            raise ValueError(f"p1_rule must be >= 1, got {values} at p={p}")
-        if any(a > b for a, b in zip(values, values[1:])):
-            raise ValueError(
-                f"p1_rule must be nondecreasing in N, got {values} at p={p}")
-    if profile.merelian_B is not None:
-        values = [profile.merelian_B(d) for d in (1, 2, 5, 10, 100)]
-        if any(v < 1 for v in values):
-            raise ValueError("merelian_B must be >= 1")
-        if any(a > b for a, b in zip(values, values[1:])):
-            raise ValueError(
-                f"merelian_B must be nondecreasing, got {values}")
+        for p in (2, 3, 5, 7):
+            values = [self.p1_rule(p, N) for N in range(1, 6)]
+            if values[0] < 1 or values != sorted(values):
+                raise ValueError(f"p1_rule must be >= 1 and nondecreasing "
+                                 f"in N, got {values} at p={p}")
 
 
 def rule_from_template(template: dict) -> Callable[[int, int], int]:
     """p1 rules expressible in JSON: shift (N + offset), constant, or the
     complex-multiplication shape N + v_p(c) + 1."""
-    kind = template.get("kind")
+    kind = template.get("kind") if isinstance(template, dict) else None
     if kind == "shift":
         offset = int(template["offset"])
         if offset < 0:
@@ -469,75 +480,18 @@ def rule_from_template(template: dict) -> Callable[[int, int], int]:
     raise ValueError(f"unknown p1_rule kind {kind!r}")
 
 
-def bound_from_template(template: dict) -> Callable[[int], int]:
-    """Merelian bounds expressible in JSON: constant, linear, power."""
-    kind = template.get("kind")
-    if kind == "constant":
-        value = int(template["value"])
-        if value < 1:
-            raise ValueError("constant bound must be positive")
-        return lambda d: value
-    if kind == "linear":
-        coeff = int(template["coeff"])
-        if coeff < 1:
-            raise ValueError("linear coefficient must be positive")
-        return lambda d: coeff * d
-    if kind == "power":
-        coeff, exponent = int(template["coeff"]), int(template["exponent"])
-        if coeff < 1 or exponent < 1:
-            raise ValueError("power bound needs positive coefficient and exponent")
-        return lambda d: coeff * d ** exponent
-    raise ValueError(f"unknown merelian_B kind {kind!r}")
-
-
 def profile_from_dict(data: dict) -> FamilyProfile:
-    """Build a profile from its JSON form and validate its contracts."""
-    bound = data.get("merelian_B")
-    profile = FamilyProfile(
-        p2_c=int(data["p2_c"]),
-        p1_rule=rule_from_template(data["p1_rule"]),
-        merelian_B=bound_from_template(bound) if bound is not None else None,
-        dim_g=int(data.get("dim_g", 1)),
-        si_prime_cutoff=(int(data["si_prime_cutoff"])
-                         if data.get("si_prime_cutoff") is not None else None),
-    )
-    validate_profile(profile)
-    return profile
-
-
-# ---------------------------------------------------------------------------
-# forced exponents
-# ---------------------------------------------------------------------------
-
-def p1_exponent_merelian(profile: FamilyProfile, p: int, N: int,
-                         d: int) -> int:
-    """Least n such that a point of order p^n on a degree-d member forces
-    p^N to divide the field degree, derived from the growth bound.
-
-    With c the prime-to-p part of #GL_{2g}(F_p), any torsion field degree
-    divides c p^G for some G; once p^n exceeds the bound at degree
-    d (c p^N - 1), the torsion field degree must exceed c p^N - 1, and a
-    divisor of c p^G that large is a multiple of p^N.
-    """
-    if profile.merelian_B is None:
-        raise ValueError("this computation needs the profile's merelian_B")
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-    if N < 1 or d < 1:
-        raise ValueError("N and d must be positive integers")
-    c = glm_order(2 * profile.dim_g, p, 1)[0]
-    bound = profile.merelian_B(d * (c * p ** N - 1))
-    n = 1
-    while p ** n <= bound:
-        n += 1
-    return n
-
-
-def p1_exponent_j_field(profile: FamilyProfile, p: int, N: int,
-                        d0: int) -> int:
-    """Variant for families parametrized by a degree-d0 j-invariant field:
-    the auxiliary field extension costs two extra powers of p."""
-    return p1_exponent_merelian(profile, p, N + 2, d0)
+    """Build a profile from its JSON form, an object with exactly the
+    fields p2_c and p1_rule (a rule_from_template template)."""
+    if not isinstance(data, dict):
+        raise ValueError("a profile must be a JSON object")
+    extra = sorted(set(data) - {"p2_c", "p1_rule"})
+    if extra:
+        raise ValueError(
+            f"unknown profile field {', '.join(map(repr, extra))}; a "
+            f"profile has only 'p2_c' and 'p1_rule'")
+    return FamilyProfile(p2_c=int(data["p2_c"]),
+                         p1_rule=rule_from_template(data["p1_rule"]))
 
 
 # ---------------------------------------------------------------------------
@@ -667,10 +621,8 @@ class BEpsilonResult:
     profile: "FamilyProfile"
 
 
-def b_epsilon_procedure(profile: FamilyProfile, epsilon, x: int, *,
-                        product_prime_cap: int = PRODUCT_PRIME_CAP,
-                        product_digit_cap: int = PRODUCT_DIGIT_CAP,
-                        ) -> BEpsilonResult:
+def b_epsilon_procedure(profile: FamilyProfile, epsilon,
+                        x: int) -> BEpsilonResult:
     """Derive a torsion budget B valid off an excluded degree set of
     density at most epsilon.
 
@@ -683,8 +635,9 @@ def b_epsilon_procedure(profile: FamilyProfile, epsilon, x: int, *,
     shift table C was chosen from, so it checks only the prime-power half
     afresh (the tests recount it all), and must honor the certificate.
 
-    The budget integer is only materialized within the caps (primes
-    below L, estimated decimal digits); beyond them B_eps is None and
+    The budget integer is only materialized within the caps
+    PRODUCT_PRIME_CAP (primes below L) and PRODUCT_DIGIT_CAP (estimated
+    decimal digits), read at call time; beyond them B_eps is None and
     B_eps_note reports the overflow, while C, L, N, and n_map still
     specify the budget exactly.  The primes up to L are counted, not
     listed: only the materialized product sieves all of them.
@@ -706,18 +659,18 @@ def b_epsilon_procedure(profile: FamilyProfile, epsilon, x: int, *,
             raise ValueError(f"profile rule returned < 1 at l={l}")
     B_eps = None
     note = None
-    if len(small_primes) > product_prime_cap:
+    if len(small_primes) > PRODUCT_PRIME_CAP:
         note = (f"budget product spans {len(small_primes)} primes "
-                f"(cap {product_prime_cap}); not materialized")
+                f"(cap {PRODUCT_PRIME_CAP}); not materialized")
     else:
         exponents = [(int(l), profile.p1_rule(int(l), N) - 1)
                      for l in primes_array(L)]
         if any(e < 0 for _, e in exponents):
             raise ValueError("profile rule returned < 1")
         digits = sum(e * math.log10(l) for l, e in exponents)
-        if digits > product_digit_cap:
+        if digits > PRODUCT_DIGIT_CAP:
             note = (f"budget product needs about {int(digits)} decimal "
-                    f"digits (cap {product_digit_cap}); not materialized")
+                    f"digits (cap {PRODUCT_DIGIT_CAP}); not materialized")
         else:
             B_eps = 1 + _product_tree([l ** e for l, e in exponents])
     n_map = PrimeExponentMap(profile.p1_rule, N, L, small_primes)
@@ -756,9 +709,3 @@ def b_eps_dominates(tight: BEpsilonResult, loose: BEpsilonResult) -> bool:
             return False  # pragma: no cover - profile contract violation
     return True
 
-
-def exponent_to_order_bound(exp_bound: int, g: int) -> int:
-    """Torsion order bound from an exponent bound: exp^(2g)."""
-    if exp_bound < 1 or g < 1:
-        raise ValueError("inputs must be positive integers")
-    return exp_bound ** (2 * g)

@@ -6,7 +6,8 @@ ContainsSL, SplitNormalizer, or NonsplitNormalizer, every orbit index
 [G : Stab_G(v)] satisfies (p-1) | 2 i [G : Stab_G(v)], where i is the index
 of det(G) in F_p^*.  Borel-class and exceptional-class subgroups are
 excluded by design: the first is handled by a hypothesis on isogeny
-degrees, the second by explicit prime bounds (exceptional_prime_bound).
+degrees, the second by prime bounds linear in the degree (9 d0 + 1,
+12 d0 + 1 and 15 d0 + 1 for A4, S4 and A5), which no orbit count needs.
 
 Reports carry an optional annotation for a divisor d0 that the determinant
 index is assumed to divide; the derived consequence is that
@@ -22,7 +23,6 @@ import numpy as np
 
 from .gl2 import (
     DicksonClass,
-    ProjectiveType,
     Subgroup,
     _line_vectors,
     _np_components,
@@ -290,31 +290,3 @@ def verify_nonsplit_pointwise_stabilizers(p: int) -> PointwiseBoundReport:
     max_order = max(orders)
     return PointwiseBoundReport(p, max_order, orders,
                                 PASS if max_order <= 2 else VIOLATION)
-
-
-# ---------------------------------------------------------------------------
-# exceptional projective images
-# ---------------------------------------------------------------------------
-
-_EXCEPTIONAL_SLOPE = {
-    ProjectiveType.A4: 9,
-    ProjectiveType.S4: 12,
-    ProjectiveType.A5: 15,
-}
-
-
-def exceptional_prime_bound(image_type, d0: int) -> int:
-    """Largest prime allowed for an exceptional projective image, as a
-    linear function of the divisor bound d0: 9 d0 + 1 for A4, 12 d0 + 1
-    for S4, 15 d0 + 1 for A5."""
-    if d0 < 1:
-        raise ValueError("d0 must be a positive integer")
-    if isinstance(image_type, DicksonClass):
-        name = image_type.value.removeprefix("Exceptional")
-        image_type = ProjectiveType(name)
-    elif isinstance(image_type, str):
-        image_type = ProjectiveType(image_type.removeprefix("Exceptional"))
-    slope = _EXCEPTIONAL_SLOPE.get(image_type)
-    if slope is None:
-        raise ValueError(f"{image_type} is not an exceptional projective image")
-    return slope * d0 + 1

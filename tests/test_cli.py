@@ -500,13 +500,25 @@ def test_bepsilon_cm_profile(capsys):
 def test_bepsilon_profile_file(capsys, tmp_path):
     path = tmp_path / "prof.json"
     path.write_text(json.dumps({"p2_c": 2,
-                                "p1_rule": {"kind": "shift", "offset": 1},
-                                "dim_g": 1}))
+                                "p1_rule": {"kind": "shift", "offset": 1}}))
     code, out, err = run(capsys, ["bepsilon", "--profile", str(path),
                                   "--epsilon", "1/2", "--x", "1000"])
     assert code == 0
     assert body(out)["profile"]["file"] == str(path)
     assert body(out)["B_eps"]["decimal"] is not None
+
+
+def test_bepsilon_profile_file_refuses_fields_it_does_not_read(capsys,
+                                                               tmp_path):
+    path = tmp_path / "merelian.json"
+    path.write_text(json.dumps({"p2_c": 2,
+                                "p1_rule": {"kind": "shift", "offset": 1},
+                                "merelian_B": {"kind": "linear",
+                                               "coeff": 50}}))
+    code, out, err = run(capsys, ["bepsilon", "--profile", str(path),
+                                  "--epsilon", "1/2", "--x", "1000"])
+    assert code == 2 and out == ""
+    assert str(path) in err and "'merelian_B'" in err
 
 
 def test_bepsilon_rejections(capsys, tmp_path):
@@ -526,6 +538,10 @@ def test_bepsilon_rejections(capsys, tmp_path):
     code, _, err = run(capsys, ["bepsilon", "--profile", str(bad),
                                 "--epsilon", "1/2", "--x", "100"])
     assert code == 2 and "prof.json" in err
+    bad.write_text(json.dumps({"p2_c": 1, "p1_rule": 5}))
+    code, _, err = run(capsys, ["bepsilon", "--profile", str(bad),
+                                "--epsilon", "1/2", "--x", "100"])
+    assert code == 2 and "p1_rule kind" in err
 
 
 def test_bepsilon_beyond_the_shift_table_is_refused(capsys):

@@ -180,8 +180,6 @@ def test_cm_p1_exponent_defining_implication():
 def test_cm_profile_packaging():
     profile = cm_profile(1)
     assert profile.p2_c == 144
-    assert profile.dim_g == 1
-    assert profile.merelian_B is None
     for p, N in ((2, 1), (3, 1), (7, 2), (5, 4)):
         assert profile.p1_rule(p, N) == cm_p1_exponent(1, p, N)
 

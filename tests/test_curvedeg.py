@@ -15,7 +15,6 @@ from torsiondeg.curvedeg import (
     representable,
     rr_degree_bound,
     stable_bound,
-    torsion_reach,
     _least_representable_by_residue,
 )
 
@@ -86,40 +85,6 @@ def test_min_guaranteed_degree_examples():
     assert min_guaranteed_degree(4) == 1
     assert min_guaranteed_degree(11) == 2
     assert min_guaranteed_degree(17) == 10
-
-
-# ---------------------------------------------------------------------------
-# torsion reach
-# ---------------------------------------------------------------------------
-
-def test_torsion_reach_frozen_values():
-    assert torsion_reach(1) == 12
-    assert torsion_reach(2) == 15
-    assert torsion_reach(4) == 18
-
-
-def test_torsion_reach_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        torsion_reach(0)
-
-
-def test_torsion_reach_growth_invariant():
-    # oracle: global maximum over a wide level range, swept incrementally
-    top = 600
-    md = [None] + [min_guaranteed_degree(N) for N in range(1, top + 1)]
-    by_degree = sorted(range(1, top + 1), key=lambda N: md[N])
-    pointer, current = 0, 0
-    oracle = {}
-    for d in range(1, 10_001):
-        while pointer < top and md[by_degree[pointer]] <= d:
-            current = max(current, by_degree[pointer])
-            pointer += 1
-        oracle[d] = current
-    for d in range(3, 10_001):
-        assert oracle[d] ** 2 >= 12 * (d - 2), d
-    for d in [1, 2, 3, 4, 7, 10, 50, 100, 999, 5000, 10_000]:
-        assert torsion_reach(d) == oracle[d], d
-    assert all(oracle[d] <= oracle[d + 1] for d in range(1, 10_000))
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +213,5 @@ def test_rr_degree_bound():
     assert rr_degree_bound(3, weierstrass=True) == 6
     assert rr_degree_bound(3, weierstrass=False) == 4
     assert rr_degree_bound(1) == 2
-    with pytest.raises(ValueError):
-        rr_degree_bound(2, has_rational_point=False)
     with pytest.raises(ValueError):
         rr_degree_bound(-1)

@@ -29,16 +29,12 @@ from torsiondeg.families import (
     PrimeShiftClause,
     b_eps_dominates,
     b_epsilon_procedure,
-    bound_from_template,
     density_upto,
     erdos_wagstaff_set,
-    exponent_to_order_bound,
     find_cutoff_C,
-    p1_exponent_j_field,
-    p1_exponent_merelian,
     profile_from_dict,
     rule_from_template,
-    validate_profile,
+    spec_from_dict,
     _PrimesUpTo,
     _int_nth_root,
     _max_prime_shift,
@@ -93,10 +89,7 @@ def full_sieve_max_shift(c, x):
 
 
 def toy_profile(**overrides):
-    kwargs = dict(p2_c=2,
-                  p1_rule=lambda p, N: N + 1,
-                  merelian_B=lambda d: 100 * d,
-                  dim_g=1)
+    kwargs = dict(p2_c=2, p1_rule=lambda p, N: N + 1)
     kwargs.update(overrides)
     return FamilyProfile(**kwargs)
 
@@ -166,6 +159,35 @@ def test_spec_canonicalizes_and_dedupes():
     ]
     with pytest.raises(ValueError):
         IntegerSetSpec(("not a clause",))
+
+
+def test_spec_from_dict_reads_what_describe_writes():
+    for clauses in ((DivClause(6),), (PrimeShiftClause(144, 7),),
+                    (PrimePowerDivClause(3, 50),),
+                    (PrimePowerDivClause(2, 10), DivClause(4),
+                     PrimeShiftClause(2, 0), DivClause(3))):
+        spec = IntegerSetSpec(clauses)
+        assert spec_from_dict({"clauses": spec.describe()}) == spec
+        assert spec_from_dict(json.loads(json.dumps(
+            {"clauses": spec.describe()}))) == spec
+    # each clause error names its position
+    for data, message in (
+            ({"clauses": [{"kind": "divisor", "m": 2}, {"kind": "divisor"}]},
+             "clauses[1]: missing field 'm'"),
+            ({"clauses": [{"kind": "waffle", "m": 3}]},
+             "clauses[0]: unknown clause kind 'waffle'"),
+            ({"clauses": [{"kind": ["divisor"], "m": 3}]},
+             "clauses[0]: unknown clause kind ['divisor']"),
+            ({"clauses": [["divisor", 3]]}, "clauses[0]: clause must be"),
+            ({"clauses": [{"kind": "prime-shift", "c": None, "C": 1}]},
+             "clauses[0]: int()"),
+            ({"clauses": [{"kind": "divisor", "m": 0}]},
+             "clauses[0]: the modulus must be a positive integer"),
+            ({"clauses": []}, "'clauses' must be a nonempty list"),
+            ([], "expected an object with a 'clauses' list")):
+        with pytest.raises(ValueError) as exc:
+            spec_from_dict(data)
+        assert str(exc.value).startswith(message), data
 
 
 def test_density_report_validation():
@@ -661,15 +683,13 @@ def test_find_cutoff_rejects_bad_epsilon():
 # ---------------------------------------------------------------------------
 
 def test_profile_validation():
-    validate_profile(toy_profile())
+    toy_profile()
     with pytest.raises(ValueError, match="nondecreasing"):
-        validate_profile(toy_profile(p1_rule=lambda p, N: 10 - N))
+        toy_profile(p1_rule=lambda p, N: 10 - N)
     with pytest.raises(ValueError, match=">= 1"):
-        validate_profile(toy_profile(p1_rule=lambda p, N: 0))
+        toy_profile(p1_rule=lambda p, N: 0)
     with pytest.raises(ValueError):
         FamilyProfile(p2_c=0, p1_rule=lambda p, N: N)
-    with pytest.raises(ValueError):
-        FamilyProfile(p2_c=1, p1_rule=lambda p, N: N, dim_g=0)
 
 
 def test_rule_templates():
@@ -688,77 +708,32 @@ def test_rule_templates():
         rule_from_template({"kind": "shift", "offset": -1})
 
 
-def test_bound_templates():
-    assert bound_from_template({"kind": "constant", "value": 7})(100) == 7
-    assert bound_from_template({"kind": "linear", "coeff": 100})(3) == 300
-    assert bound_from_template({"kind": "power", "coeff": 16,
-                                "exponent": 2})(5) == 400
-    with pytest.raises(ValueError):
-        bound_from_template({"kind": "log"})
-
-
 def test_profile_from_dict_roundtrip():
     profile = profile_from_dict({
         "p2_c": 12,
         "p1_rule": {"kind": "shift", "offset": 1},
-        "merelian_B": {"kind": "linear", "coeff": 50},
-        "dim_g": 2,
-        "si_prime_cutoff": 37,
     })
     assert profile.p2_c == 12
-    assert profile.dim_g == 2
-    assert profile.si_prime_cutoff == 37
     assert profile.p1_rule(3, 4) == 5
-    assert profile.merelian_B(2) == 100
-    bare = profile_from_dict({"p2_c": 1,
-                              "p1_rule": {"kind": "constant", "value": 1}})
-    assert bare.merelian_B is None and bare.dim_g == 1
+    cm = profile_from_dict({"p2_c": 144, "p1_rule": {"kind": "cm", "c": 144}})
+    assert [cm.p1_rule(p, 2) for p in (2, 3, 5)] == \
+        [cmbounds.cm_p1_exponent(1, p, 2) for p in (2, 3, 5)]
 
 
-# ---------------------------------------------------------------------------
-# forced exponents
-# ---------------------------------------------------------------------------
-
-def test_merelian_exponent_frozen_values():
-    # dim 1, p=2: prime-to-2 part of #GL_2(F_2) = 6 is 3, so the target
-    # degree is 3*2 - 1 = 5 and the bound 100*5 = 500; least n with
-    # 2^n > 500 is 9.
-    profile = toy_profile(merelian_B=lambda d: 100 * d)
-    assert p1_exponent_merelian(profile, 2, 1, 1) == 9
-    # dim 1, p=3: prime-to-3 part of #GL_2(F_3) = 48 is 16; target
-    # 16*3 - 1 = 47; bound 16*47^2 = 35344; least n with 3^n > 35344 is 10.
-    quad = toy_profile(merelian_B=lambda d: 16 * d * d)
-    assert p1_exponent_merelian(quad, 3, 1, 1) == 10
-    flat = toy_profile(merelian_B=lambda d: 1)
-    assert p1_exponent_merelian(flat, 7, 3, 5) == 1
-
-
-def test_merelian_exponent_is_minimal():
-    profile = toy_profile()
-    for p, N, d in ((2, 1, 1), (2, 2, 3), (5, 1, 2), (3, 2, 1)):
-        n = p1_exponent_merelian(profile, p, N, d)
-        c = arith.glm_order(2, p, 1)[0]
-        bound = profile.merelian_B(d * (c * p ** N - 1))
-        assert p ** n > bound
-        assert p ** (n - 1) <= bound
-
-
-def test_j_field_exponent_is_the_shifted_search():
-    profile = toy_profile()
-    assert p1_exponent_j_field(profile, 2, 2, 2) == \
-        p1_exponent_merelian(profile, 2, 4, 2) == 14
-    flat = toy_profile(merelian_B=lambda d: 1)
-    assert p1_exponent_j_field(flat, 5, 1, 1) == 1
-
-
-def test_exponent_searches_demand_a_bound():
-    profile = toy_profile(merelian_B=None)
-    with pytest.raises(ValueError, match="merelian_B"):
-        p1_exponent_merelian(profile, 2, 1, 1)
-    with pytest.raises(ValueError):
-        p1_exponent_merelian(toy_profile(), 6, 1, 1)
-    with pytest.raises(ValueError):
-        p1_exponent_merelian(toy_profile(), 2, 0, 1)
+def test_profile_from_dict_refuses_other_fields():
+    # a field the budget does not read is named, not dropped
+    for extra in ({"merelian_B": {"kind": "linear", "coeff": 50}},
+                  {"dim_g": 2}, {"si_prime_cutoff": 37},
+                  {"dim_g": 2, "zeta": 1}):
+        data = {"p2_c": 12, "p1_rule": {"kind": "shift", "offset": 1},
+                **extra}
+        with pytest.raises(ValueError, match="unknown profile field") as exc:
+            profile_from_dict(data)
+        assert all(repr(key) in str(exc.value) for key in extra)
+    for bad in ([], "p2_c", {"p2_c": 1, "p1_rule": 5},
+                {"p2_c": 1, "p1_rule": {"kind": "constant", "value": 0}}):
+        with pytest.raises((KeyError, TypeError, ValueError)):
+            profile_from_dict(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -801,25 +776,27 @@ def test_b_epsilon_rejects_bad_arguments():
         b_epsilon_procedure(toy_profile(), Fraction(1, 2), 0)
 
 
-def test_b_epsilon_materialization_caps():
+def test_b_epsilon_materialization_caps(monkeypatch):
     profile = toy_profile()
     x = 2000
-    few = b_epsilon_procedure(profile, Fraction(1, 2), x,
-                              product_prime_cap=1)
+    full = b_epsilon_procedure(profile, Fraction(1, 2), x)
+    with monkeypatch.context() as patch:
+        patch.setattr(families, "PRODUCT_PRIME_CAP", 1)
+        few = b_epsilon_procedure(profile, Fraction(1, 2), x)
     assert few.B_eps is None
     assert "primes" in few.B_eps_note
-    small = b_epsilon_procedure(profile, Fraction(1, 2), x,
-                                product_digit_cap=0)
+    with monkeypatch.context() as patch:
+        patch.setattr(families, "PRODUCT_DIGIT_CAP", 0)
+        small = b_epsilon_procedure(profile, Fraction(1, 2), x)
     assert small.B_eps is None
     assert "digits" in small.B_eps_note
     # the rest of the result is unaffected by the caps
-    full = b_epsilon_procedure(profile, Fraction(1, 2), x)
     assert (few.C, few.L, few.N) == (full.C, full.L, full.N)
     assert few.report == full.report
     assert full.B_eps is not None and full.B_eps_note is None
 
 
-def test_b_eps_domination_comparisons():
+def test_b_eps_domination_comparisons(monkeypatch):
     profile = toy_profile()
     x = 5000
     tight = b_epsilon_procedure(profile, Fraction(1, 20), x)
@@ -827,17 +804,15 @@ def test_b_eps_domination_comparisons():
     # materialized: direct integer comparison
     assert b_eps_dominates(tight, loose)
     # structural: same answer when the integers are withheld
-    tight_s = b_epsilon_procedure(profile, Fraction(1, 20), x,
-                                  product_prime_cap=0)
-    loose_s = b_epsilon_procedure(profile, Fraction(1, 2), x,
-                                  product_prime_cap=0)
+    monkeypatch.setattr(families, "PRODUCT_PRIME_CAP", 0)
+    tight_s = b_epsilon_procedure(profile, Fraction(1, 20), x)
+    loose_s = b_epsilon_procedure(profile, Fraction(1, 2), x)
     assert tight_s.B_eps is None and loose_s.B_eps is None
     assert b_eps_dominates(tight_s, loose_s)
     if tight_s.L > loose_s.L or tight_s.N > loose_s.N:
         assert not b_eps_dominates(loose_s, tight_s)
     # runs of different profiles refuse structural comparison
-    other = b_epsilon_procedure(toy_profile(), Fraction(1, 2), x,
-                                product_prime_cap=0)
+    other = b_epsilon_procedure(toy_profile(), Fraction(1, 2), x)
     with pytest.raises(ValueError, match="profile"):
         b_eps_dominates(tight_s, other)
 
@@ -880,12 +855,3 @@ def test_tail_within_lazy_primes_match_listed_primes():
                 assert _tail_within(lazy, N, budget) == (exact <= budget)
                 assert _tail_within(listed, N, budget) == (exact <= budget)
 
-
-def test_exponent_to_order_bound():
-    assert exponent_to_order_bound(1, 1) == 1
-    assert exponent_to_order_bound(6, 1) == 36
-    assert exponent_to_order_bound(12, 2) == 20736
-    with pytest.raises(ValueError):
-        exponent_to_order_bound(0, 1)
-    with pytest.raises(ValueError):
-        exponent_to_order_bound(3, 0)

@@ -6,7 +6,6 @@ import pytest
 
 from torsiondeg.gl2 import (
     DicksonClass,
-    ProjectiveType,
     Subgroup,
     close_generators,
     enumerate_subgroups,
@@ -23,7 +22,6 @@ from torsiondeg.orbits import (
     NOT_APPLICABLE,
     PASS,
     OrbitReport,
-    exceptional_prime_bound,
     stabilizer,
     verify_case_divisibility,
     verify_nonsplit_pointwise_stabilizers,
@@ -257,33 +255,3 @@ def test_nonsplit_pointwise_bound_all_small_primes(p):
     assert report.verdict == PASS
     assert report.max_order <= 2
     assert len(report.orders) == p + 1
-
-
-# ---------------------------------------------------------------------------
-# exceptional prime bounds
-# ---------------------------------------------------------------------------
-
-def test_exceptional_prime_bounds_frozen_values():
-    assert exceptional_prime_bound(ProjectiveType.A4, 1) == 10
-    assert exceptional_prime_bound(ProjectiveType.S4, 1) == 13
-    assert exceptional_prime_bound(ProjectiveType.A5, 2) == 31
-
-
-def test_exceptional_prime_bound_accepts_class_and_string():
-    assert exceptional_prime_bound(DicksonClass.EXCEPTIONAL_A4, 2) == 19
-    assert exceptional_prime_bound("S4", 3) == 37
-    assert exceptional_prime_bound("ExceptionalA5", 1) == 16
-
-
-def test_exceptional_prime_bound_rejects_bad_input():
-    with pytest.raises(ValueError):
-        exceptional_prime_bound(ProjectiveType.CYCLIC, 1)
-    with pytest.raises(ValueError):
-        exceptional_prime_bound(ProjectiveType.A4, 0)
-
-
-def test_exceptional_prime_bound_is_linear():
-    for d0 in range(1, 20):
-        assert exceptional_prime_bound("A4", d0) == 9 * d0 + 1
-        assert exceptional_prime_bound("S4", d0) == 12 * d0 + 1
-        assert exceptional_prime_bound("A5", d0) == 15 * d0 + 1

@@ -89,6 +89,19 @@ def test_one_progression_sieve_in_the_package():
     assert sievers == ["families.py _progression_blocks"]
 
 
+def test_no_fixed_j_degree_stubs_in_the_package():
+    # a budget profile is (p2_c, p1_rule), all that the budget reads; the
+    # growth-bound exponent searches, the exceptional prime bounds and the
+    # torsion reach had no caller and are gone, and no file form names them
+    banned = ("merelian_B", "si_prime_cutoff", "bound_from_template",
+              "p1_exponent_merelian", "p1_exponent_j_field",
+              "exponent_to_order_bound", "exceptional_prime_bound",
+              "torsion_reach", "validate_profile")
+    found = [f"{path.name} {name}" for path in SOURCES
+             for name in banned if name in path.read_text(encoding="utf-8")]
+    assert found == []
+
+
 def _add_parser_calls(tree):
     return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
             and getattr(node.func, "attr", None) == "add_parser"]
