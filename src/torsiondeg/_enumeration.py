@@ -65,6 +65,8 @@ from .gl2 import (
     _np_mul,
     _np_pack,
     _orbit_labels,
+    _right_mul,
+    _row_table,
     _sorted_member,
     _stabilized_conjugate_pair_for_generators,
     _stabilized_line_pair,
@@ -94,6 +96,15 @@ class _FullContext:
         self.comps = tuple(v[keep].astype(np.int32) for v in (a, b, c, d))
         self.inverse = tuple(v.astype(np.int32)
                              for v in _np_inv(p, self.comps))
+        # the cosets t Z of the scalars Z, each named by its least key (the
+        # one with first row (1, b) or (0, 1)), and the index of the coset
+        # of every key: every normalizer contains Z
+        self.mod_scalars = idx[keep & ((a == 1) | ((a == 0) & (b == 1)))]
+        t = np.arange(1, p)
+        scalars = _row_table(p, _np_pack(p, (t, 0, 0, t)))
+        self.mod_scalars_at = np.zeros(p ** 4, dtype=_key_dtype(p))
+        self.mod_scalars_at[_right_mul(p, self.mod_scalars, scalars)] = (
+            np.arange(len(self.mod_scalars)))
 
     def conjugates(self, sel, x) -> np.ndarray:
         """Keys of n x n^-1, one row per n = keys[sel], one column per x
@@ -101,7 +112,8 @@ class _FullContext:
         p = self.p
         a, b, c, d = (v[sel][:, None] for v in self.comps)
         ia, ib, ic, id_ = (v[sel][:, None] for v in self.inverse)
-        xa, xb, xc, xd = x
+        # below p^4 throughout: int32, like the components, for p < 215
+        xa, xb, xc, xd = (np.asarray(v, dtype=_key_dtype(p)) for v in x)
         # t = n x stays unreduced, so u = t n^-1 takes four reductions
         ta, tb = a * xa + b * xc, a * xb + b * xd
         tc, td = c * xa + d * xc, c * xb + d * xd
@@ -131,33 +143,34 @@ def _digest(sorted_keys: np.ndarray) -> bytes:
                    .tobytes(), digest_size=12).digest()
 
 
-def _left_cosets(p, big: np.ndarray, sub_keys: np.ndarray):
-    """Left cosets g S of a subgroup S inside a sorted union `big` of them:
-    (label, reps), where reps are the coset minima, ascending, and the
-    table label[key] is the index in reps of the coset of each key in big.
-    """
-    label = np.empty(p ** 4, dtype=np.int64)
-    # |S| passes over big, or one step per coset: a step costs about as
-    # much as a pass over 800 elements
-    if len(sub_keys) ** 2 < 800:
-        gs, low = _np_components(p, big), big
-        for s in sub_keys.tolist():
-            low = np.minimum(low, _np_pack(p, _np_mul(p, gs, unpack(p, s))))
-        reps = np.flatnonzero(_indicator(p, low))
-        label[big] = np.searchsorted(reps, low)
-        return label, reps
-    # the least element not yet covered is the minimum of its coset
-    sub = _np_components(p, sub_keys)
-    free = _indicator(p, big)
-    reps = []
-    k = int(big[0])
-    while free[k]:
-        coset = _np_pack(p, _np_mul(p, unpack(p, k), sub))
-        label[coset] = len(reps)
-        free[coset] = False
-        reps.append(k)
-        k += int(np.argmax(free[k:]))
-    return label, np.array(reps, dtype=np.int64)
+def _left_cosets(p, points: np.ndarray, at: np.ndarray, sub_keys, gens):
+    """Left cosets g S of a subgroup S in a union of them: (coset, reps),
+    where reps are the coset minima, ascending, and coset[i] is the index
+    in reps of the coset holding point i.
+
+    The union is cut into blocks that right multiplication by S permutes:
+    its single keys, or the cosets of the scalars when S contains them.
+    points holds each block's least key, ascending, and at[key] the index
+    of the block of every key of the union.  The cosets g S are the orbits
+    of right multiplication by S, so min-label propagation along right
+    multiplications by generators of S labels each point with the least
+    point of its coset.  The given gens lie in S; while they generate less
+    than S, which shows as more orbits than the index of S, the least
+    element of S outside the orbit of the identity joins them, at least
+    doubling the group they generate."""
+    n = len(points)
+    images = list(at[_right_mul(p, points, _row_table(p, list(gens)))])
+    members = at[sub_keys]
+    one = at[pack(p, 1, 0, 0, 1)]
+    index = n // np.count_nonzero(np.bincount(members, minlength=n))
+    low = np.arange(n)
+    while True:
+        low = _orbit_labels(n, images, low)
+        roots = low == np.arange(n)
+        if np.count_nonzero(roots) == index:
+            return (np.cumsum(roots) - 1)[low], points[roots]
+        g = sub_keys[np.argmax(low[members] != low[one])]
+        images.append(at[_right_mul(p, points, _row_table(p, g))])
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +187,16 @@ class _Census:
         self.table: dict[bytes, tuple[int, int]] = {}
         self.class_keys: list[np.ndarray] = []
         self.class_gens: list[list[int]] = []
+        # the normalizer of each class, which contains the scalars, as a
+        # bit mask over their cosets ctx.mod_scalars; phase 2 drops it
+        self.normalizers: list[np.ndarray | None] = []
+
+    def normalizer(self, cid: int) -> np.ndarray:
+        """Ascending positions in ctx.keys of the normalizer of class cid."""
+        ctx = self.ctx
+        inside = np.unpackbits(self.normalizers[cid],
+                               count=len(ctx.mod_scalars)).view(bool)
+        return np.flatnonzero(inside[ctx.mod_scalars_at[ctx.keys]])
 
     def lookup(self, sorted_keys: np.ndarray):
         """Class id of a known conjugate of the subgroup, or None."""
@@ -197,9 +220,13 @@ class _Census:
         cid = len(self.class_keys)
         self.class_keys.append(sorted_keys)
         self.class_gens.append(list(gens))
-        # the conjugate r H r^{-1} depends only on the left coset r N(H)
         nkeys = ctx.keys[ctx.normalizer(sorted_keys, gens)]
-        _, reps = _left_cosets(p, ctx.keys, nkeys)
+        inside = np.zeros(len(ctx.mod_scalars), dtype=bool)
+        inside[ctx.mod_scalars_at[nkeys]] = True
+        self.normalizers.append(np.packbits(inside))
+        # the conjugate r H r^{-1} depends only on the left coset r N(H)
+        _, reps = _left_cosets(p, ctx.mod_scalars, ctx.mod_scalars_at,
+                               nkeys, gens)
         conj = np.sort(ctx.conjugates(np.searchsorted(ctx.keys, reps),
                                       _np_components(p, sorted_keys)), axis=1)
         for r, row in zip(reps.tolist(), conj):
@@ -211,15 +238,16 @@ class _Census:
 
 
 def _adjoin(p, hkeys: np.ndarray, hgens: list[int], x: int) -> np.ndarray:
-    """Sorted keys of <H, x>, grown breadth-first from H's sorted keys."""
-    gens = [unpack(p, g) for g in hgens + [x]]
+    """Sorted keys of <H, x>, grown breadth-first from H's sorted keys by
+    right multiplication with the generators.  Only keys outside H are
+    expanded, and H x and H hgens lie in the set, so it ends closed under
+    every generator."""
+    tables = _row_table(p, hgens + [x])
     seen = _indicator(p, hkeys)
-    frontier = _np_pack(p, _np_mul(p, gens[-1], _np_components(p, hkeys)))
+    frontier = _right_mul(p, hkeys, tables[-1])
     while len(frontier):
         seen[frontier] = True
-        comps = _np_components(p, frontier)
-        products = np.concatenate(
-            [_np_pack(p, _np_mul(p, g, comps)) for g in gens])
+        products = _right_mul(p, frontier, tables).ravel()
         frontier = np.flatnonzero(_indicator(p, products[~seen[products]]))
     return np.flatnonzero(seen)
 
@@ -248,7 +276,7 @@ def _phase1_sl2_classes(ctx: _FullContext, census: _Census) -> None:
         cid = queue.pop(0)
         hkeys = census.class_keys[cid]
         hgens = census.class_gens[cid]
-        normalizer = ctx.normalizer(hkeys, hgens)
+        normalizer = census.normalizer(cid)
         pending = _indicator(p, candidates)
         pending[hkeys] = False
         for x in candidates[pending[candidates]].tolist():
@@ -271,15 +299,19 @@ def _phase2_prime_index_extensions(ctx: _FullContext, census: _Census) -> None:
         cid = queue.pop(0)
         hkeys = census.class_keys[cid]
         hgens = census.class_gens[cid]
-        normalizer = ctx.normalizer(hkeys, hgens)
+        normalizer = census.normalizer(cid)
+        census.normalizers[cid] = None  # read once here
         index = len(normalizer) // len(hkeys)
         if index == 1:
             continue
         # cosets r H = H r of H in its normalizer, numbered by their minima
-        label, reps = _left_cosets(p, ctx.keys[normalizer], hkeys)
+        nkeys = ctx.keys[normalizer]
+        at = np.zeros(p ** 4, dtype=np.int64)
+        at[nkeys] = np.arange(len(nkeys))
+        coset, reps = _left_cosets(p, nkeys, at, hkeys, hgens)
         rep_comps = _np_components(p, reps)
         inside = _indicator(p, hkeys)
-        home = label[pack(p, 1, 0, 0, 1)]
+        home = coset[at[pack(p, 1, 0, 0, 1)]]
         for q in {f for f, _ in factorize(index)}:
             powers = rep_comps
             for _ in range(q - 1):
@@ -290,10 +322,10 @@ def _phase2_prime_index_extensions(ctx: _FullContext, census: _Census) -> None:
                 if not todo[j]:
                     continue
                 r = int(reps[j])
+                table = _row_table(p, r)
                 parts = [hkeys]
                 for _ in range(q - 1):
-                    parts.append(_np_pack(p, _np_mul(
-                        p, _np_components(p, parts[-1]), unpack(p, r))))
+                    parts.append(_right_mul(p, parts[-1], table))
                 new_cid, is_new = census.register(
                     np.sort(np.concatenate(parts)), hgens + [r])
                 if is_new:
@@ -302,7 +334,7 @@ def _phase2_prime_index_extensions(ctx: _FullContext, census: _Census) -> None:
                 # 0 < k < q: each coset H n r^k n^-1 gives a conjugate class
                 for part in parts[1:]:
                     conj = ctx.conjugates(normalizer, unpack(p, int(part[0])))
-                    todo[label[conj[:, 0]]] = False
+                    todo[coset[at[conj[:, 0]]]] = False
 
 
 def _exhaustive(p: int) -> list[Subgroup]:
@@ -517,15 +549,11 @@ def _is_generated(p: int, gens: list[int], keys: np.ndarray) -> bool:
             or not (keys[1:] > keys[:-1]).all()
             or not _sorted_member(keys, pack(p, 1, 0, 0, 1))):
         return False
-    comps = _np_components(p, keys)
-    images = []
-    for g in gens:
-        products = _np_pack(p, _np_mul(p, comps, unpack(p, g)))
-        at = np.minimum(np.searchsorted(keys, products), n - 1)
-        if not np.array_equal(keys[at], products):
-            return False  # not closed under this generator
-        images.append(at)
-    return not _orbit_labels(n, images).any()
+    products = _right_mul(p, keys, _row_table(p, gens))
+    at = np.minimum(np.searchsorted(keys, products), n - 1)
+    if not np.array_equal(keys[at], products):
+        return False  # not closed under the generators
+    return not _orbit_labels(n, at).any()
 
 
 def _save_cache(path: Path, p, mode, count, seed, groups) -> None:

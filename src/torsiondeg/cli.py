@@ -37,6 +37,10 @@ from typing import Callable
 from . import arith
 from ._version import VERSION
 
+# numpy's OpenBLAS starts a thread per core on import, but every array
+# here holds integers and --jobs processes give the parallelism
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 SCHEMA_VERSION = 1
 N_MAP_PREVIEW = 200
 

@@ -205,6 +205,16 @@ _CLAUSE_KINDS = {"divisor": DivClause, "prime-shift": PrimeShiftClause,
                  "prime-power-div": PrimePowerDivClause}
 
 
+def _json_int(data: dict, field: str) -> int:
+    """data[field] if it is a JSON integer; a float, a boolean or a string
+    is refused by name rather than read as some nearby integer."""
+    value = data[field]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"field {field!r} must be an integer, "
+                         f"got {value!r}")
+    return value
+
+
 def spec_from_dict(data) -> IntegerSetSpec:
     """The spec of a JSON object {"clauses": [...]}, each clause in the
     form its describe() gives; errors name the clause as clauses[i]."""
@@ -222,7 +232,8 @@ def spec_from_dict(data) -> IntegerSetSpec:
         if cls is None:
             raise ValueError(f"{where}: unknown clause kind {kind!r}")
         try:
-            parsed.append(cls(*(int(clause[f.name]) for f in fields(cls))))
+            parsed.append(cls(*(_json_int(clause, f.name)
+                                for f in fields(cls))))
         except KeyError as exc:
             raise ValueError(f"{where}: missing field {exc}") from None
         except (TypeError, ValueError) as exc:
@@ -463,17 +474,17 @@ def rule_from_template(template: dict) -> Callable[[int, int], int]:
     complex-multiplication shape N + v_p(c) + 1."""
     kind = template.get("kind") if isinstance(template, dict) else None
     if kind == "shift":
-        offset = int(template["offset"])
+        offset = _json_int(template, "offset")
         if offset < 0:
             raise ValueError("shift offset must be nonnegative")
         return lambda p, N: N + offset
     if kind == "constant":
-        value = int(template["value"])
+        value = _json_int(template, "value")
         if value < 1:
             raise ValueError("constant rule must be positive")
         return lambda p, N: value
     if kind == "cm":
-        c = int(template["c"])
+        c = _json_int(template, "c")
         if c < 1:
             raise ValueError("cm constant must be positive")
         return lambda p, N: N + ord_p(c, p) + 1
@@ -490,7 +501,7 @@ def profile_from_dict(data: dict) -> FamilyProfile:
         raise ValueError(
             f"unknown profile field {', '.join(map(repr, extra))}; a "
             f"profile has only 'p2_c' and 'p1_rule'")
-    return FamilyProfile(p2_c=int(data["p2_c"]),
+    return FamilyProfile(p2_c=_json_int(data, "p2_c"),
                          p1_rule=rule_from_template(data["p1_rule"]))
 
 

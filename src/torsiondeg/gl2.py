@@ -4,11 +4,15 @@ Matrices are 2x2 over F_p, stored row-major as (a, b, c, d), acting on
 column vectors: M(x, y) = (a*x + b*y, c*x + d*y).  For fast set arithmetic
 a matrix packs into the single integer key ((a*p + b)*p + c)*p + d and a
 subgroup keeps its elements as one sorted, read-only int64 array of such
-keys.  All matrix arithmetic runs on arrays of components (`_np_mul`,
-`_np_inv`), with Python ints standing in for single matrices.  The p + 1
-lines of F_p^2 are known by index: line i < p is spanned by (1, i) and
-line p by (0, 1), and `_line_images` gives how matrices permute them as
-rows of such indices.
+keys.  A product k g with a fixed right factor g works on the keys
+themselves: it acts on the two rows of k separately, so it is two
+gathers from the row table of g, a table of p^2 entries (`_row_table`,
+`_right_mul`).  Products in which both factors vary, such as conjugation
+and powering, run on arrays of components (`_np_mul`, `_np_inv`), with
+Python ints standing in for single matrices.  The p + 1 lines of F_p^2
+are known by index: line i < p is spanned by (1, i) and line p by
+(0, 1), and `_line_images` gives how matrices permute them as rows of
+such indices.
 
 The classification implemented by `classify` sorts every subgroup into one
 of seven buckets with a fixed precedence:
@@ -162,23 +166,69 @@ def _np_pack(p, comps) -> np.ndarray:
     return ((a * p + b) * p + c) * p + d
 
 
+def _row_table(p: int, g) -> np.ndarray:
+    """The row table of g, u -> u g on the row vectors u = (u0, u1) of
+    F_p^2 indexed u0 p + u1; for an array of keys, one table per key
+    along a new last axis."""
+    a, b, c, d = (v[..., None] for v in
+                  _np_components(p, np.asarray(g, dtype=_key_dtype(p))))
+    u0, u1 = np.divmod(np.arange(p * p, dtype=_key_dtype(p)), p)
+    return (u0 * a + u1 * c) % p * p + (u0 * b + u1 * d) % p
+
+
+def _right_mul(p: int, keys, table: np.ndarray) -> np.ndarray:
+    """The keys of k g for every key k, g given by its row table: k g has
+    the rows u g for the rows u = k // p^2 and k % p^2 of k.  A stack of
+    tables gives one row of products per table."""
+    high, low = np.divmod(keys, p * p)
+    out = table[..., high]
+    out *= p * p
+    out += table[..., low]
+    return out
+
+
 def _sorted_member(table: np.ndarray, keys):
     """Which keys occur in the sorted, non-empty array table."""
     at = np.minimum(np.searchsorted(table, keys), len(table) - 1)
     return table[at] == keys
 
 
-def _projective_orders(p: int, keys) -> np.ndarray:
-    """The projective order of each key, the least k >= 1 with key^k
-    scalar (the order of its image in PGL2), by powering all keys at once."""
-    comps = acc = _np_components(p, np.asarray(keys, dtype=np.int64))
-    orders = np.zeros(len(keys), dtype=np.int64)
+@lru_cache(maxsize=8)
+def _projective_order_table(p: int) -> np.ndarray:
+    """The projective order of the non-scalar matrices with u = tr^2 det^-1
+    at index u, by powering one of them per u at once.
+
+    A non-scalar matrix is similar to the companion matrix of its
+    characteristic polynomial x^2 - t x + d, and scaling it by s takes
+    (t, d) to (s t, s^2 d).  For t != 0 the scalings of (t, d) are the
+    pairs with the same u, and for t = 0 (u = 0) the matrix squares to the
+    scalar -d, so u alone fixes the projective order.  The companion
+    matrix [[0, -d], [1, t]] with t = d = u has this u; u = 0 takes t = 0,
+    d = 1.  At u = 4 the eigenvalue is double and the order is p."""
+    t = np.arange(p)
+    d = np.where(t == 0, 1, t)
+    comps = acc = (np.zeros(p, dtype=np.int64), -d % p,
+                   np.ones(p, dtype=np.int64), t)
+    orders = np.zeros(p, dtype=np.int64)
     for k in range(1, p + 2):
         orders[(orders == 0) & _np_is_scalar(acc)] = k
         if orders.all():
+            orders.flags.writeable = False
             return orders
         acc = _np_mul(p, acc, comps)
     raise RuntimeError("projective order exceeded p + 1")
+
+
+def _projective_orders(p: int, keys) -> np.ndarray:
+    """The projective order of each invertible key, the least k >= 1 with
+    key^k scalar (the order of its image in PGL2): 1 for a scalar, and one
+    lookup by tr^2 det^-1 otherwise."""
+    a, b, c, d = comps = _np_components(p, np.asarray(keys, dtype=np.int64))
+    det = (a * d - b * c) % p
+    if not det.all():
+        raise ValueError(f"a key is singular mod {p}")
+    u = (a + d) ** 2 % p * _unit_inverses(p)[det] % p
+    return np.where(_np_is_scalar(comps), 1, _projective_order_table(p)[u])
 
 
 # ---------------------------------------------------------------------------
@@ -191,17 +241,19 @@ _CLOSURE_BLOCK = 1 << 18
 
 
 def _cyclic_keys(p: int, g: int) -> np.ndarray:
-    """Keys of g^0, ..., g^(n-1), n the order of g, by doubling."""
+    """Keys of g^0, ..., g^(n-1), n the order of g, by doubling: powers
+    commute, so g^i g^m is a right multiplication by g^m."""
     identity = pack(p, 1, 0, 0, 1)
     powers = np.array([identity], dtype=_key_dtype(p))
-    step = unpack(p, g)  # g^len(powers)
+    step = g  # g^len(powers)
     while True:
-        more = _np_pack(p, _np_mul(p, step, _np_components(p, powers)))
+        table = _row_table(p, step)
+        more = _right_mul(p, powers, table)
         back = np.flatnonzero(more == identity)
         if len(back):
             return np.concatenate([powers, more[:back[0]]])
         powers = np.concatenate([powers, more])
-        step = _np_mul(p, step, step)
+        step = int(_right_mul(p, step, table))
 
 
 def _mulclose(p: int, gens: list[int]) -> np.ndarray:
@@ -359,9 +411,10 @@ class Subgroup:
 
     def _materialize_sl2_preimage(self) -> np.ndarray:
         p = self.p
-        sl2 = _np_components(p, _sl2_keys(p))
+        sl2 = _sl2_keys(p)
         return np.sort(np.concatenate(
-            [_np_pack(p, _np_mul(p, sl2, (t, 0, 0, 1))) for t in self.det_image]))
+            [_right_mul(p, sl2, _row_table(p, pack(p, t, 0, 0, 1)))
+             for t in self.det_image]))
 
     @property
     def is_materialized(self) -> bool:
@@ -546,8 +599,8 @@ def nonsplit_normalizer(p: int) -> Subgroup:
     _require_odd(p, "nonsplit Cartan normalizer")
     cartan = nonsplit_cartan(p)
     w = pack(p, 1, 0, 0, p - 1)
-    swapped = _np_pack(p, _np_mul(p, unpack(p, w),
-                                  _np_components(p, cartan.elements)))
+    # w normalizes the Cartan C, so the coset w C is C w
+    swapped = _right_mul(p, cartan.elements, _row_table(p, w))
     return Subgroup.from_sorted_keys(
         p, np.sort(np.concatenate([cartan.elements, swapped])),
         generators=list(cartan.generators) + [w])
@@ -709,10 +762,11 @@ def vector_orbit_sizes(G: Subgroup) -> list[int]:
     return [len(orbit) for orbit in vector_orbits(G)]
 
 
-def _orbit_labels(n: int, images) -> np.ndarray:
+def _orbit_labels(n: int, images, label=None) -> np.ndarray:
     """The least index in the orbit of each of 0, ..., n-1 under the group
     generated by permutations of range(n), each given by its array of
-    images.
+    images.  A start label, if given, must name for each index an index
+    of its orbit no larger than itself, such as the labels of a subgroup.
 
     Min-label propagation with pointer jumping: a round gives every index
     the least of its own label and its images' labels, then replaces each
@@ -721,7 +775,8 @@ def _orbit_labels(n: int, images) -> np.ndarray:
     nothing leaves no label above the label of an image; as each step
     i -> g(i) lies on a cycle of g, labels are then constant on orbits,
     each orbit labelled by its least index."""
-    label = np.arange(n)
+    if label is None:
+        label = np.arange(n)
     while True:
         low = label.copy()
         for img in images:

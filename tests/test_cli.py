@@ -521,6 +521,29 @@ def test_bepsilon_profile_file_refuses_fields_it_does_not_read(capsys,
     assert str(path) in err and "'merelian_B'" in err
 
 
+@pytest.mark.parametrize("bad", [2.7, True, "2"],
+                         ids=["float", "bool", "string"])
+def test_json_numbers_that_are_not_integers_exit_2(capsys, tmp_path, bad):
+    # each is named with its file and field, never truncated to an int
+    spec = write_spec(tmp_path, [{"kind": "divisor", "m": bad}])
+    code, out, err = run(capsys, ["density", "--spec-file", spec,
+                                  "--x", "10"])
+    assert code == 2 and out == ""
+    assert spec in err and "field 'm' must be an integer" in err
+    profile = tmp_path / "prof.json"
+    for data, field in (
+            ({"p2_c": bad, "p1_rule": {"kind": "shift", "offset": 1}},
+             "p2_c"),
+            ({"p2_c": 2, "p1_rule": {"kind": "shift", "offset": bad}},
+             "offset")):
+        profile.write_text(json.dumps(data))
+        code, out, err = run(capsys, ["bepsilon", "--profile", str(profile),
+                                      "--epsilon", "1/2", "--x", "100"])
+        assert code == 2 and out == ""
+        assert str(profile) in err
+        assert f"field '{field}' must be an integer" in err
+
+
 def test_bepsilon_rejections(capsys, tmp_path):
     code, _, err = run(capsys, ["bepsilon", "--epsilon", "1/2"])
     assert code == 2 and "--profile" in err
@@ -586,6 +609,51 @@ def _import_audit(tmp_path, *argv):
                        for m in audit["modules"]
                        if m.startswith("torsiondeg.")}
     return audit
+
+
+# runs the CLI as `python -m torsiondeg.cli` does, then reports on stderr
+# the threads of the process at exit and the OpenBLAS setting it ran with
+_THREAD_AUDIT = """
+import atexit
+import json
+import os
+import runpy
+import sys
+def report():
+    with open("/proc/self/status") as status:
+        threads = next(int(line.split()[1]) for line in status
+                       if line.startswith("Threads:"))
+    print(json.dumps({"threads": threads, "numpy": "numpy" in sys.modules,
+                      "openblas": os.environ.get("OPENBLAS_NUM_THREADS")}),
+          file=sys.stderr)
+atexit.register(report)
+sys.argv[0] = "torsiondeg.cli"
+runpy.run_module("torsiondeg.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the thread count from /proc")
+def test_cli_process_runs_one_blas_thread(tmp_path):
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {key: value for key, value in os.environ.items()
+           if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")])
+    audits = []
+    for preset in (None, "2"):
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        out = subprocess.run([sys.executable, "-c", _THREAD_AUDIT,
+                              "enumerate", "--p", "2"], env=env,
+                             cwd=tmp_path, capture_output=True, text=True,
+                             timeout=120)
+        assert out.returncode == 0, out.stderr
+        audits.append(json.loads(out.stderr.strip().splitlines()[-1]))
+    default, preset = audits
+    assert default == {"threads": 1, "numpy": True, "openblas": "1"}
+    # a value the user set is kept
+    assert preset["numpy"] and preset["openblas"] == "2"
 
 
 def test_serial_commands_load_neither_openssl_nor_the_pool(tmp_path):

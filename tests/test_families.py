@@ -180,7 +180,7 @@ def test_spec_from_dict_reads_what_describe_writes():
              "clauses[0]: unknown clause kind ['divisor']"),
             ({"clauses": [["divisor", 3]]}, "clauses[0]: clause must be"),
             ({"clauses": [{"kind": "prime-shift", "c": None, "C": 1}]},
-             "clauses[0]: int()"),
+             "clauses[0]: field 'c' must be an integer, got None"),
             ({"clauses": [{"kind": "divisor", "m": 0}]},
              "clauses[0]: the modulus must be a positive integer"),
             ({"clauses": []}, "'clauses' must be a nonempty list"),
@@ -718,6 +718,29 @@ def test_profile_from_dict_roundtrip():
     cm = profile_from_dict({"p2_c": 144, "p1_rule": {"kind": "cm", "c": 144}})
     assert [cm.p1_rule(p, 2) for p in (2, 3, 5)] == \
         [cmbounds.cm_p1_exponent(1, p, 2) for p in (2, 3, 5)]
+
+
+@pytest.mark.parametrize("bad", [2.9, 2.0, True, "2"],
+                         ids=["float", "integral float", "bool", "string"])
+def test_json_numbers_must_be_integers(bad):
+    # int() would read 2.9 as 2 and true as 1: a mistyped file would
+    # describe some other set or family without a word
+    with pytest.raises(ValueError, match=r"clauses\[1\]: field 'm' must "
+                                         r"be an integer"):
+        spec_from_dict({"clauses": [{"kind": "divisor", "m": 3},
+                                    {"kind": "divisor", "m": bad}]})
+    with pytest.raises(ValueError, match="field 'C' must be an integer"):
+        spec_from_dict({"clauses": [{"kind": "prime-shift", "c": 6,
+                                     "C": bad}]})
+    with pytest.raises(ValueError, match="field 'p2_c' must be an integer"):
+        profile_from_dict({"p2_c": bad,
+                           "p1_rule": {"kind": "shift", "offset": 1}})
+    for kind, field in (("shift", "offset"), ("constant", "value"),
+                        ("cm", "c")):
+        with pytest.raises(ValueError,
+                           match=f"field '{field}' must be an integer"):
+            profile_from_dict({"p2_c": 12,
+                               "p1_rule": {"kind": kind, field: bad}})
 
 
 def test_profile_from_dict_refuses_other_fields():

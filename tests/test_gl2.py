@@ -105,6 +105,38 @@ def test_np_inv_matches_scalar_inverse(p):
     assert inv.tolist() == [oracle_key_inv(p, k) for k in keys.tolist()]
 
 
+def _invertible_keys(p, seeded=0):
+    """Every invertible key mod p, or that many seeded random ones."""
+    if not seeded:
+        return gl2_full(p).elements
+    rng = random.Random(p)
+    keys = (rng.randrange(p ** 4) for _ in range(3 * seeded))
+    return np.array([k for k in keys if key_det(p, k)][:seeded],
+                    dtype=np.int64)
+
+
+@pytest.mark.parametrize("p,seeded", [(2, 0), (3, 0), (5, 0), (13, 400),
+                                      (97, 400)])
+def test_right_mul_matches_np_mul(p, seeded):
+    # k g by two row-table gathers against the component product, every
+    # key by every right factor: all of GL2 up to p = 5, seeded beyond
+    keys = _invertible_keys(p, seeded)
+    factors = keys if seeded == 0 else keys[:60]
+    tables = gl2._row_table(p, factors)
+    products = gl2._right_mul(p, keys, tables)
+    expected = gl2._np_pack(p, gl2._np_mul(
+        p, gl2._np_components(p, keys),
+        tuple(v[:, None] for v in gl2._np_components(p, factors))))
+    assert products.shape == (len(factors), len(keys))
+    assert np.array_equal(products, expected)
+    # one table, and a single key
+    g, k = int(factors[-1]), int(keys[0])
+    assert np.array_equal(gl2._right_mul(p, keys, gl2._row_table(p, g)),
+                          expected[-1])
+    assert int(gl2._right_mul(p, k, gl2._row_table(p, g))) == (
+        oracle_key_mul(p, k, g))
+
+
 def test_projective_order_of_hand_values():
     # unipotent: [[1,1],[0,1]]^k = [[1,k],[0,1]], scalar iff k = 0 mod p;
     # diag(2,1) mod 5: scalar iff 2^k = 1, so order 4
@@ -114,13 +146,24 @@ def test_projective_order_of_hand_values():
     assert gl2._projective_orders(7, [pack(7, 0, 1, 6, 0)]).tolist() == [2]
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 97])
 def test_projective_orders_match_scalar_powering(p):
-    keys = [k for k in range(p ** 4) if key_det(p, k)]
-    if len(keys) > 5000:
-        keys = random.Random(p).sample(keys, 5000)
+    # every invertible key up to p = 7, sampled or seeded keys beyond; the
+    # table lookup by tr^2 / det against powering one key at a time
+    if p <= 13:
+        keys = [k for k in range(p ** 4) if key_det(p, k)]
+        if len(keys) > 5000:
+            keys = random.Random(p).sample(keys, 5000)
+    else:  # seeded keys, and a scalar and two scaled unipotents
+        keys = _invertible_keys(p, seeded=3000).tolist() + [
+            pack(p, 5, 0, 0, 5), pack(p, 3, 1, 0, 3), pack(p, 3, 0, 1, 3)]
     assert (gl2._projective_orders(p, keys).tolist()
             == [oracle_projective_order(p, k) for k in keys])
+
+
+def test_projective_orders_refuse_singular_keys():
+    with pytest.raises(ValueError, match="singular"):
+        gl2._projective_orders(5, [pack(5, 1, 2, 2, 4)])
 
 
 # ---------------------------------------------------------------------------

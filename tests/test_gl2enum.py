@@ -367,18 +367,104 @@ def test_pruned_phases_match_unpruned_oracle(p):
         assert np.array_equal(mine, theirs)
 
 
+# ---------------------------------------------------------------------------
+# the right-multiplication paths of the census against scalar oracles
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_adjoin_matches_oracle_mulclose(p):
+    rng = random.Random(p)
+    for _ in range(12):
+        hgens = [_enumeration._random_invertible(rng, p)
+                 for _ in range(rng.randint(0, 2))]
+        hkeys = np.array(oracle_mulclose(p, hgens), dtype=np.int64)
+        x = _enumeration._random_invertible(rng, p)
+        assert (_enumeration._adjoin(p, hkeys, hgens, x).tolist()
+                == list(oracle_mulclose(p, hgens + [x])))
+
+
+def _brute_left_cosets(p, big, sub):
+    """The coset minima of g S over g in big, ascending, and the index of
+    the coset of each key of big, one product at a time."""
+    low = [min(oracle_key_mul(p, g, s) for s in sub) for g in big]
+    reps = sorted(set(low))
+    return reps, [reps.index(m) for m in low]
+
+
+def _subgroups_for_cosets(p):
+    """Small and large subgroups S as (generators, sorted keys): trivial,
+    {I, -I}, three seeded cyclic groups, the Borel and the nonsplit
+    normalizer."""
+    rng = random.Random(p)
+    gen_lists = [[], [pack(p, p - 1, 0, 0, p - 1)]] + [
+        [_enumeration._random_invertible(rng, p)] for _ in range(3)]
+    subgroups = [(gens, oracle_mulclose(p, gens)) for gens in gen_lists]
+    for G in (gl2.borel(p), gl2.nonsplit_normalizer(p)):
+        subgroups.append((list(G.generators), tuple(G.elements.tolist())))
+    return subgroups
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_left_cosets_match_brute_partition(p):
+    ctx = _enumeration._FullContext(p)
+    big = ctx.keys
+    at = np.zeros(p ** 4, dtype=np.int64)
+    at[big] = np.arange(len(big))
+    for gens, sub in _subgroups_for_cosets(p):
+        sub_keys = np.array(sub, dtype=np.int64)
+        reps, labels = _brute_left_cosets(p, big.tolist(), sub)
+        # the generators, and none: then elements of S are added
+        for given in (gens, []):
+            coset, found = _enumeration._left_cosets(p, big, at, sub_keys,
+                                                     given)
+            assert found.tolist() == reps
+            assert coset[at[big]].tolist() == labels
+        # blocks of scalar cosets, as the census registers a normalizer
+        if all(pack(p, t, 0, 0, t) in sub for t in range(1, p)):
+            coset, found = _enumeration._left_cosets(
+                p, ctx.mod_scalars, ctx.mod_scalars_at, sub_keys, gens)
+            assert found.tolist() == reps
+            assert coset[ctx.mod_scalars_at[big]].tolist() == labels
+
+
+def test_scalar_cosets_are_named_by_least_keys():
+    p = 7
+    ctx = _enumeration._FullContext(p)
+    for k in ctx.keys.tolist()[::13]:
+        least = min(oracle_key_mul(p, k, pack(p, t, 0, 0, t))
+                    for t in range(1, p))
+        assert ctx.mod_scalars[ctx.mod_scalars_at[k]] == least
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_stored_normalizers_match_fresh_ones(p):
+    ctx = _enumeration._FullContext(p)
+    census = _enumeration._Census(ctx)
+    _enumeration._phase1_sl2_classes(ctx, census)
+    for cid, (keys, gens) in enumerate(zip(census.class_keys,
+                                           census.class_gens)):
+        assert np.array_equal(census.normalizer(cid),
+                              ctx.normalizer(keys, gens))
+    # phase 2 reads each once and drops it
+    _enumeration._phase2_prime_index_extensions(ctx, census)
+    assert census.normalizers == [None] * len(census.class_keys)
+
+
 # sha256 of the report body (canonical JSON) of `enumerate --p P`, which
-# lists every class in census order with its generators
+# lists every class in census order with its generators; p = 13 pins the
+# generators phase 2 takes from its coset representatives there
 ENUMERATE_BODY_SHA256 = {
     5: "6f6932fe4e34b91adf53f6f43b91b21cb622e1549e38a1c7dfe1799ecb4bd415",
     7: "1082492ada7a2fb06c4069468615552b911a142fabce409df73e20b03ecdf8aa",
     11: "5b4f00de2ab5fc05ff768b221efb07bd0508ee5001a1160d3e524c59d694109d",
+    13: "298880b93cd1a95b296dab9ffdc1e0284c693195d2610891ccc338bae9b94253",
 }
 
 
 @pytest.mark.parametrize("p", sorted(ENUMERATE_BODY_SHA256))
 def test_enumerate_report_bodies_are_frozen(p, capsys):
-    assert cli.main(["enumerate", "--p", str(p)]) == 0
+    # the ceiling is a parameter only: the body does not hold it
+    assert cli.main(["enumerate", "--p", str(p), "--ceiling", "13"]) == 0
     body = json.loads(capsys.readouterr().out)["report"]
     digest = hashlib.sha256(json.dumps(body, sort_keys=True).encode())
     assert digest.hexdigest() == ENUMERATE_BODY_SHA256[p]

@@ -39,6 +39,15 @@ def test_no_scalar_matrix_kernel_in_the_package():
                          "Mat2"}) == []
 
 
+def test_one_row_table_kernel_in_the_package():
+    # every product with a fixed right factor takes gl2._right_mul over a
+    # gl2._row_table; the component product stays where both factors vary
+    assert [entry.split()[1] for entry in _definitions(
+        {"_row_table", "_right_mul"})] == ["_row_table", "_right_mul"]
+    assert all(entry.startswith("gl2.py:") for entry in _definitions(
+        {"_row_table", "_right_mul"}))
+
+
 def test_one_line_action_kernel_in_the_package():
     # every reader of the line action takes gl2._line_images rows; the
     # scalar line permutation lives only in the test oracles
