@@ -25,9 +25,12 @@ H n r^k n^-1 (0 < k < q).  Candidates are still taken in ascending order,
 so each skipped one would only have hit a class already registered: the
 classes, their generators and their order are those of the unpruned search.
 
-Deduplication is by a global digest table holding every conjugate of every
-known class with a conjugator, so recognizing a candidate costs one hash
-lookup and one comparison with the conjugate the digest names.
+Both modes deduplicate through one registry (`_Registry`).  A group joins
+the bucket of its `fingerprint()` tuple, a conjugation invariant, and is
+compared by the exact test `conjugate_subgroups` with each class already
+in that bucket; it is a new class only if none of them is conjugate to it.
+The test solves the transporter equation h x h^-1 = y on companion
+bases, and the data it needs of the class side is computed once per class.
 
 Sampled mode draws seeded random generator pairs.  A pair that visibly
 preserves a line, an unordered pair of lines, or a Galois-conjugate pair
@@ -35,14 +38,12 @@ of points of P^1(F_{p^2}) generates a group of bounded order and is closed
 honestly.  Otherwise the image in the permutation group of the lines is
 closed with a cap just above 60: exceeding the cap certifies (for p >= 5)
 that the group contains SL2, and it is then represented lazily by its
-determinant image.  Lazy classes compare by determinant image; honest
-classes that collide on invariants are separated by an exact conjugacy
-search along a transporter equation.
+determinant image.  Lazy classes compare by determinant image in the
+registry's conjugacy test.
 """
 
 from __future__ import annotations
 
-from _blake2 import blake2b  # not hashlib: see gl2
 import base64
 import json
 import os
@@ -96,22 +97,18 @@ class _FullContext:
         self.comps = tuple(v[keep].astype(np.int32) for v in (a, b, c, d))
         self.inverse = tuple(v.astype(np.int32)
                              for v in _np_inv(p, self.comps))
-        # the cosets t Z of the scalars Z, each named by its least key (the
-        # one with first row (1, b) or (0, 1)), and the index of the coset
-        # of every key: every normalizer contains Z
-        self.mod_scalars = idx[keep & ((a == 1) | ((a == 0) & (b == 1)))]
-        t = np.arange(1, p)
-        scalars = _row_table(p, _np_pack(p, (t, 0, 0, t)))
-        self.mod_scalars_at = np.zeros(p ** 4, dtype=_key_dtype(p))
-        self.mod_scalars_at[_right_mul(p, self.mod_scalars, scalars)] = (
-            np.arange(len(self.mod_scalars)))
 
-    def conjugates(self, sel, x) -> np.ndarray:
-        """Keys of n x n^-1, one row per n = keys[sel], one column per x
-        (x is given by its components, as ints or 1-D arrays)."""
+    def conjugators(self, sel) -> tuple:
+        """The components of n and of n^-1 for n = keys[sel], as columns:
+        gathered once for any number of calls to conjugates."""
+        return tuple(v[sel][:, None] for v in self.comps + self.inverse)
+
+    def conjugates(self, n, x) -> np.ndarray:
+        """Keys of n x n^-1, one row per conjugator n of self.conjugators,
+        one column per x (x is given by its components, as ints or 1-D
+        arrays)."""
         p = self.p
-        a, b, c, d = (v[sel][:, None] for v in self.comps)
-        ia, ib, ic, id_ = (v[sel][:, None] for v in self.inverse)
+        a, b, c, d, ia, ib, ic, id_ = n
         # below p^4 throughout: int32, like the components, for p < 215
         xa, xb, xc, xd = (np.asarray(v, dtype=_key_dtype(p)) for v in x)
         # t = n x stays unreduced, so u = t n^-1 takes four reductions
@@ -126,7 +123,8 @@ class _FullContext:
         pos = np.arange(len(self.keys))
         for g in gens:
             sel = pos if len(pos) < len(self.keys) else slice(None)
-            conj = self.conjugates(sel, unpack(self.p, int(g)))
+            conj = self.conjugates(self.conjugators(sel),
+                                   unpack(self.p, int(g)))
             pos = pos[inside[conj[:, 0]]]
         return pos
 
@@ -138,21 +136,14 @@ def _indicator(p: int, keys: np.ndarray) -> np.ndarray:
     return table
 
 
-def _digest(sorted_keys: np.ndarray) -> bytes:
-    return blake2b(np.ascontiguousarray(sorted_keys, dtype="<i8")
-                   .tobytes(), digest_size=12).digest()
-
-
 def _left_cosets(p, points: np.ndarray, at: np.ndarray, sub_keys, gens):
     """Left cosets g S of a subgroup S in a union of them: (coset, reps),
     where reps are the coset minima, ascending, and coset[i] is the index
     in reps of the coset holding point i.
 
-    The union is cut into blocks that right multiplication by S permutes:
-    its single keys, or the cosets of the scalars when S contains them.
-    points holds each block's least key, ascending, and at[key] the index
-    of the block of every key of the union.  The cosets g S are the orbits
-    of right multiplication by S, so min-label propagation along right
+    points holds the keys of the union, ascending, and at[key] the index
+    of every one of them in points.  The cosets g S are the orbits of right
+    multiplication by S, so min-label propagation along right
     multiplications by generators of S labels each point with the least
     point of its coset.  The given gens lie in S; while they generate less
     than S, which shows as more orbits than the index of S, the least
@@ -177,64 +168,55 @@ def _left_cosets(p, points: np.ndarray, at: np.ndarray, sub_keys, gens):
 # exhaustive enumeration
 # ---------------------------------------------------------------------------
 
-class _Census:
-    """Registry of conjugacy classes with the global conjugate-digest table,
-    which maps the digest of every conjugate r H r^-1 of every known class H
-    to (class id, r), so that each digest hit can be checked."""
+class _Registry:
+    """Conjugacy classes of subgroups, one representative each, numbered in
+    the order they were first added.  A group joins the bucket of its
+    fingerprint tuple (conjugate groups share it, so no other bucket can
+    hold its class) and is tested against each class already there."""
+
+    def __init__(self):
+        self.classes: list[Subgroup] = []
+        self.buckets: dict[tuple, list[int]] = {}
+
+    def add(self, G: Subgroup):
+        """The class of G: (id, is_new)."""
+        bucket = self.buckets.setdefault(G.fingerprint(), [])
+        for cid in bucket:
+            if conjugate_subgroups(self.classes[cid], G):
+                return cid, False
+        bucket.append(len(self.classes))
+        self.classes.append(G)
+        return bucket[-1], True
+
+
+class _Census(_Registry):
+    """The registry of the exhaustive census, which also keeps the
+    normalizer of each class until phase 2 has used it."""
 
     def __init__(self, ctx: _FullContext):
+        super().__init__()
         self.ctx = ctx
-        self.table: dict[bytes, tuple[int, int]] = {}
-        self.class_keys: list[np.ndarray] = []
-        self.class_gens: list[list[int]] = []
-        # the normalizer of each class, which contains the scalars, as a
-        # bit mask over their cosets ctx.mod_scalars; phase 2 drops it
+        # each normalizer as a packed bit mask over ctx.keys
         self.normalizers: list[np.ndarray | None] = []
 
     def normalizer(self, cid: int) -> np.ndarray:
         """Ascending positions in ctx.keys of the normalizer of class cid."""
-        ctx = self.ctx
-        inside = np.unpackbits(self.normalizers[cid],
-                               count=len(ctx.mod_scalars)).view(bool)
-        return np.flatnonzero(inside[ctx.mod_scalars_at[ctx.keys]])
-
-    def lookup(self, sorted_keys: np.ndarray):
-        """Class id of a known conjugate of the subgroup, or None."""
-        found = self.table.get(_digest(sorted_keys))
-        if found is None:
-            return None
-        cid, r = found
-        ctx = self.ctx
-        conj = ctx.conjugates(np.searchsorted(ctx.keys, [r]),
-                              _np_components(ctx.p, self.class_keys[cid]))
-        if not np.array_equal(np.sort(conj[0]), sorted_keys):
-            raise RuntimeError(f"census digest collision with class {cid}")
-        return cid
+        return np.flatnonzero(np.unpackbits(self.normalizers[cid],
+                                            count=len(self.ctx.keys)))
 
     def register(self, sorted_keys: np.ndarray, gens: list[int]):
-        """Record a new class and hash all of its conjugates: (id, is_new)."""
-        found = self.lookup(sorted_keys)
-        if found is not None:
-            return found, False
-        ctx, p = self.ctx, self.ctx.p
-        cid = len(self.class_keys)
-        self.class_keys.append(sorted_keys)
-        self.class_gens.append(list(gens))
-        nkeys = ctx.keys[ctx.normalizer(sorted_keys, gens)]
-        inside = np.zeros(len(ctx.mod_scalars), dtype=bool)
-        inside[ctx.mod_scalars_at[nkeys]] = True
-        self.normalizers.append(np.packbits(inside))
-        # the conjugate r H r^{-1} depends only on the left coset r N(H)
-        _, reps = _left_cosets(p, ctx.mod_scalars, ctx.mod_scalars_at,
-                               nkeys, gens)
-        conj = np.sort(ctx.conjugates(np.searchsorted(ctx.keys, reps),
-                                      _np_components(p, sorted_keys)), axis=1)
-        for r, row in zip(reps.tolist(), conj):
-            entry = self.table.setdefault(_digest(row), (cid, r))
-            if entry != (cid, r):
-                raise RuntimeError(f"census digest collision between classes "
-                                   f"{cid} and {entry[0]}")
-        return cid, True
+        """The class of the group with these sorted keys and generators:
+        (id, is_new).  Generators are normalized as generated_by would, so
+        a cache reload reproduces the census verbatim."""
+        ctx = self.ctx
+        G = Subgroup.from_sorted_keys(ctx.p, sorted_keys,
+                                      generators=sorted({int(g) for g in gens}))
+        cid, is_new = self.add(G)
+        if is_new:
+            inside = np.zeros(len(ctx.keys), dtype=bool)
+            inside[ctx.normalizer(G.elements, G.generators)] = True
+            self.normalizers.append(np.packbits(inside))
+        return cid, is_new
 
 
 def _adjoin(p, hkeys: np.ndarray, hgens: list[int], x: int) -> np.ndarray:
@@ -274,9 +256,9 @@ def _phase1_sl2_classes(ctx: _FullContext, census: _Census) -> None:
     queue = [cid]
     while queue:
         cid = queue.pop(0)
-        hkeys = census.class_keys[cid]
-        hgens = census.class_gens[cid]
-        normalizer = census.normalizer(cid)
+        hkeys = census.classes[cid].elements
+        hgens = list(census.classes[cid].generators)
+        conjugators = ctx.conjugators(census.normalizer(cid))
         pending = _indicator(p, candidates)
         pending[hkeys] = False
         for x in candidates[pending[candidates]].tolist():
@@ -284,7 +266,7 @@ def _phase1_sl2_classes(ctx: _FullContext, census: _Census) -> None:
                 continue
             # <H, n x n^-1> = n <H, x> n^-1 for n in N(H): the whole
             # N(H)-orbit of x gives one class
-            pending[ctx.conjugates(normalizer, unpack(p, x))[:, 0]] = False
+            pending[ctx.conjugates(conjugators, unpack(p, x))[:, 0]] = False
             new_cid, is_new = census.register(_adjoin(p, hkeys, hgens, x),
                                               hgens + [x])
             if is_new:
@@ -294,16 +276,17 @@ def _phase1_sl2_classes(ctx: _FullContext, census: _Census) -> None:
 def _phase2_prime_index_extensions(ctx: _FullContext, census: _Census) -> None:
     """Close the census under prime-index normal extensions."""
     p = ctx.p
-    queue = list(range(len(census.class_keys)))
+    queue = list(range(len(census.classes)))
     while queue:
         cid = queue.pop(0)
-        hkeys = census.class_keys[cid]
-        hgens = census.class_gens[cid]
+        hkeys = census.classes[cid].elements
+        hgens = list(census.classes[cid].generators)
         normalizer = census.normalizer(cid)
         census.normalizers[cid] = None  # read once here
         index = len(normalizer) // len(hkeys)
         if index == 1:
             continue
+        conjugators = ctx.conjugators(normalizer)
         # cosets r H = H r of H in its normalizer, numbered by their minima
         nkeys = ctx.keys[normalizer]
         at = np.zeros(p ** 4, dtype=np.int64)
@@ -333,7 +316,8 @@ def _phase2_prime_index_extensions(ctx: _FullContext, census: _Census) -> None:
                 # n <H, r^k> n^-1 = <H, n r^k n^-1> for n in N(H) and
                 # 0 < k < q: each coset H n r^k n^-1 gives a conjugate class
                 for part in parts[1:]:
-                    conj = ctx.conjugates(normalizer, unpack(p, int(part[0])))
+                    conj = ctx.conjugates(conjugators,
+                                          unpack(p, int(part[0])))
                     todo[coset[at[conj[:, 0]]]] = False
 
 
@@ -342,16 +326,9 @@ def _exhaustive(p: int) -> list[Subgroup]:
     census = _Census(ctx)
     _phase1_sl2_classes(ctx, census)
     _phase2_prime_index_extensions(ctx, census)
-    census.table.clear()  # free the digest table before fingerprinting
-    # generators are normalized exactly as generated_by would, so a cache
-    # reload reproduces the computed census verbatim
-    groups = [Subgroup.from_sorted_keys(p, keys,
-                                        generators=sorted({int(g) for g in gens}))
-              for keys, gens in zip(census.class_keys, census.class_gens)]
     # arrays have no order; as lists the elements compare lexicographically
-    groups.sort(key=lambda G: (G.order, G.fingerprint_id(),
-                               G.elements.tolist()))
-    return groups
+    return sorted(census.classes, key=lambda G: (G.order, G.fingerprint_id(),
+                                                 G.elements.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -412,43 +389,70 @@ def _close_sampled_pair(p: int, x: int, y: int) -> Subgroup:
     return Subgroup.sl2_preimage(p, det_image, gens)
 
 
-def _nullspace_mod(p: int, rows: list[list[int]]) -> list[list[int]]:
-    """Basis of the nullspace of a small matrix over F_p."""
-    ncols = len(rows[0])
-    mat = [[v % p for v in row] for row in rows]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = pow(mat[r][col], -1, p)
-        mat[r] = [v * inv % p for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [(mat[i][j] - f * mat[r][j]) % p for j in range(ncols)]
-        pivots.append(col)
-        r += 1
-    basis = []
-    free = [c for c in range(ncols) if c not in pivots]
-    for fc in free:
-        vec = [0] * ncols
-        vec[fc] = 1
-        for i, pc in enumerate(pivots):
-            vec[pc] = (-mat[i][fc]) % p
-        basis.append(vec)
-    return basis
+# transporter candidates h tried per numpy pass of conjugate_subgroups, one
+# product per candidate and generator: bounds its temporary arrays
+_TRANSPORTER_BLOCK = 1 << 14
+
+
+def _similarity_codes(p: int, comps) -> np.ndarray:
+    """tr p + det of each matrix given by components, and -1 for a scalar:
+    two non-scalar matrices are similar exactly when their codes agree."""
+    a, b, c, d = comps
+    return np.where(_np_is_scalar(comps), -1,
+                    (a + d) % p * p + (a * d - b * c) % p)
+
+
+def _companion_bases(p: int, comps):
+    """P = [v | g v] for each non-scalar g given by components, v the first
+    of e1, e2, e1 + e2 that is not an eigenvector of g (e1 is one when
+    c = 0, e2 when b = 0, and a diagonal non-scalar g has neither), so
+    that P^-1 g P is the companion matrix [[0, -det g], [1, tr g]]."""
+    a, b, c, d = comps
+    v0 = np.where((c != 0) | (b == 0), 1, 0)
+    v1 = np.where(c != 0, 0, 1)
+    return v0, (a * v0 + b * v1) % p, v1, (c * v0 + d * v1) % p
+
+
+def _transporter(H: Subgroup):
+    """What conjugate_subgroups needs of H, non-scalar and without SL2,
+    kept on H: (code, count, conj).  x is a non-scalar element of H whose
+    similarity code is shared by the fewest elements, count of them.  The
+    h with h x h^-1 = y, for y similar to x, are h = P_y M with M =
+    P_x^-1 (alpha + beta x), (alpha : beta) in P^1(F_p) and alpha + beta x
+    invertible, since the centralizer of x is F_p[x]^*.  conj holds the
+    components of M g M^-1, one row per M and one column per generator g
+    of H, so h g h^-1 = P_y (M g M^-1) P_y^-1."""
+    if H._transporter is None:
+        p = H.p
+        codes = _similarity_codes(p, _np_components(p, H.elements))
+        counts = np.bincount(codes[codes >= 0], minlength=p * p)
+        present = np.flatnonzero(counts)
+        code = int(present[np.argmin(counts[present])])
+        x = _np_components(p, H.elements[np.argmax(codes == code)])
+        alpha = np.append(np.ones(p, dtype=np.int64), 0)
+        beta = np.append(np.arange(p), 1)
+        xa, xb, xc, xd = x
+        centralizer = ((alpha + beta * xa) % p, beta * xb % p,
+                       beta * xc % p, (alpha + beta * xd) % p)
+        m = _np_mul(p, _np_inv(p, _companion_bases(p, x)), centralizer)
+        a, b, c, d = m
+        invertible = (a * d - b * c) % p != 0
+        m = tuple(v[invertible, None] for v in m)
+        gens = _np_components(p, np.asarray(H.generators or H.elements,
+                                            dtype=np.int64))
+        conj = _np_mul(p, _np_mul(p, m, gens), _np_inv(p, m))
+        H._transporter = code, int(counts[code]), conj
+    return H._transporter
 
 
 def conjugate_subgroups(H1: Subgroup, H2: Subgroup) -> bool:
     """Exact test: is H2 = h H1 h^{-1} for some h in GL2(F_p)?
 
-    Solves the transporter equation h x = y h for a fixed non-scalar x of
-    H1 against each y of H2 with the same characteristic polynomial; the
-    solution space is two-dimensional, so only p+1 candidates (up to
-    scalars) need checking per y.
+    Fix a non-scalar x of H1 (see _transporter).  A conjugating h takes x
+    to some y of H2 similar to x, so H2 must hold as many of those as H1
+    does, and h is one of the p + 1 solutions up to scalars of
+    h x h^-1 = y for one of them; h H1 h^-1 = H2 exactly when h takes
+    every generator of H1 into H2, the orders being equal.
     """
     if H1.p != H2.p or H1.order != H2.order:
         return False
@@ -457,54 +461,38 @@ def conjugate_subgroups(H1: Subgroup, H2: Subgroup) -> bool:
         # subgroups containing SL2 are normal and determined by det image
         return (H1.contains_sl2 == H2.contains_sl2
                 and H1.det_image == H2.det_image)
-    els1, els2 = H1.elements, H2.elements
-    nonscalar = np.flatnonzero(~_np_is_scalar(_np_components(p, els1)))
-    if not len(nonscalar):
-        return np.array_equal(els1, els2)  # scalar groups: conjugation-fixed
-    xa, xb, xc, xd = unpack(p, int(els1[nonscalar[0]]))
-    gens1 = _np_components(p, np.asarray(H1.generators or els1,
-                                          dtype=np.int64))
-    a, b, c, d = _np_components(p, els2)
-    similar = (((a + d) % p == (xa + xd) % p)
-               & ((a * d - b * c) % p == (xa * xd - xb * xc) % p))
-    # the p+1 solutions (alpha, beta) up to scalars
-    alpha = np.append(np.ones(p, dtype=np.int64), 0)
-    beta = np.append(np.arange(p), 1)
-    for ya, yb, yc, yd in zip(*(v[similar].tolist() for v in (a, b, c, d))):
-        basis = _nullspace_mod(p, [
-            [xa - ya, xc, -yb, 0],
-            [xb, xd - ya, 0, -yb],
-            [-yc, 0, xa - yd, xc],
-            [0, -yc, xb, xd - yd],
-        ])
-        if len(basis) < 2:
-            continue  # y is not similar to x after all
-        b0, b1 = basis[0], basis[1]
-        h = tuple((alpha * b0[i] + beta * b1[i]) % p for i in range(4))
-        invertible = (h[0] * h[3] - h[1] * h[2]) % p != 0
-        h = tuple(v[invertible, None] for v in h)  # one row per h
-        conj = _np_pack(p, _np_mul(p, _np_mul(p, h, gens1), _np_inv(p, h)))
-        if _sorted_member(els2, conj).all(axis=1).any():
+    if np.array_equal(H1.elements, H2.elements):
+        return True  # h = 1
+    if H1.scalar_count == H1.order:
+        return False  # scalar groups are fixed by conjugation
+    code, count, conj = _transporter(H1)
+    els2 = H2.elements
+    comps2 = _np_components(p, els2)
+    ys = np.flatnonzero(_similarity_codes(p, comps2) == code)
+    if len(ys) != count:
+        return False
+    rows, ngens = conj[0].shape
+    step = max(1, _TRANSPORTER_BLOCK // (rows * ngens))
+    for start in range(0, count, step):
+        y = tuple(v[ys[start:start + step], None, None] for v in comps2)
+        basis = _companion_bases(p, y)
+        keys = _np_pack(p, _np_mul(p, _np_mul(p, basis, conj),
+                                   _np_inv(p, basis)))
+        if _sorted_member(els2, keys).all(axis=2).any():
             return True
     return False
 
 
 def _sampled(p: int, count: int, seed: int) -> list[Subgroup]:
     rng = random.Random(seed)
-    found: list[Subgroup] = []
-    by_fp: dict[tuple, list[int]] = {}
+    registry = _Registry()
     for _ in range(count):
         x = _random_invertible(rng, p)
         y = _random_invertible(rng, p)
-        G = _close_sampled_pair(p, x, y)
-        fp = G.fingerprint()
-        bucket = by_fp.setdefault(fp, [])
-        if not any(conjugate_subgroups(found[j], G) for j in bucket):
-            bucket.append(len(found))
-            found.append(G)
-    order = sorted(range(len(found)),
-                   key=lambda i: (found[i].order, found[i].fingerprint_id(), i))
-    return [found[i] for i in order]
+        registry.add(_close_sampled_pair(p, x, y))
+    # stable: classes of equal order and fingerprint keep their order
+    return sorted(registry.classes,
+                  key=lambda G: (G.order, G.fingerprint_id()))
 
 
 # ---------------------------------------------------------------------------

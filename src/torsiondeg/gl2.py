@@ -378,6 +378,7 @@ class Subgroup:
             self.order = p * (p * p - 1) * len(self.det_image)
         self._fingerprint = None
         self._vector_partition = None
+        self._transporter = None  # see _enumeration.conjugate_subgroups
 
     # -- construction -----------------------------------------------------
 
@@ -756,10 +757,12 @@ def _stabilized_conjugate_pair_for_generators(p: int, gen_keys):
 # ---------------------------------------------------------------------------
 
 def vector_orbit_sizes(G: Subgroup) -> list[int]:
-    """Sizes of the orbits of G on F_p^2 minus the origin."""
+    """Sizes of the orbits of G on F_p^2 minus the origin, in the order of
+    vector_orbits."""
     if G.contains_sl2:
         return [G.p * G.p - 1]  # one orbit, see vector_orbits
-    return [len(orbit) for orbit in vector_orbits(G)]
+    _, cuts = _vector_partition(G)
+    return np.diff([0, *cuts, G.p * G.p - 1]).tolist()
 
 
 def _orbit_labels(n: int, images, label=None) -> np.ndarray:
@@ -789,18 +792,14 @@ def _orbit_labels(n: int, images, label=None) -> np.ndarray:
         label = low
 
 
-def vector_orbits(G: Subgroup) -> list[list[tuple[int, int]]]:
-    """Orbits on nonzero vectors, each listed from its lexicographically
-    least member, orbits ordered by that representative.
-
-    Without SL2 the orbits are found once per subgroup, for its
-    fingerprint and for the divisibility check alike; each call lists
-    them afresh."""
-    p = G.p
-    if G.contains_sl2:
-        # SL2 is transitive on nonzero vectors
-        return [list(product(range(p), repeat=2))[1:]]
+def _vector_partition(G: Subgroup):
+    """The nonzero vectors of F_p^2 orbit by orbit as ((xs, ys), cuts): each
+    orbit ascends from its least member, orbits follow their least members,
+    and cuts are the positions where a new orbit starts.  Found once per
+    subgroup without SL2, for its fingerprint and for the divisibility
+    check alike."""
     if G._vector_partition is None:
+        p = G.p
         x, y = np.divmod(np.arange(p * p), p)
         images = [(a * x + b * y) % p * p + (c * x + d * y) % p
                   for a, b, c, d in (unpack(p, g) for g in G.generators)]
@@ -809,7 +808,18 @@ def vector_orbits(G: Subgroup) -> list[list[tuple[int, int]]]:
         order = np.argsort(label, kind="stable")
         cuts = (np.flatnonzero(np.diff(label[order])) + 1).tolist()
         G._vector_partition = np.divmod(order + 1, p), cuts
-    (xs, ys), cuts = G._vector_partition
+    return G._vector_partition
+
+
+def vector_orbits(G: Subgroup) -> list[list[tuple[int, int]]]:
+    """Orbits on nonzero vectors, each listed from its lexicographically
+    least member, orbits ordered by that representative; each call lists
+    them afresh."""
+    p = G.p
+    if G.contains_sl2:
+        # SL2 is transitive on nonzero vectors
+        return [list(product(range(p), repeat=2))[1:]]
+    (xs, ys), cuts = _vector_partition(G)
     vectors = list(zip(xs.tolist(), ys.tolist()))
     return [vectors[i:j] for i, j in zip([0, *cuts], [*cuts, len(vectors)])]
 
@@ -867,8 +877,9 @@ def _projective_type_from_elements(G: Subgroup, q: int) -> ProjectiveType:
             for o, n in enumerate(np.bincount(orders).tolist()) if n}
     if q == 12 and 6 not in hist:
         return ProjectiveType.A4
-    if q == 24 and 4 in hist and _projective_center_trivial(G):
-        # S4 is the only group of order 24 with trivial center
+    if q == 24 and hist == {1: 1, 2: 9, 3: 8, 4: 6}:
+        # the order-24 images are C24, D24 and S4, and the first two are
+        # caught above
         return ProjectiveType.S4
     if q == 60 and hist == {1: 1, 2: 15, 3: 20, 5: 24}:
         return ProjectiveType.A5
@@ -876,26 +887,11 @@ def _projective_type_from_elements(G: Subgroup, q: int) -> ProjectiveType:
 
 
 def _proj_canonical(p: int, keys: np.ndarray) -> np.ndarray:
-    """Least packed key among the scalar multiples of each matrix."""
-    comps = _np_components(p, keys)
-    low = keys
-    for t in range(2, p):
-        low = np.minimum(low, _np_pack(p, tuple(t * v % p for v in comps)))
-    return low
-
-
-def _projective_center_trivial(G: Subgroup) -> bool:
-    """Whether only the scalars of G commute with all of G modulo scalars,
-    that is z g z^-1 g^-1 is scalar for every generator g."""
-    p = G.p
-    z = _np_components(p, G.elements)
-    zi = _np_inv(p, z)
-    central = np.ones(len(G.elements), dtype=bool)
-    for g in G.generators:
-        gc = unpack(p, g)
-        central &= _np_is_scalar(_np_mul(p, _np_mul(p, _np_mul(p, z, gc), zi),
-                                         _np_inv(p, gc)))
-    return int(np.count_nonzero(central)) == G.scalar_count
+    """Least packed key among the scalar multiples of each invertible
+    matrix: the multiple whose first nonzero first-row entry is 1."""
+    a, b, _, _ = comps = _np_components(p, keys)
+    t = _unit_inverses(p)[np.where(a != 0, a, b)]
+    return _np_pack(p, tuple(t * v % p for v in comps))
 
 
 def classify(G: Subgroup) -> DicksonClass:

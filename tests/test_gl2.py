@@ -44,6 +44,7 @@ from conftest import (
     oracle_key_mul,
     oracle_key_pow,
     oracle_line_permutation,
+    oracle_proj_canonical,
     oracle_projective_order,
     oracle_projective_type_from_elements,
     projective_order_histogram,
@@ -164,6 +165,13 @@ def test_projective_orders_match_scalar_powering(p):
 def test_projective_orders_refuse_singular_keys():
     with pytest.raises(ValueError, match="singular"):
         gl2._projective_orders(5, [pack(5, 1, 2, 2, 4)])
+
+
+@pytest.mark.parametrize("p,seeded", [(5, 0), (7, 0), (97, 3000)])
+def test_proj_canonical_matches_least_scalar_multiple(p, seeded):
+    keys = _invertible_keys(p, seeded)
+    assert gl2._proj_canonical(p, keys).tolist() == [
+        oracle_proj_canonical(p, k) for k in keys.tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from torsiondeg import _enumeration
 from torsiondeg.orbits import stabilizer
 from torsiondeg._enumeration import (
     _close_sampled_pair,
-    _nullspace_mod,
+    _companion_bases,
     conjugate_subgroups,
 )
 
@@ -293,7 +293,8 @@ def oracle_phase1(ctx, census):
     queue = [cid]
     while queue:
         cid = queue.pop(0)
-        hkeys, hgens = census.class_keys[cid], census.class_gens[cid]
+        H = census.classes[cid]
+        hkeys, hgens = H.elements, list(H.generators)
         hset = set(hkeys.tolist())
         outside = np.array([k for k in candidates.tolist() if k not in hset],
                            dtype=np.int64)
@@ -315,10 +316,11 @@ def oracle_phase1(ctx, census):
 def oracle_phase2(ctx, census):
     """Phase 2 over every coset representative, no orbit pruning."""
     p = ctx.p
-    queue = list(range(len(census.class_keys)))
+    queue = list(range(len(census.classes)))
     while queue:
         cid = queue.pop(0)
-        hkeys, hgens = census.class_keys[cid], census.class_gens[cid]
+        H = census.classes[cid]
+        hkeys, hgens = H.elements, list(H.generators)
         nkeys = _oracle_normalizer_keys(ctx, hkeys, hgens)
         index = len(nkeys) // len(hkeys)
         if index == 1:
@@ -361,10 +363,10 @@ def test_pruned_phases_match_unpruned_oracle(p):
         phase2(ctx, census)
         runs.append(census)
     oracle, pruned = runs
-    assert pruned.class_gens == oracle.class_gens
-    assert len(pruned.class_keys) == len(oracle.class_keys)
-    for mine, theirs in zip(pruned.class_keys, oracle.class_keys):
-        assert np.array_equal(mine, theirs)
+    assert ([G.generators for G in pruned.classes]
+            == [G.generators for G in oracle.classes])
+    for mine, theirs in zip(pruned.classes, oracle.classes):
+        assert np.array_equal(mine.elements, theirs.elements)
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +408,7 @@ def _subgroups_for_cosets(p):
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_left_cosets_match_brute_partition(p):
-    ctx = _enumeration._FullContext(p)
-    big = ctx.keys
+    big = _enumeration._FullContext(p).keys
     at = np.zeros(p ** 4, dtype=np.int64)
     at[big] = np.arange(len(big))
     for gens, sub in _subgroups_for_cosets(p):
@@ -419,21 +420,6 @@ def test_left_cosets_match_brute_partition(p):
                                                      given)
             assert found.tolist() == reps
             assert coset[at[big]].tolist() == labels
-        # blocks of scalar cosets, as the census registers a normalizer
-        if all(pack(p, t, 0, 0, t) in sub for t in range(1, p)):
-            coset, found = _enumeration._left_cosets(
-                p, ctx.mod_scalars, ctx.mod_scalars_at, sub_keys, gens)
-            assert found.tolist() == reps
-            assert coset[ctx.mod_scalars_at[big]].tolist() == labels
-
-
-def test_scalar_cosets_are_named_by_least_keys():
-    p = 7
-    ctx = _enumeration._FullContext(p)
-    for k in ctx.keys.tolist()[::13]:
-        least = min(oracle_key_mul(p, k, pack(p, t, 0, 0, t))
-                    for t in range(1, p))
-        assert ctx.mod_scalars[ctx.mod_scalars_at[k]] == least
 
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -441,13 +427,15 @@ def test_stored_normalizers_match_fresh_ones(p):
     ctx = _enumeration._FullContext(p)
     census = _enumeration._Census(ctx)
     _enumeration._phase1_sl2_classes(ctx, census)
-    for cid, (keys, gens) in enumerate(zip(census.class_keys,
-                                           census.class_gens)):
+    for cid, G in enumerate(census.classes):
         assert np.array_equal(census.normalizer(cid),
-                              ctx.normalizer(keys, gens))
+                              ctx.normalizer(G.elements, G.generators))
+        assert np.array_equal(ctx.keys[census.normalizer(cid)],
+                              _oracle_normalizer_keys(ctx, G.elements,
+                                                      G.generators))
     # phase 2 reads each once and drops it
     _enumeration._phase2_prime_index_extensions(ctx, census)
-    assert census.normalizers == [None] * len(census.class_keys)
+    assert census.normalizers == [None] * len(census.classes)
 
 
 # sha256 of the report body (canonical JSON) of `enumerate --p P`, which
@@ -468,15 +456,6 @@ def test_enumerate_report_bodies_are_frozen(p, capsys):
     body = json.loads(capsys.readouterr().out)["report"]
     digest = hashlib.sha256(json.dumps(body, sort_keys=True).encode())
     assert digest.hexdigest() == ENUMERATE_BODY_SHA256[p]
-
-
-def test_digest_collision_raises(monkeypatch):
-    # with every subgroup sharing one digest, the first hit names the
-    # trivial group; comparing arrays must expose it instead of dropping
-    # the candidate as a known class
-    monkeypatch.setattr(_enumeration, "_digest", lambda keys: b"same")
-    with pytest.raises(RuntimeError, match="collision"):
-        enumerate_subgroups(5)
 
 
 def test_census_checks_survive_optimized_mode():
@@ -520,15 +499,78 @@ def test_conjugate_subgroups_scalar_groups():
     assert conjugate_subgroups(minus, minus)
 
 
-def test_nullspace_mod_small_cases():
-    basis = _nullspace_mod(5, [[1, 2, 3, 4]])
-    assert len(basis) == 3
-    for v in basis:
-        assert (v[0] + 2 * v[1] + 3 * v[2] + 4 * v[3]) % 5 == 0
-    assert _nullspace_mod(7, [[1, 0], [0, 1]]) == []
-    # rank-1 system in F_3: two free columns
-    basis = _nullspace_mod(3, [[1, 1, 1], [2, 2, 2]])
-    assert len(basis) == 2
+def test_companion_bases_conjugate_to_companion_matrices():
+    p = 5
+    for g in range(p ** 4):
+        a, b, c, d = unpack(p, g)
+        if not key_det(p, g) or (b, c, a) == (0, 0, d):
+            continue
+        basis = pack(p, *(int(v) for v in _companion_bases(p, (a, b, c, d))))
+        assert key_det(p, basis)
+        assert (oracle_key_mul(p, oracle_key_inv(p, basis),
+                               oracle_key_mul(p, g, basis))
+                == pack(p, 0, -(a * d - b * c) % p, 1, (a + d) % p))
+
+
+def _oracle_matmul(p, x, y):
+    a, b, c, d = x
+    e, f, g, h = y
+    return ((a * e + b * g) % p, (a * f + b * h) % p,
+            (c * e + d * g) % p, (c * f + d * h) % p)
+
+
+def brute_conjugate(p, H1, H2):
+    """Whether h H1 h^-1 = H2 for some h, trying every h of GL2(F_p) on
+    every element of H1."""
+    if H1.order != H2.order:
+        return False
+    hs = np.array([k for k in range(p ** 4) if key_det(p, k)])
+    x = tuple(v[None, :] for v in _oracle_comps(p, H1.elements))
+    for start in range(0, len(hs), 256):
+        a, b, c, d = h = _oracle_comps(p, hs[start:start + 256])
+        inv = np.array([pow(int(t), -1, p) for t in (a * d - b * c) % p])
+        hi = (d * inv % p, -b * inv % p, -c * inv % p, a * inv % p)
+        conj = _oracle_matmul(p, _oracle_matmul(
+            p, tuple(v[:, None] for v in h), x), tuple(v[:, None] for v in hi))
+        rows = np.sort(_oracle_keys(p, conj), axis=1)
+        if (rows == H2.elements).all(axis=1).any():
+            return True
+    return False
+
+
+def _random_conjugate(rng, p, G):
+    return G.conjugate(_enumeration._random_invertible(rng, p))
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_conjugate_subgroups_matches_brute_force(p, census5, census7):
+    # seeded pairs of conjugates of classes of one order: conjugate when
+    # both come from one class, and not otherwise
+    census = census5 if p == 5 else census7
+    rng = random.Random(p)
+    small = [G for G in census if G.order <= 96]
+    for _ in range(24):
+        G = rng.choice(small)
+        H = rng.choice([K for K in small if K.order == G.order])
+        A, B = _random_conjugate(rng, p, G), _random_conjugate(rng, p, H)
+        assert conjugate_subgroups(A, B) == (G is H)
+        assert brute_conjugate(p, A, B) == (G is H)
+
+
+def test_conjugate_subgroups_separates_classes_with_one_fingerprint():
+    # at p = 11 six pairs of classes share a fingerprint (none do at 5 or
+    # 7); each class is still told apart from the other's conjugates
+    p = 11
+    rng = random.Random(p)
+    buckets = {}
+    for G in enumerate_subgroups(p):
+        buckets.setdefault(G.fingerprint(), []).append(G)
+    pairs = [bucket for bucket in buckets.values() if len(bucket) > 1]
+    assert len(pairs) == 6 and all(len(pair) == 2 for pair in pairs)
+    for G, H in pairs:
+        B = _random_conjugate(rng, p, H)
+        assert not conjugate_subgroups(G, B) and not brute_conjugate(p, G, B)
+        assert conjugate_subgroups(H, B) and brute_conjugate(p, H, B)
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,24 @@ def test_no_hashlib_import_in_the_package():
     assert found == []
 
 
+def test_one_class_registry_in_the_package():
+    # every census deduplicates by fingerprint buckets and the companion
+    # basis conjugacy test; the conjugate-digest table, the transporter
+    # nullspace, the scalar-coset tables and the projective-center test
+    # are gone, and blake2b names only fingerprints (gl2)
+    banned = ("_digest", "_nullspace_mod", "mod_scalars",
+              "_projective_center_trivial")
+    found = [f"{path.name} {name}" for path in SOURCES
+             for name in banned if name in path.read_text(encoding="utf-8")]
+    assert found == []
+    importers = [path.name
+                 for path in SOURCES
+                 for node in ast.walk(ast.parse(path.read_text("utf-8")))
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 and any(alias.name == "blake2b" for alias in node.names)]
+    assert importers == ["gl2.py"]
+
+
 def test_one_progression_sieve_in_the_package():
     # only families._progression_blocks sieves the progressions t s + 1,
     # so only it takes the primes up to a square root; the density mask

@@ -405,9 +405,15 @@ def test_vector_orbits_are_labelled_once_per_subgroup(monkeypatch):
     label_orbits = gl2._orbit_labels
     monkeypatch.setattr(gl2, "_orbit_labels", counted)
     groups = enumerate_subgroups(5)
+    calls.clear()  # the census labels the orbits of its candidates too
     for G in groups:
+        verify_case_divisibility(G)
+    assert calls == []  # each class kept the labels its fingerprint took
+    fresh = [Subgroup.from_sorted_keys(5, G.elements, G.generators)
+             for G in groups]
+    for G in fresh:
         verify_case_divisibility(G)  # its fingerprint asks for them too
-    assert len(calls) == sum(not G.contains_sl2 for G in groups)
+    assert len(calls) == sum(not G.contains_sl2 for G in fresh)
 
 
 # ---------------------------------------------------------------------------
