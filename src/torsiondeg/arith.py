@@ -25,22 +25,43 @@ __all__ = [
     "primes_upto",
 ]
 
-# Witness set makes Miller-Rabin deterministic for n < 3.3e24, far beyond
-# anything this package computes with.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the first k primes as bases is proven to leave no
+# strong pseudoprime below psi_k (OEIS A014233; Jaeschke, Math. Comp. 61,
+# 1993, and Sorenson and Webster, Math. Comp. 86, 2017): each n takes the
+# shortest prefix of _MR_WITNESSES proven for its size, and n >= psi_13 is
+# refused rather than guessed at.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUNDS = (  # (psi_k, k), ascending
+    (2_047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),  # = psi_8
+    (3_825_123_056_546_413_051, 9),  # = psi_10 = psi_11
+    (318_665_857_834_031_151_167_461, 12),
+    (3_317_044_064_679_887_385_961_981, 13),
+)
 
 
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality for n < psi_13 ~ 3.3e24;
+    ValueError beyond, where no proven witness set is known."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_WITNESSES:
         if n % q == 0:
             return n == q
+    k = next((k for bound, k in _MR_BOUNDS if n < bound), None)
+    if k is None:
+        raise ValueError(f"is_prime is proven only below "
+                         f"{_MR_BOUNDS[-1][0]}, got {n}")
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_WITNESSES[:k]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -9,6 +9,15 @@ reported as rationals; all asymptotic statements in the surrounding
 theory are only ever approximated by such finite-cutoff proxies, and
 reports say so by carrying x.
 
+Counts walk the degrees in blocks.  Every clause is closed under taking
+multiples, so a block is complete once each degree is lifted to the
+maximum over its divisors: one kernel, _spread_block, lifts the degrees
+up to sqrt(x) by a strided pass per marked s, and each later degree d
+also from d / p for every prime p <= sqrt(x), which lies in an earlier,
+finished block.  A density count keeps only the degrees up to x / 2, one
+bit each, since no block reads past that; the budget's int32 table of
+the largest prime shift per degree is lifted by the same kernel.
+
 The main pipeline (b_epsilon_procedure) picks the least shift cutoff C
 whose clause has density at most epsilon/2, converts it to a prime bound
 L = C+1, picks the least exponent N whose union bound sum_{l<=L} l^-N
@@ -25,7 +34,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import groupby, islice
+from operator import itemgetter
 from typing import Callable, Optional
 
 import numpy as np
@@ -42,9 +52,10 @@ from .arith import (
 
 MAX_SIEVE = 2 * 10 ** 8
 
-# Bytes per sieve block and per chunk of a pass over a degree table: the
-# scratch that the prime-shift path holds besides its per-degree tables.
-# The sieving primes it lists stop at one block too: 82,025 primes.
+# Degrees per sieve block and per block of a density count (bytes per
+# chunk of a pass over the int32 table): the scratch that the prime-shift
+# path holds besides the bits of a count or the shift table.  The sieving
+# primes it lists stop at one block too: 82,025 primes.
 _BLOCK = 1 << 20
 MAX_SIEVING_PRIME = _BLOCK
 
@@ -72,8 +83,9 @@ class DivClause:
     def contains(self, d: int) -> bool:
         return d >= 1 and d % self.m == 0
 
-    def mark(self, mask: np.ndarray) -> None:
-        mask[self.m::self.m] = True
+    def mark(self, block: np.ndarray, lo: int) -> None:
+        """Set the members among the degrees [lo, lo + len(block))."""
+        block[-lo % self.m::self.m] = True
 
     def describe(self) -> dict:
         return {"kind": "divisor", "m": self.m}
@@ -101,27 +113,19 @@ class PrimeShiftClause:
         return any(l - 1 > self.C and cd % (l - 1) == 0
                    for l in primes_upto(cd + 1))
 
-    def mark(self, mask: np.ndarray) -> None:
-        """Mark the degrees whose largest prime shift exceeds C.
+    def mark(self, block: np.ndarray, lo: int, progressions) -> None:
+        """Set the least members among the degrees [lo, lo + len(block)),
+        one whole block of _progression_blocks(c, x).
 
-        A degree s with t s + 1 prime and gcd(s, c/t) = 1 for some sieved
-        divisor t with s > C // t is ORed into mask straight from the
-        blocks of _progression_blocks, and those up to sqrt(x) are also
-        kept in a small array; _spread_up then spreads both over their
-        multiples.  The spread reads mask as it stands, which is exact
-        because every clause marks a set closed under taking multiples,
-        so the union marked so far is one too.  No per-degree array is
-        held besides mask, and no shift value is ever formed.
+        progressions are that block's (lo, t, alive) triples.  A degree is
+        a member exactly when it is a multiple of some s with t s + 1
+        prime, gcd(s, c/t) = 1 and t s > C, so marking these s, the
+        survivors past C // t, is enough: density_upto's spread lifts
+        every multiple of a marked degree.  No shift value is formed.
         """
-        x = len(mask) - 1
-        small = np.zeros(math.isqrt(x) + 1, dtype=bool)
-        for lo, t, alive in _progression_blocks(self.c, x):
+        for _, t, alive in progressions:
             start = max(self.C // t + 1, lo)
-            hi = lo + len(alive)
-            mask[start:hi] |= alive[start - lo:]
-            if start < len(small):
-                small[start:hi] |= alive[start - lo:len(small) - lo]
-        _spread_up(mask, small)
+            block[start - lo:] |= alive[start - lo:]
 
     def describe(self) -> dict:
         return {"kind": "prime-shift", "c": self.c, "C": self.C}
@@ -162,11 +166,24 @@ class PrimePowerDivClause:
         top = min(self.L, _int_nth_root(d, self.N))
         return any(d % l ** self.N == 0 for l in primes_upto(top))
 
-    def mark(self, mask: np.ndarray) -> None:
-        top = min(self.L, _int_nth_root(len(mask) - 1, self.N))
-        for l in primes_upto(top):
-            step = l ** self.N
-            mask[step::step] = True
+    def mark(self, block: np.ndarray, lo: int) -> None:
+        """Set the members among the degrees [lo, lo + len(block)): one
+        strided pass per l^N up to 1/64 of the block's length, and the
+        larger l^N, which have at most 64 multiples there each, one
+        multiple apiece per gather."""
+        n = len(block)
+        top = min(self.L, _int_nth_root(lo + n - 1, self.N))
+        steps = primes_array(top) ** self.N
+        few = int(np.searchsorted(steps, n // 64, side="right"))
+        for step in steps[:few].tolist():
+            block[-lo % step::step] = True
+        steps = steps[few:]
+        hits = -lo % steps
+        while len(hits):
+            inside = hits < n
+            hits, steps = hits[inside], steps[inside]
+            block[hits] = True
+            hits += steps
 
     def describe(self) -> dict:
         return {"kind": "prime-power-div", "N": self.N, "L": self.L}
@@ -309,46 +326,88 @@ def _progression_blocks(c: int, x: int):
             yield lo, t, alive
 
 
-def _spread_up(out: np.ndarray, small: np.ndarray) -> None:
-    """Spread maxima over multiples, in place, with x = len(out) - 1 and
-    small of length isqrt(x) + 1: afterwards out[d] is at least small[s]
-    for every s | d with s <= sqrt(x), and at least out[s] for every
-    s | d with s > sqrt(x).
-
-    Each s with small[s] nonzero gets one strided maximum over its
-    multiples, unless some proper divisor t of s has small[t] >= small[s]:
-    the passes over the divisors of s then lift its multiples as far.  The
-    walk up s that finds these s zeroes them in a list copy of small, so
-    small itself is only read.  A multiple k s of a larger s has k <
-    sqrt(x), and is reached from s through the prime powers of k: every
-    prime power q <= sqrt(x) has one pass out[q m] = max(out[q m], out[m])
-    over m > sqrt(x), which reads what the earlier passes wrote.  A pass
-    only copies a value onto a multiple, so the result is exact whenever the
-    answer is nondecreasing along divisibility, as the largest prime shift
-    is, and so the set of degrees where it exceeds C (on booleans the
-    maximum is a logical or).  Passes run in chunks of _BLOCK bytes, so the
-    copy numpy makes of an overlapping operand stays one block.
+def _small_passes(small: np.ndarray) -> list:
+    """(s, small[s]) for each s >= 1 whose multiples need a strided pass
+    of their own, with small the values of the degrees up to sqrt(x)
+    before any spread: small[s] is nonzero, and no proper divisor t of s
+    has small[t] >= small[s], since the pass over t then lifts the
+    multiples of s as far.  The walk up s that finds the others zeroes
+    them in a list copy, so small itself is only read.
     """
-    x = len(out) - 1
-    r = len(small) - 1
-    step = _BLOCK // out.itemsize
     left = small.tolist()
+    r = len(left) - 1
+    passes = []
     for s in range(1, r + 1):
         if left[s]:
+            passes.append((s, left[s]))
             for t in range(2 * s, r + 1, s):
                 if left[t] <= left[s]:
                     left[t] = 0
-            view = out[s::s]
-            np.maximum(view, small[s], out=view)
-    for p in primes_upto(r):
-        q = p
-        while q <= r:
-            n = x // q
-            for lo in range(r + 1, n + 1, step):
-                hi = min(lo + step, n + 1)
-                view = out[q * lo:q * hi:q]
-                np.maximum(view, out[lo:hi], out=view)
-            q *= p
+    return passes
+
+
+def _degree_blocks(lo: int, hi: int, r: int):
+    """Yield the spread blocks [D, E), E <= 2 D, that tile the degrees
+    of [lo, hi) past r: the sieve blocks of _BLOCK degrees after the
+    first come whole, and the first is cut into blocks doubling from
+    r + 1."""
+    D = max(lo, r + 1)
+    while D < hi:
+        E = min(2 * D, hi)
+        yield D, E
+        D = E
+
+
+def _spread_block(block: np.ndarray, lo: int, r: int, passes, primes,
+                  load) -> None:
+    """Lift each degree d in [lo, hi), hi = lo + len(block), to the
+    maximum over the divisors of d, in place; block holds the values at
+    those degrees before any spread.
+
+    passes are the _small_passes of the degrees up to r = isqrt(x):
+    each is one strided maximum over its multiples in the block.  primes
+    are the primes up to r, ascending, and load(a, b) returns the lifted
+    values at the degrees [a, b); each prime p is one strided maximum
+    that lifts every multiple d = p m in the block from m.  Either may be
+    empty: the degrees up to r take passes alone, and so may a whole
+    table whose blocks then take primes alone.
+
+    Past r, blocks with r < lo and hi <= 2 lo, in ascending order, are
+    exact.  Every d / p <= d / 2 lies in an earlier block, so it is
+    lifted already.  A divisor e > r of d <= x has d / e < r + 1, so d
+    reaches e through primes up to r, and prime powers need no passes of
+    their own.  A divisor e <= r is reached by the pass over e or over a
+    divisor of e at least as large.  A pass only copies a value onto a
+    multiple, so the result is exact whenever the answer is
+    nondecreasing along divisibility, as the largest prime shift is, and
+    so the set of degrees where it exceeds C (on booleans the maximum is
+    a logical or).
+    """
+    hi = lo + len(block)
+    for s, value in passes:
+        view = block[-lo % s::s]
+        np.maximum(view, value, out=view)
+    for p in primes:
+        b = (hi - 1) // p + 1  # d = p m for m in [a, b)
+        if b <= r + 1:
+            break  # the passes cover every m <= r, and p only grows
+        a = max(-(-lo // p), r + 1)
+        if a < b:
+            view = block[p * a - lo::p]
+            np.maximum(view, load(a, b), out=view)
+
+
+def _put_bits(bits: np.ndarray, d: int, values: np.ndarray) -> None:
+    """OR values into the degrees [d, d + len(values)) of bits, where
+    degree e is bit e - 1 in np.packbits order."""
+    i = d - 1
+    head = min(-i % 8, len(values))  # the bits up to a byte boundary
+    if head:
+        bits[i // 8] |= np.packbits(values[:head])[0] >> i % 8
+    if len(values) > head:
+        packed = np.packbits(values[head:])
+        j = (i + head) // 8
+        bits[j:j + len(packed)] |= packed
 
 
 @lru_cache(maxsize=1)
@@ -356,12 +415,16 @@ def _max_prime_shift(c: int, x: int) -> np.ndarray:
     """Read-only int32 array where entry d holds the largest l-1 over
     primes l with (l-1) | c d, or 0 if there is none.
 
-    Only the cutoff search needs the values.  Each block of
-    _progression_blocks writes its divisor t at the degrees s it keeps
-    alive; the divisors ascend, so the last write is the largest.  The
-    entries are multiplied by s in place, chunk by chunk, and spread with
-    _spread_up.  The shifts t s reach c x, so c x + 1 is bounded by
-    MAX_SIEVE < 2^31.  The last call is cached (4 MB at x = 10^6).
+    Only the cutoff search and the budget's recount need the values, and
+    both read the whole table.  Each block of _progression_blocks writes
+    its divisor t at the degrees s it keeps alive; the divisors ascend,
+    so the last write is the largest.  The entries are multiplied by s in
+    place, chunk by chunk, and lifted over divisors by _spread_block:
+    the passes of the degrees up to sqrt(x) over the whole table at once,
+    then the primes over each block of _degree_blocks, reading the
+    finished table itself.  The shifts t s reach c x, so c x + 1 is
+    bounded by MAX_SIEVE < 2^31.  The last call is cached (4 MB at
+    x = 10^6).
     """
     if c * x + 1 > MAX_SIEVE:
         raise ValueError(
@@ -375,26 +438,86 @@ def _max_prime_shift(c: int, x: int) -> np.ndarray:
     for lo in range(0, x + 1, step):
         block = arr[lo:lo + step]
         block *= np.arange(lo, lo + len(block), dtype=np.int32)
-    _spread_up(arr, arr[:math.isqrt(x) + 1].copy())
+    r = math.isqrt(x)
+    passes = _small_passes(arr[:r + 1])
+    _spread_block(arr[1:], 1, r, passes, (), None)  # the whole table at once
+    primes = primes_upto(r)
+    for lo in range(1, x + 1, _BLOCK):
+        for D, E in _degree_blocks(lo, min(lo + _BLOCK, x + 1), r):
+            _spread_block(arr[D:E], D, r, (), primes, lambda a, b: arr[a:b])
     arr.setflags(write=False)
     return arr
 
 
 def density_upto(spec: IntegerSetSpec, x: int) -> DensityReport:
-    """Exact count of members of the union in [1, x], by sieve."""
+    """Exact count of members of the union in [1, x], block by block.
+
+    Each sieve block of _BLOCK degrees first takes the least members of
+    every prime-shift clause from _progression_blocks.  The degrees up
+    to r = isqrt(x) come first: every other clause marks them, and their
+    _small_passes lift them.  Past r, each block of _degree_blocks takes
+    every other clause's marks and is lifted by _spread_block, then
+    counted.  Every clause is closed under taking multiples, so the
+    union is too, and the lift (a logical or along divisibility) makes
+    it whole.  The spread reads no degree past x / 2, so only [1, x / 2]
+    is kept, one bit per degree in np.packbits order (bit d - 1 for the
+    degree d): x / 16 bytes, besides the one block of the count and the
+    progression sieve's own.
+    """
     if x < 1:
         raise ValueError("the cutoff must be a positive integer")
     if x > MAX_SIEVE:
         raise ValueError(
-            f"density sieve would need a mask of {x + 1} degrees; "
-            f"the supported bound is {MAX_SIEVE}")
+            f"a density count to x = {x} would keep {(x // 2 + 7) // 8} "
+            f"bytes of bits for the degrees up to x / 2, besides blocks of "
+            f"{_BLOCK} degrees; the supported bound is x <= {MAX_SIEVE}")
     for clause in spec.clauses:
         if isinstance(clause, PrimeShiftClause):
-            _sieving_root(clause.c, x)  # refused before the mask is made
-    mask = np.zeros(x + 1, dtype=bool)
-    for clause in spec.clauses:
-        clause.mark(mask)
-    return DensityReport(x, int(mask[1:].sum()))
+            _sieving_root(clause.c, x)  # refused before anything is made
+    r = math.isqrt(x)
+    half = x // 2
+    bits = np.zeros((half + 7) // 8, dtype=np.uint8)
+
+    def load(a, b):
+        i = a - 1
+        return np.unpackbits(bits[i // 8:(b + 6) // 8])[
+            i % 8:i % 8 + b - a].view(bool)
+
+    marks = [clause for clause in spec.clauses
+             if not isinstance(clause, PrimeShiftClause)]
+    shifts = [(clause, groupby(_progression_blocks(clause.c, x),
+                               key=itemgetter(0)))
+              for clause in spec.clauses
+              if isinstance(clause, PrimeShiftClause)]
+    small = np.zeros(r + 1, dtype=bool)
+    for clause in marks:
+        clause.mark(small[1:], 1)
+    primes = primes_upto(r)
+    scratch = np.empty(min(_BLOCK, x), dtype=bool)
+    count = 0
+    for lo in range(1, x + 1, _BLOCK):
+        hi = min(lo + _BLOCK, x + 1)
+        sieved = scratch[:hi - lo]
+        sieved.fill(False)
+        for clause, blocks in shifts:
+            clause.mark(sieved, lo, next(blocks)[1])
+        if lo <= r:
+            top = min(hi, r + 1)
+            small[lo:top] |= sieved[:top - lo]
+            if top == r + 1:  # the degrees up to r are all marked
+                passes = _small_passes(small)
+                _spread_block(small[1:], 1, r, passes, (), None)
+                count += int(np.count_nonzero(small))
+                _put_bits(bits, 1, small[1:half + 1])
+        for D, E in _degree_blocks(lo, hi, r):
+            block = sieved[D - lo:E - lo]
+            for clause in marks:
+                clause.mark(block, D)
+            _spread_block(block, D, r, passes, primes, load)
+            count += int(np.count_nonzero(block))
+            if D <= half:
+                _put_bits(bits, D, block[:half + 1 - D])
+    return DensityReport(x, count)
 
 
 def erdos_wagstaff_set(c: int, C: int, x: int):
@@ -412,8 +535,8 @@ def find_cutoff_C(epsilon, c: int, x: int) -> int:
     the (K+1)-th largest value of the per-degree maximal shift is the
     answer (0 when everything fits).  The table is read one chunk of
     _BLOCK bytes at a time, and after each chunk np.partition keeps the
-    K+1 largest values seen without sorting them, so the table is never
-    copied whole.
+    K+1 largest values seen without sorting them; the check of the count
+    reads the same chunks, so the table is never copied whole.
     """
     eps = Fraction(epsilon)
     if not 0 < eps <= 1:
@@ -434,7 +557,8 @@ def find_cutoff_C(epsilon, c: int, x: int) -> int:
             top[:n].partition(k - 1)
             n = k
     C = -int(top[:k].max())
-    count = int((ms[1:] > C).sum())
+    count = sum(int(np.count_nonzero(ms[lo:lo + step] > C))
+                for lo in range(1, x + 1, step))
     if Fraction(count, x) > eps:  # pragma: no cover - defensive
         raise RuntimeError(
             f"no cutoff reaches density {eps} at x={x}; "
@@ -688,9 +812,13 @@ def b_epsilon_procedure(profile: FamilyProfile, epsilon,
     shift = PrimeShiftClause(profile.p2_c, C)
     power = PrimePowerDivClause(N, L)
     excluded = IntegerSetSpec((shift, power))
-    mask = _max_prime_shift(shift.c, x) > shift.C
-    power.mark(mask)
-    report = DensityReport(x, int(mask[1:].sum()))
+    table = _max_prime_shift(shift.c, x)
+    count = 0
+    for lo in range(1, x + 1, _BLOCK):
+        block = table[lo:lo + _BLOCK] > shift.C
+        power.mark(block, lo)
+        count += int(np.count_nonzero(block))
+    report = DensityReport(x, count)
     if report.density > eps:  # pragma: no cover - defensive
         raise RuntimeError(
             f"certificate violated: excluded density {report.density} "

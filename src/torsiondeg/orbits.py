@@ -187,9 +187,11 @@ def _pointwise_stabilizers(N: Subgroup) -> list[np.ndarray]:
 def _all_subgroups_of(p: int, keys: np.ndarray) -> list[frozenset[int]]:
     """Every subgroup of the (tiny) group given by its sorted element keys.
 
-    Each known subgroup S = <gens> is extended by every element g outside
-    it and <gens, g> is closed; the group's Cayley table is built once, so
-    a closure follows table entries and does no matrix arithmetic.
+    Each known subgroup S = <gens> is extended by one element g of each
+    right coset S g other than S, and <gens, g> is closed: <S, s g> =
+    <S, g> for every s in S, so the rest of the coset adds nothing.  The
+    group's Cayley table is built once, so a closure follows table
+    entries and does no matrix arithmetic.
     """
     comps = _np_components(p, keys)
     products = _np_pack(p, _np_mul(p, tuple(v[:, None] for v in comps),
@@ -221,7 +223,10 @@ def _all_subgroups_of(p: int, keys: np.ndarray) -> list[frozenset[int]]:
     while frontier:
         new = []
         for S in frontier:
-            for g in everything - S:
+            outside = everything - S
+            while outside:
+                g = min(outside)
+                outside -= {table[h][g] for h in S}  # the coset S g
                 gens = gens_of[S] + [g]
                 T = close(gens)
                 if T not in gens_of:

@@ -207,7 +207,7 @@ def oracle_perm_closure_capped(gens, limit):
 
 # ---------------------------------------------------------------------------
 # divisor spreads with a separate value table: the reference for the
-# in-place kernel families._spread_up
+# block-major kernel families._spread_block
 # ---------------------------------------------------------------------------
 
 def oracle_spread_max(out, v):

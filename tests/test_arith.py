@@ -79,6 +79,31 @@ def test_is_prime_matches_trial_division(n):
     assert arith.is_prime(n) == brute
 
 
+# OEIS A014233: psi_k is the least odd composite that is a strong
+# pseudoprime to each of the first k prime bases
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 341550071728321, 3825123056546413051,
+        3825123056546413051, 3825123056546413051,
+        318665857834031151167461, 3317044064679887385961981)
+
+
+def test_is_prime_rejects_or_refuses_every_psi_of_a014233():
+    assert _PSI[11] == 399165290221 * 798330580441
+    assert _PSI[12] == 1287836182261 * 2575672364521
+    for psi in _PSI[:12]:
+        assert not arith.is_prime(psi), psi
+    # no proven witness set reaches psi_13, so the answer is refused
+    with pytest.raises(ValueError, match=str(_PSI[12])):
+        arith.is_prime(_PSI[12])
+    assert arith.is_prime(2 ** 61 - 1) and not arith.is_prime(2 ** 62 - 1)
+
+
+def test_is_prime_matches_the_sieve():
+    sieve = arith.prime_sieve(2 * 10 ** 5)
+    assert [n for n in range(len(sieve)) if arith.is_prime(n)] == [
+        n for n in range(len(sieve)) if sieve[n]]
+
+
 def test_factorize_roundtrip():
     for n in list(range(1, 500)) + [2**10 * 3**4 * 97, 10**12 + 39]:
         prod = 1

@@ -38,8 +38,10 @@ from torsiondeg.families import (
     _PrimesUpTo,
     _int_nth_root,
     _max_prime_shift,
+    _degree_blocks,
     _progression_blocks,
-    _spread_up,
+    _small_passes,
+    _spread_block,
     _tail_within,
 )
 
@@ -295,6 +297,55 @@ def test_blocked_density_matches_naive_membership(tiny_blocks, c, C):
     assert density_upto(spec, x).count == naive
 
 
+def spread_table(out):
+    """Lift the whole table out over divisors, in place, the way
+    density_upto walks its blocks: the degrees up to isqrt(x) by their
+    passes, then each block of _degree_blocks, ascending, by the passes
+    and the primes."""
+    x = len(out) - 1
+    r = math.isqrt(x)
+    passes = _small_passes(out[:r + 1])
+    _spread_block(out[1:r + 1], 1, r, passes, (), None)
+    primes = arith.primes_upto(r)
+    for lo in range(1, x + 1, families._BLOCK):
+        for D, E in _degree_blocks(lo, min(lo + families._BLOCK, x + 1), r):
+            _spread_block(out[D:E], D, r, passes, primes,
+                          lambda a, b: out[a:b])
+
+
+def oracle_membership(spec, x):
+    """Membership over the degrees [0, x]: IntegerSetSpec.contains for
+    the divisor and prime-power clauses, full_sieve_max_shift for the
+    prime-shift ones (whose contains tries every prime up to c d + 1)."""
+    member = np.zeros(x + 1, dtype=bool)
+    for clause in spec.clauses:
+        if isinstance(clause, PrimeShiftClause):
+            member |= full_sieve_max_shift(clause.c, x) > clause.C
+        else:
+            member[1:] |= [clause.contains(d) for d in range(1, x + 1)]
+    return member
+
+
+@pytest.mark.parametrize("spec", [
+    IntegerSetSpec((DivClause(11), PrimeShiftClause(2, 150),
+                    PrimeShiftClause(12, 900), PrimePowerDivClause(2, 40))),
+    IntegerSetSpec((PrimeShiftClause(1, 30), PrimeShiftClause(6, 2000),
+                    PrimePowerDivClause(3, 12), DivClause(64))),
+])
+def test_blocked_density_of_two_prime_shifts_matches_the_oracles(
+        tiny_blocks, spec):
+    # x and x / 2 each land on the last degree of a block, on the first
+    # and mid-block, at both parities of x
+    ends = [k * tiny_blocks + e for k in (600 // tiny_blocks,
+                                          1250 // tiny_blocks)
+            for e in (0, 1, tiny_blocks // 2)]
+    xs = sorted(set(ends + [2 * y for y in ends] + [2 * y + 1 for y in ends]
+                    + list(range(1, 40))))
+    member = oracle_membership(spec, xs[-1])
+    for x in xs:
+        assert density_upto(spec, x).count == member[:x + 1].sum(), x
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=600),
        st.sampled_from([bool, np.int32]),
@@ -309,8 +360,8 @@ def test_spread_up_matches_the_two_array_oracle(x, dtype, block, seed):
         vals[0] = 0  # degrees start at 1
         return vals.astype(dtype)
 
-    # a set closed under multiples already in out, as earlier clauses
-    # leave the mask
+    # values already closed under multiples, with new values to spread
+    # over them
     base = np.zeros(x + 1, dtype=dtype)
     oracle_spread_max(base, sparse(0.01))
     v = sparse(0.05)
@@ -319,8 +370,34 @@ def test_spread_up_matches_the_two_array_oracle(x, dtype, block, seed):
     out = np.maximum(base, v)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(families, "_BLOCK", block)
-        _spread_up(out, v[:math.isqrt(x) + 1].copy())
+        spread_table(out)
     assert np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("block", [5, 64, 1 << 20])
+def test_spread_up_lifts_every_multiple_of_one_degree(block, monkeypatch):
+    # one nonzero degree s past the root: its multiple k s is reached only
+    # through the primes of k <= isqrt(x), and a block past the root reads
+    # its last prime from m = r + 1 alone
+    monkeypatch.setattr(families, "_BLOCK", block)
+    for x in range(2, 700):
+        r = math.isqrt(x)
+        for s in {r + 1, x // 3, x // 2} - set(range(r + 1)):
+            out = np.zeros(x + 1, dtype=np.int32)
+            out[s] = 7
+            spread_table(out)
+            assert np.flatnonzero(out).tolist() == list(
+                range(s, x + 1, s)), (x, s)
+
+
+def test_degree_blocks_tile_past_the_root():
+    for x, block in ((10 ** 7, 1 << 20), (1500, 5), (1500, 64), (3, 5)):
+        r = math.isqrt(x)
+        spans = [span for lo in range(1, x + 1, block)
+                 for span in _degree_blocks(lo, min(lo + block, x + 1), r)]
+        assert [D for D, _ in spans] == [r + 1] + [E for _, E in spans[:-1]]
+        assert spans == [] or spans[-1][1] == x + 1
+        assert all(D < E <= 2 * D for D, E in spans)
 
 
 def _spread_keeps_multiples_above_their_divisor(seed):
@@ -340,7 +417,7 @@ def _spread_keeps_multiples_above_their_divisor(seed):
     expected = np.zeros_like(v)
     oracle_spread_max(expected, v)
     out = v.copy()
-    _spread_up(out, v[:r + 1].copy())
+    spread_table(out)
     assert np.array_equal(out, expected)
 
 
@@ -531,20 +608,21 @@ def _traced_density_peak(spec, x):
 
 
 def test_prime_shift_density_memory_per_degree():
-    # the mask is the only per-degree array, one byte per degree; the
-    # sieve block is a fixed 1 MB, so the peaks at two cutoffs past one
-    # block are compared
+    # the bits of [1, x / 2] are the only per-degree array, 1/16 byte per
+    # degree; the sieve blocks are a fixed 1 MB each, so the peaks at two
+    # cutoffs past one block are compared
     spec = IntegerSetSpec((PrimeShiftClause(6, 4762),))
     low, high = (_traced_density_peak(spec, x)
                  for x in (4 * 10 ** 6, 8 * 10 ** 6))
-    assert (high - low) / (4 * 10 ** 6) <= 1.25
+    assert (high - low) / (4 * 10 ** 6) <= 0.25
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="reads the peak from /proc/self/status")
 def test_density_cli_prime_shift_peak_per_degree(tmp_path):
-    # the peak of x = 10^7 over that of x = 10^3 is what the degree mask
-    # costs, 1 byte per degree or 10 MB, plus one 1 MB sieve block
+    # the peak of x = 10^7 over that of x = 10^3 is what the degree bits
+    # cost, 1/16 byte per degree or 0.6 MB, plus the 1 MB blocks of the
+    # count and of the progression sieve
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"clauses": [
         {"kind": "prime-shift", "c": 6, "C": 4762}]}), encoding="utf-8")
@@ -553,7 +631,7 @@ def test_density_cli_prime_shift_peak_per_degree(tmp_path):
         out = _density_cli_with_peak(path, x)
         assert out.returncode == 0, out.stderr
         peaks.append(int(out.stderr.strip().splitlines()[-1]))
-    assert peaks[0] - peaks[1] < 14 * 1024  # kB
+    assert peaks[0] - peaks[1] < 6 * 1024  # kB
 
 
 # ---------------------------------------------------------------------------

@@ -57,14 +57,17 @@ def test_one_line_action_kernel_in_the_package():
 
 
 def test_one_spread_kernel_in_the_package():
-    # the budget and density paths share the in-place families._spread_up;
-    # the two-array _spread_max lives only in the test oracles
+    # the budget and density paths share the block-major
+    # families._spread_block; the whole-table _spread_up is gone and the
+    # two-array _spread_max lives only in the test oracles
     defined = [f"{path.name} {node.name}"
                for path in SOURCES
                for node in ast.walk(ast.parse(path.read_text("utf-8")))
                if isinstance(node, ast.FunctionDef)
                and node.name.startswith("_spread")]
-    assert defined == ["families.py _spread_up"]
+    assert defined == ["families.py _spread_block"]
+    assert not any("_spread_up" in path.read_text(encoding="utf-8")
+                   for path in SOURCES)
 
 
 def test_no_hashlib_import_in_the_package():
