@@ -14,9 +14,9 @@ multiples, so a block is complete once each degree is lifted to the
 maximum over its divisors: one kernel, _spread_block, lifts the degrees
 up to sqrt(x) by a strided pass per marked s, and each later degree d
 also from d / p for every prime p <= sqrt(x), which lies in an earlier,
-finished block.  A density count keeps only the degrees up to x / 2, one
-bit each, since no block reads past that; the budget's int32 table of
-the largest prime shift per degree is lifted by the same kernel.
+finished block.  A walk keeps only the degrees up to x / 2, since no
+block reads past that: a density count one bit each, and the budget's
+cutoff search one uint8 code of the largest prime shift each.
 
 The main pipeline (b_epsilon_procedure) picks the least shift cutoff C
 whose clause has density at most epsilon/2, converts it to a prime bound
@@ -33,7 +33,6 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import lru_cache
 from itertools import groupby, islice
 from operator import itemgetter
 from typing import Callable, Optional
@@ -52,12 +51,17 @@ from .arith import (
 
 MAX_SIEVE = 2 * 10 ** 8
 
-# Degrees per sieve block and per block of a density count (bytes per
-# chunk of a pass over the int32 table): the scratch that the prime-shift
-# path holds besides the bits of a count or the shift table.  The sieving
-# primes it lists stop at one block too: 82,025 primes.
+# Degrees per sieve block and per block of a walk: the scratch that the
+# prime-shift path holds besides the bits of a count or the codes of the
+# cutoff search.  The sieving primes it lists stop at one block too:
+# 82,025 primes.
 _BLOCK = 1 << 20
 MAX_SIEVING_PRIME = _BLOCK
+
+# The cutoff search's codes are uint8, and it histograms them this many
+# degrees at a time.
+_CODES = 256
+_CHUNK = 1 << 15
 
 # Budget products over every prime up to L get genuinely astronomical (L
 # can reach 10^8 for tight epsilon), so materialization is capped and the
@@ -115,17 +119,16 @@ class PrimeShiftClause:
 
     def mark(self, block: np.ndarray, lo: int, progressions) -> None:
         """Set the least members among the degrees [lo, lo + len(block)),
-        one whole block of _progression_blocks(c, x).
+        one whole block of _progression_blocks(c, x, C).
 
-        progressions are that block's (lo, t, alive) triples.  A degree is
-        a member exactly when it is a multiple of some s with t s + 1
-        prime, gcd(s, c/t) = 1 and t s > C, so marking these s, the
-        survivors past C // t, is enough: density_upto's spread lifts
-        every multiple of a marked degree.  No shift value is formed.
+        progressions are that block's (lo, t, alive) triples, sieved only
+        past the floor C.  A degree is a member exactly when it is a
+        multiple of some s with t s + 1 prime, gcd(s, c/t) = 1 and t s > C,
+        so marking these s is enough: density_upto's spread lifts every
+        multiple of a marked degree.  No shift value is formed.
         """
-        for _, t, alive in progressions:
-            start = max(self.C // t + 1, lo)
-            block[start - lo:] |= alive[start - lo:]
+        for _, _, alive in progressions:
+            block |= alive
 
     def describe(self) -> dict:
         return {"kind": "prime-shift", "c": self.c, "C": self.C}
@@ -166,14 +169,21 @@ class PrimePowerDivClause:
         top = min(self.L, _int_nth_root(d, self.N))
         return any(d % l ** self.N == 0 for l in primes_upto(top))
 
-    def mark(self, block: np.ndarray, lo: int) -> None:
-        """Set the members among the degrees [lo, lo + len(block)): one
-        strided pass per l^N up to 1/64 of the block's length, and the
-        larger l^N, which have at most 64 multiples there each, one
-        multiple apiece per gather."""
+    def steps(self, x: int) -> np.ndarray:
+        """The l^N of a walk to x, ascending: the primes up to
+        min(L, x^(1/N)), sieved once for every block."""
+        steps = primes_array(min(self.L, _int_nth_root(x, self.N)))
+        steps **= self.N
+        return steps
+
+    def mark(self, block: np.ndarray, lo: int, steps: np.ndarray) -> None:
+        """Set the members among the degrees [lo, lo + len(block)), steps
+        the walk's steps(x), of which this block reads the prefix up to
+        its last degree: one strided pass per l^N up to 1/64 of the
+        block's length, and the larger l^N, which have at most 64
+        multiples there each, one multiple apiece per gather."""
         n = len(block)
-        top = min(self.L, _int_nth_root(lo + n - 1, self.N))
-        steps = primes_array(top) ** self.N
+        steps = steps[:np.searchsorted(steps, lo + n - 1, side="right")]
         few = int(np.searchsorted(steps, n // 64, side="right"))
         for step in steps[:few].tolist():
             block[-lo % step::step] = True
@@ -290,11 +300,12 @@ def _sieving_root(c: int, x: int) -> int:
     return root
 
 
-def _progression_blocks(c: int, x: int):
+def _progression_blocks(c: int, x: int, floor: int = 0):
     """Yield (lo, t, alive) for each block of _BLOCK degrees s in
     [lo, lo + len(alive)) and, within it, each sieved divisor t of c in
-    ascending order: alive[s - lo] says that gcd(s, c/t) = 1 and t s + 1
-    is prime.  alive is one scratch array, refilled for the next yield.
+    ascending order: alive[s - lo] says that t s > floor, gcd(s, c/t) = 1
+    and t s + 1 is prime.  alive is one scratch array, refilled for the
+    next yield, and only its part past floor // t is sieved.
 
     A prime l with (l-1) | c d is l = t s + 1 for exactly one divisor
     t = gcd(l-1, c) of c and one s | d with gcd(s, c/t) = 1.  For even c
@@ -304,25 +315,30 @@ def _progression_blocks(c: int, x: int):
     the primes up to sqrt(t x + 1), each prime's first multiple in the
     block computed afresh.
     """
-    sieved = [t for t in divisors(c) if c % 2 or t % 2 == 0]
+    sieved = [(t, [q for q, _ in factorize(c // t)]) for t in divisors(c)
+              if c % 2 or t % 2 == 0]
     sieving = primes_array(_sieving_root(c, x)).tolist()
     scratch = np.empty(min(_BLOCK, x), dtype=bool)
     for lo in range(1, x + 1, _BLOCK):
         hi = min(lo + _BLOCK, x + 1)  # the block is s in [lo, hi)
         alive = scratch[:hi - lo]
-        for t in sieved:
-            alive.fill(True)
-            for q, _ in factorize(c // t):
-                alive[-lo % q::q] = False  # gcd(s, c/t) = 1
-            for q in sieving:
-                if q * q > t * (hi - 1) + 1:
-                    break
-                if t % q == 0:
-                    continue  # t s + 1 is 1 mod q
-                start = (-pow(t, -1, q) - lo) % q  # t s + 1 = 0 mod q
-                if t * (lo + start) + 1 == q:
-                    start += q  # q itself is prime
-                alive[start::q] = False
+        for t, coprime in sieved:
+            first = max(lo, floor // t + 1)  # the least s sieved
+            alive[:first - lo] = False
+            if first < hi:
+                part = alive[first - lo:]
+                part.fill(True)
+                for q in coprime:
+                    part[-first % q::q] = False  # gcd(s, c/t) = 1
+                for q in sieving:
+                    if q * q > t * (hi - 1) + 1:
+                        break
+                    if t % q == 0:
+                        continue  # t s + 1 is 1 mod q
+                    start = (-pow(t, -1, q) - first) % q  # t s + 1 = 0 mod q
+                    if t * (first + start) + 1 == q:
+                        start += q  # q itself is prime
+                    part[start::q] = False
             yield lo, t, alive
 
 
@@ -410,114 +426,104 @@ def _put_bits(bits: np.ndarray, d: int, values: np.ndarray) -> None:
         bits[j:j + len(packed)] |= packed
 
 
-@lru_cache(maxsize=1)
-def _max_prime_shift(c: int, x: int) -> np.ndarray:
-    """Read-only int32 array where entry d holds the largest l-1 over
-    primes l with (l-1) | c d, or 0 if there is none.
-
-    Only the cutoff search and the budget's recount need the values, and
-    both read the whole table.  Each block of _progression_blocks writes
-    its divisor t at the degrees s it keeps alive; the divisors ascend,
-    so the last write is the largest.  The entries are multiplied by s in
-    place, chunk by chunk, and lifted over divisors by _spread_block:
-    the passes of the degrees up to sqrt(x) over the whole table at once,
-    then the primes over each block of _degree_blocks, reading the
-    finished table itself.  The shifts t s reach c x, so c x + 1 is
-    bounded by MAX_SIEVE < 2^31.  The last call is cached (4 MB at
-    x = 10^6).
-    """
-    if c * x + 1 > MAX_SIEVE:
+def _check_walk(x: int, multipliers) -> None:
+    """Refuse a walk over the degrees [1, x] that sieves the prime shifts
+    of each c in multipliers, before anything is allocated: x is capped
+    at MAX_SIEVE, and each c by its sieving primes (_sieving_root)."""
+    if x < 1:
+        raise ValueError("the cutoff must be a positive integer")
+    if x > MAX_SIEVE:
         raise ValueError(
-            f"prime shifts at c = {c}, x = {x} reach c x = {c * x}; the "
-            f"supported bound of the int32 shift table is "
-            f"c x + 1 <= {MAX_SIEVE}")
-    arr = np.zeros(x + 1, dtype=np.int32)
-    for lo, t, alive in _progression_blocks(c, x):
-        arr[lo:lo + len(alive)][alive] = t
-    step = _BLOCK // arr.itemsize
-    for lo in range(0, x + 1, step):
-        block = arr[lo:lo + step]
-        block *= np.arange(lo, lo + len(block), dtype=np.int32)
+            f"a walk to x = {x} would keep the degrees up to x / 2, "
+            f"besides blocks of {_BLOCK} degrees; the supported bound is "
+            f"x <= MAX_SIEVE = {MAX_SIEVE}")
+    for c in multipliers:
+        _sieving_root(c, x)
+
+
+def _lifted_blocks(x: int, dtype, fill, keep, load):
+    """Yield the degrees [1, x] as ascending blocks of values, each
+    degree lifted to the maximum over its divisors.
+
+    fill(block, lo) writes the values of the sieve block of _BLOCK
+    degrees [lo, lo + len(block)) before any spread.  The degrees up to
+    r = isqrt(x) come first, in one block lifted by their _small_passes;
+    past r, each block of _degree_blocks is lifted by _spread_block.  The
+    spread reads no degree past x / 2, so only those degrees of a lifted
+    block go to keep(d, values), values being the degrees
+    [d, d + len(values)), and load(a, b) returns the kept values of the
+    degrees [a, b).  A yielded block is scratch, refilled for the next.
+    """
     r = math.isqrt(x)
-    passes = _small_passes(arr[:r + 1])
-    _spread_block(arr[1:], 1, r, passes, (), None)  # the whole table at once
+    half = x // 2
+    small = np.zeros(r + 1, dtype=dtype)
     primes = primes_upto(r)
+    scratch = np.empty(min(_BLOCK, x), dtype=dtype)
     for lo in range(1, x + 1, _BLOCK):
-        for D, E in _degree_blocks(lo, min(lo + _BLOCK, x + 1), r):
-            _spread_block(arr[D:E], D, r, (), primes, lambda a, b: arr[a:b])
-    arr.setflags(write=False)
-    return arr
+        hi = min(lo + _BLOCK, x + 1)
+        sieved = scratch[:hi - lo]
+        fill(sieved, lo)
+        if lo <= r:
+            top = min(hi, r + 1)
+            small[lo:top] = sieved[:top - lo]
+            if top == r + 1:  # the degrees up to r are all filled
+                passes = _small_passes(small)
+                _spread_block(small[1:], 1, r, passes, (), None)
+                keep(1, small[1:half + 1])
+                yield small[1:]
+        for D, E in _degree_blocks(lo, hi, r):
+            block = sieved[D - lo:E - lo]
+            _spread_block(block, D, r, passes, primes, load)
+            if D <= half:
+                keep(D, block[:half + 1 - D])
+            yield block
 
 
 def density_upto(spec: IntegerSetSpec, x: int) -> DensityReport:
     """Exact count of members of the union in [1, x], block by block.
 
-    Each sieve block of _BLOCK degrees first takes the least members of
-    every prime-shift clause from _progression_blocks.  The degrees up
-    to r = isqrt(x) come first: every other clause marks them, and their
-    _small_passes lift them.  Past r, each block of _degree_blocks takes
-    every other clause's marks and is lifted by _spread_block, then
-    counted.  Every clause is closed under taking multiples, so the
-    union is too, and the lift (a logical or along divisibility) makes
-    it whole.  The spread reads no degree past x / 2, so only [1, x / 2]
-    is kept, one bit per degree in np.packbits order (bit d - 1 for the
+    _lifted_blocks walks the degrees.  Each sieve block takes the least
+    members of every prime-shift clause, from _progression_blocks sieved
+    past its C, and every member of the other clauses; a prime-power
+    clause sieves its primes once for the walk (steps).  Every clause is
+    closed under taking multiples, so the union is too, and the lift (a
+    logical or along divisibility) makes it whole.  Only [1, x / 2] is
+    kept, one bit per degree in np.packbits order (bit d - 1 for the
     degree d): x / 16 bytes, besides the one block of the count and the
     progression sieve's own.
     """
-    if x < 1:
-        raise ValueError("the cutoff must be a positive integer")
-    if x > MAX_SIEVE:
-        raise ValueError(
-            f"a density count to x = {x} would keep {(x // 2 + 7) // 8} "
-            f"bytes of bits for the degrees up to x / 2, besides blocks of "
-            f"{_BLOCK} degrees; the supported bound is x <= {MAX_SIEVE}")
-    for clause in spec.clauses:
-        if isinstance(clause, PrimeShiftClause):
-            _sieving_root(clause.c, x)  # refused before anything is made
-    r = math.isqrt(x)
-    half = x // 2
-    bits = np.zeros((half + 7) // 8, dtype=np.uint8)
+    _check_walk(x, [clause.c for clause in spec.clauses
+                    if isinstance(clause, PrimeShiftClause)])
+    bits = np.zeros((x // 2 + 7) // 8, dtype=np.uint8)
 
     def load(a, b):
         i = a - 1
         return np.unpackbits(bits[i // 8:(b + 6) // 8])[
             i % 8:i % 8 + b - a].view(bool)
 
-    marks = [clause for clause in spec.clauses
-             if not isinstance(clause, PrimeShiftClause)]
-    shifts = [(clause, groupby(_progression_blocks(clause.c, x),
+    shifts = [(clause, groupby(_progression_blocks(clause.c, x, clause.C),
                                key=itemgetter(0)))
               for clause in spec.clauses
               if isinstance(clause, PrimeShiftClause)]
-    small = np.zeros(r + 1, dtype=bool)
-    for clause in marks:
-        clause.mark(small[1:], 1)
-    primes = primes_upto(r)
-    scratch = np.empty(min(_BLOCK, x), dtype=bool)
-    count = 0
-    for lo in range(1, x + 1, _BLOCK):
-        hi = min(lo + _BLOCK, x + 1)
-        sieved = scratch[:hi - lo]
-        sieved.fill(False)
+    powers = [(clause, clause.steps(x)) for clause in spec.clauses
+              if isinstance(clause, PrimePowerDivClause)]
+    divs = [clause for clause in spec.clauses
+            if isinstance(clause, DivClause)]
+
+    def fill(block, lo):
+        block.fill(False)
         for clause, blocks in shifts:
-            clause.mark(sieved, lo, next(blocks)[1])
-        if lo <= r:
-            top = min(hi, r + 1)
-            small[lo:top] |= sieved[:top - lo]
-            if top == r + 1:  # the degrees up to r are all marked
-                passes = _small_passes(small)
-                _spread_block(small[1:], 1, r, passes, (), None)
-                count += int(np.count_nonzero(small))
-                _put_bits(bits, 1, small[1:half + 1])
-        for D, E in _degree_blocks(lo, hi, r):
-            block = sieved[D - lo:E - lo]
-            for clause in marks:
-                clause.mark(block, D)
-            _spread_block(block, D, r, passes, primes, load)
-            count += int(np.count_nonzero(block))
-            if D <= half:
-                _put_bits(bits, D, block[:half + 1 - D])
-    return DensityReport(x, count)
+            clause.mark(block, lo, next(blocks)[1])
+        for clause, steps in powers:
+            clause.mark(block, lo, steps)
+        for clause in divs:
+            clause.mark(block, lo)
+
+    blocks = _lifted_blocks(x, bool, fill,
+                            lambda d, values: _put_bits(bits, d, values),
+                            load)
+    return DensityReport(x, sum(int(np.count_nonzero(block))
+                                for block in blocks))
 
 
 def erdos_wagstaff_set(c: int, C: int, x: int):
@@ -527,43 +533,90 @@ def erdos_wagstaff_set(c: int, C: int, x: int):
     return spec, density_upto(spec, x)
 
 
+def _code_histogram(c: int, x: int, floor: int, width: int) -> np.ndarray:
+    """The number of degrees d in [1, x] at each code q(M(d)), M(d) the
+    largest l - 1 over the primes l with (l-1) | c d: q(v) = 0 for
+    v <= floor, else min(1 + (v - floor - 1) // width, _CODES - 1).
+
+    The blocks of _progression_blocks(c, x, floor) sieve only the s with
+    t s > floor.  For each divisor t, q(t s) is constant on runs of s, so
+    each run takes q(t s) at its alive s by one maximum, the shifts
+    formed as Python integers at the ends of the runs; an s with no shift
+    past the floor keeps 0.  q is nondecreasing, so q(M(d)) is the
+    maximum of q over the shifts of the divisors of d, and _lifted_blocks
+    lifts the codes exactly, keeping x / 2 bytes of them.  np.bincount
+    casts to int64, so it takes _CHUNK degrees at a time.
+    """
+    codes = np.zeros(x // 2 + 1, dtype=np.uint8)
+    blocks = groupby(_progression_blocks(c, x, floor), key=itemgetter(0))
+
+    def fill(block, lo):
+        block.fill(0)
+        hi = lo + len(block)
+        for _, t, alive in next(blocks)[1]:
+            s = max(lo, floor // t + 1)  # the least s with t s > floor
+            while s < hi:  # one run [s, end) of s per code k of t s
+                k = min((t * s - floor - 1) // width + 1, _CODES - 1)
+                end = hi if k == _CODES - 1 else min(
+                    hi, (floor + k * width) // t + 1)
+                run = alive[s - lo:end - lo].view(np.uint8)
+                run *= k  # alive is scratch, refilled for the next t
+                view = block[s - lo:end - lo]
+                np.maximum(view, run, out=view)
+                s = end
+
+    def keep(d, values):
+        codes[d:d + len(values)] = values
+
+    hist = np.zeros(_CODES, dtype=np.int64)
+    for block in _lifted_blocks(x, np.uint8, fill, keep,
+                                lambda a, b: codes[a:b]):
+        for j in range(0, len(block), _CHUNK):
+            hist += np.bincount(block[j:j + _CHUNK], minlength=_CODES)
+    return hist
+
+
 def find_cutoff_C(epsilon, c: int, x: int) -> int:
     """Least C >= 0 whose prime-shift clause has density at most epsilon
     within [1, x].
 
-    Order statistics give it directly: with K the largest allowed count,
-    the (K+1)-th largest value of the per-degree maximal shift is the
-    answer (0 when everything fits).  The table is read one chunk of
-    _BLOCK bytes at a time, and after each chunk np.partition keeps the
-    K+1 largest values seen without sorting them; the check of the count
-    reads the same chunks, so the table is never copied whole.
+    With K the largest allowed count, C is the (K+1)-th largest M(d),
+    the largest l - 1 over the primes l with (l-1) | c d (0 when
+    everything fits), and no table of M is formed.  C lies in a bracket
+    (floor, ceiling], at first (0, c x]: l = 2 gives M(d) >= 1.  Each pass
+    of _code_histogram counts the degrees by a nondecreasing code of
+    their M in _CODES - 1 = 255 buckets of the bracket, and the bucket
+    that holds the (K+1)-th largest is the next bracket, until it is one
+    value wide.  Each pass keeps x / 2 bytes of codes; at c = 144,
+    x = 10^6 there are 4 passes, and later ones sieve only past their
+    floor.
+
+    A budget built on C is exact on [1, x]: this, its shift half, holds
+    only there, since C grows with x and the same clause is denser past
+    x, while its power half (b_epsilon_procedure) holds at every x.
     """
     eps = Fraction(epsilon)
     if not 0 < eps <= 1:
         raise ValueError("epsilon must lie in (0, 1]")
-    ms = _max_prime_shift(c, x)
+    _check_walk(x, (c,))
     allowed = int(eps * x)  # floor; count <= allowed <=> density <= eps
     if allowed >= x:
         return 0
-    k = allowed + 1
-    step = _BLOCK // ms.itemsize
-    top = np.empty(min(k + step, x), dtype=ms.dtype)  # negated: kept first
-    n = 0
-    for lo in range(1, x + 1, step):
-        chunk = ms[lo:lo + step]
-        np.negative(chunk, out=top[n:n + len(chunk)])
-        n += len(chunk)
-        if n > k:
-            top[:n].partition(k - 1)
-            n = k
-    C = -int(top[:k].max())
-    count = sum(int(np.count_nonzero(ms[lo:lo + step] > C))
-                for lo in range(1, x + 1, step))
-    if Fraction(count, x) > eps:  # pragma: no cover - defensive
-        raise RuntimeError(
-            f"no cutoff reaches density {eps} at x={x}; "
-            f"smallest achievable count is {count}")
-    return C
+    floor, ceiling = 0, c * x
+    while ceiling - floor > 1:
+        width = -(-(ceiling - floor) // (_CODES - 1))
+        hist = _code_histogram(c, x, floor, width).tolist()
+        above = 0
+        for k in range(_CODES - 1, 0, -1):
+            above += hist[k]
+            if above > allowed:
+                break
+        else:  # pragma: no cover - defensive
+            raise RuntimeError(
+                f"the cutoff left its bracket ({floor}, {ceiling}]")
+        floor, ceiling = (floor + (k - 1) * width,
+                          min(ceiling, floor + k * width))
+    return ceiling
 
 
 # ---------------------------------------------------------------------------
@@ -766,9 +819,12 @@ def b_epsilon_procedure(profile: FamilyProfile, epsilon,
     half buys the exponent N via the union bound over l <= L.  The
     profile then forces p^N | degree beyond exponent n_l at each prime,
     so every surviving torsion order divides prod l^(n_l - 1), and B is
-    one more than that.  The excluded set's density is recounted from the
-    shift table C was chosen from, so it checks only the prime-power half
-    afresh (the tests recount it all), and must honor the certificate.
+    one more than that.  The excluded set's density is recounted by
+    density_upto, a walk that does not depend on the cutoff search, and
+    must honor the certificate.  The certificate is exact on [1, x]: its
+    shift half holds only there, since C grows with x and the same clause
+    is denser past it, while its power half, the union bound
+    #{d <= y : l^N | d, l <= L} <= y sum_{l<=L} l^-N, holds at every y.
 
     The budget integer is only materialized within the caps
     PRODUCT_PRIME_CAP (primes below L) and PRODUCT_DIGIT_CAP (estimated
@@ -812,13 +868,7 @@ def b_epsilon_procedure(profile: FamilyProfile, epsilon,
     shift = PrimeShiftClause(profile.p2_c, C)
     power = PrimePowerDivClause(N, L)
     excluded = IntegerSetSpec((shift, power))
-    table = _max_prime_shift(shift.c, x)
-    count = 0
-    for lo in range(1, x + 1, _BLOCK):
-        block = table[lo:lo + _BLOCK] > shift.C
-        power.mark(block, lo)
-        count += int(np.count_nonzero(block))
-    report = DensityReport(x, count)
+    report = density_upto(excluded, x)
     if report.density > eps:  # pragma: no cover - defensive
         raise RuntimeError(
             f"certificate violated: excluded density {report.density} "

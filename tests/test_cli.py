@@ -567,13 +567,17 @@ def test_bepsilon_rejections(capsys, tmp_path):
     assert code == 2 and "p1_rule kind" in err
 
 
-def test_bepsilon_beyond_the_shift_table_is_refused(capsys):
-    # c = 144 at g = 1, so c x = 1.44e9 would pass the int32 shift table
+def test_bepsilon_past_its_bounds_is_refused(capsys):
+    # x is capped at MAX_SIEVE; at g = 2, c(2) x + 1 = 5e15 at x = 10^4
+    # would sieve by the primes up to 7e7
     code, out, err = run(capsys, ["bepsilon", "--cm-g", "1",
-                                  "--epsilon", "1/2", "--x", "10000000"])
+                                  "--epsilon", "1/2", "--x", "200000001"])
     assert code == 2 and out == ""
-    assert "supported bound" in err and "1440000000" in err
-    assert "int32" in err and "all primes" not in err
+    assert "supported bound" in err and "MAX_SIEVE" in err
+    code, out, err = run(capsys, ["bepsilon", "--cm-g", "2",
+                                  "--epsilon", "1/2", "--x", "10000"])
+    assert code == 2 and out == ""
+    assert "supported bound" in err and "sieving primes" in err
 
 
 # the last line of stderr lists which of the audited modules are loaded

@@ -37,7 +37,6 @@ from torsiondeg.families import (
     spec_from_dict,
     _PrimesUpTo,
     _int_nth_root,
-    _max_prime_shift,
     _degree_blocks,
     _progression_blocks,
     _small_passes,
@@ -48,11 +47,8 @@ from torsiondeg.families import (
 
 def brute_max_shift(c, d):
     """Largest l-1 over primes l with (l-1) | c*d, else 0."""
-    best = 0
-    for e in arith.divisors(c * d):
-        if arith.is_prime(e + 1):
-            best = max(best, e)
-    return best
+    return next((e for e in reversed(arith.divisors(c * d))
+                 if arith.is_prime(e + 1)), 0)
 
 
 def brute_owner(c, s):
@@ -63,17 +59,30 @@ def brute_owner(c, s):
                default=0)
 
 
-def progression_owners(c, x):
+def progression_owners(c, x, floor=0):
     """Per degree s, the largest t that _progression_blocks keeps alive
     at s, else 0; the divisors must ascend within each block."""
     owner = [0] * (x + 1)
     last = None
-    for lo, t, alive in _progression_blocks(c, x):
+    for lo, t, alive in _progression_blocks(c, x, floor):
         assert last is None or last[0] != lo or last[1] < t
         last = (lo, t)
         for s in (lo + np.flatnonzero(alive)).tolist():
             owner[s] = max(owner[s], t)
     return owner
+
+
+def max_shift_table(c, x):
+    """The largest prime shift of each degree up to x (0 at degree 0) from
+    the kernels of the cutoff search, on whole values: each block of
+    _progression_blocks writes t s at the s it keeps alive, the divisors
+    ascending, and spread_table lifts the table over divisors."""
+    table = np.zeros(x + 1, dtype=np.int64)
+    for lo, t, alive in _progression_blocks(c, x):
+        s = lo + np.flatnonzero(alive)
+        table[s] = t * s
+    spread_table(table)
+    return table
 
 
 def full_sieve_max_shift(c, x):
@@ -207,7 +216,7 @@ def test_density_report_validation():
 
 def test_max_prime_shift_against_divisor_brute():
     for c in (1, 2, 3):
-        ms = _max_prime_shift(c, 200)
+        ms = max_shift_table(c, 200)
         for d in range(1, 201):
             assert ms[d] == brute_max_shift(c, d), (c, d)
 
@@ -215,7 +224,7 @@ def test_max_prime_shift_against_divisor_brute():
 @pytest.mark.parametrize("c", list(range(1, 13)) + [24, 144, 720])
 def test_max_prime_shift_progressions_against_divisor_brute(c):
     x = 2000
-    ms = _max_prime_shift(c, x)
+    ms = max_shift_table(c, x)
     assert ms[0] == 0
     assert [int(v) for v in ms[1:]] == [brute_max_shift(c, d)
                                         for d in range(1, x + 1)]
@@ -225,7 +234,7 @@ def test_max_prime_shift_progressions_against_divisor_brute(c):
 @given(st.integers(min_value=1, max_value=1000),
        st.integers(min_value=0, max_value=400))
 def test_max_prime_shift_random_against_oracles(c, x):
-    ms = _max_prime_shift(c, x)
+    ms = max_shift_table(c, x)
     assert np.array_equal(ms, full_sieve_max_shift(c, x))
     for d in range(1, x + 1, max(1, x // 7)):
         assert ms[d] == brute_max_shift(c, d), (c, d)
@@ -233,7 +242,7 @@ def test_max_prime_shift_random_against_oracles(c, x):
 
 @pytest.mark.parametrize("c,x", [(144, 2 * 10 ** 4), (6, 10 ** 5)])
 def test_max_prime_shift_equals_full_sieve_loop(c, x):
-    assert np.array_equal(_max_prime_shift(c, x), full_sieve_max_shift(c, x))
+    assert np.array_equal(max_shift_table(c, x), full_sieve_max_shift(c, x))
 
 
 @pytest.mark.parametrize("c", [6, 144])
@@ -249,25 +258,26 @@ def test_prime_shift_table_widens_past_255_divisors():
     assert len(arith.divisors(c)) == 256
     assert progression_owners(c, 10) == [0] + [
         brute_owner(c, s) for s in range(1, 11)]
-    assert _max_prime_shift(c, 10).tolist() == [0] + [
+    assert max_shift_table(c, 10).tolist() == [0] + [
         brute_max_shift(c, d) for d in range(1, 11)]
 
 
 @pytest.fixture(params=[5, 64])
 def tiny_blocks(request, monkeypatch):
-    """Sieve blocks and pass chunks of a few bytes, so that small x
-    crosses many of them; the cached table is rebuilt on both sides."""
+    """Sieve blocks of a few degrees, so that small x crosses many of
+    them."""
     monkeypatch.setattr(families, "_BLOCK", request.param)
-    _max_prime_shift.cache_clear()
-    yield request.param
-    _max_prime_shift.cache_clear()
+    return request.param
 
 
 @pytest.mark.parametrize("c", [1, 2, 6, 35, 144])
 def test_blocked_sieve_matches_the_owner_scan(tiny_blocks, c):
     x = 1200
-    assert progression_owners(c, x) == [0] + [
-        brute_owner(c, s) for s in range(1, x + 1)]
+    owners = [0] + [brute_owner(c, s) for s in range(1, x + 1)]
+    # past a floor only the s with t s > floor are sieved and kept
+    for floor in (0, 7, c * x // 3, c * x - 1):
+        assert progression_owners(c, x, floor) == [
+            t if t * s > floor else 0 for s, t in enumerate(owners)], floor
 
 
 def test_blocked_sieve_keeps_a_prime_modulus_in_a_later_block(tiny_blocks):
@@ -285,7 +295,7 @@ def test_blocked_sieve_keeps_a_prime_modulus_in_a_later_block(tiny_blocks):
 @pytest.mark.parametrize("c,x", [(1, 0), (6, 1), (6, 2), (6, 3000),
                                  (144, 3000), (35, 2500)])
 def test_blocked_max_prime_shift_matches_the_full_sieve(tiny_blocks, c, x):
-    assert np.array_equal(_max_prime_shift(c, x), full_sieve_max_shift(c, x))
+    assert np.array_equal(max_shift_table(c, x), full_sieve_max_shift(c, x))
 
 
 @pytest.mark.parametrize("c,C", [(1, 3), (6, 40), (12, 300), (144, 2000)])
@@ -432,16 +442,6 @@ def test_blocked_spread_up_keeps_a_multiple_above_its_divisor(tiny_blocks):
         _spread_keeps_multiples_above_their_divisor(seed)
 
 
-def test_max_prime_shift_cache_is_bounded_and_read_only():
-    _max_prime_shift(6, 500)
-    arr = _max_prime_shift(144, 700)
-    assert _max_prime_shift.cache_info().currsize <= 1
-    assert not arr.flags.writeable
-    assert _max_prime_shift(144, 700) is arr
-    with pytest.raises(ValueError):
-        arr[1] = 0
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=1000),
        st.integers(min_value=0, max_value=3000),
@@ -449,7 +449,7 @@ def test_max_prime_shift_cache_is_bounded_and_read_only():
 @example(6, 4762, 10 ** 5)
 @example(144, 5000, 10 ** 5)
 def test_prime_shift_threshold_matches_max_table(c, C, x):
-    expected = int((_max_prime_shift(c, x)[1:] > C).sum())
+    expected = int((max_shift_table(c, x)[1:] > C).sum())
     spec = IntegerSetSpec((PrimeShiftClause(c, C),))
     assert density_upto(spec, x).count == expected
     assert erdos_wagstaff_set(c, C, x)[1].count == expected
@@ -502,19 +502,30 @@ def test_density_rejects_bad_cutoff():
 
 
 def test_sieve_size_guard():
-    with pytest.raises(ValueError, match="supported bound"):
-        _max_prime_shift(10 ** 6, 10 ** 6)
+    # the cutoff search refuses x past MAX_SIEVE, and sieving primes past
+    # MAX_SIEVING_PRIME, before it allocates anything
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="MAX_SIEVE"):
+            find_cutoff_C(Fraction(1, 2), 1, MAX_SIEVE + 1)
+        with pytest.raises(ValueError, match="sieving primes"):
+            find_cutoff_C(Fraction(1, 2), 10 ** 7, 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_prime_shift_density_past_the_int32_table():
-    # c x = 2.16e8 passes the int32 table of the cutoff search, which
-    # refuses it, but the density path forms no shift value
-    c, x = 720720, 300
-    assert c * x + 1 > MAX_SIEVE
-    with pytest.raises(ValueError, match="int32"):
-        _max_prime_shift(c, x)
+    # c x = 2.16e9 passes 2^31: the cutoff search forms its shifts as
+    # integers of one run at a time, and the density path forms none
+    c, x = 720720, 3000
+    assert c * x > 2 ** 31
     shifts = sorted(brute_max_shift(c, d) for d in range(1, x + 1))
-    for C in (0, shifts[75], shifts[150], shifts[225], shifts[290]):
+    for eps in (Fraction(1, 2), Fraction(1, 10), Fraction(1, 100),
+                Fraction(1, x)):
+        assert find_cutoff_C(eps, c, x) == shifts[x - 1 - int(eps * x)], eps
+    for C in (0, shifts[750], shifts[1500], shifts[2250], shifts[2900]):
         spec = IntegerSetSpec((PrimeShiftClause(c, C),))
         assert density_upto(spec, x).count == sum(v > C for v in shifts), C
 
@@ -597,11 +608,11 @@ def test_density_cli_rejects_huge_sieving_primes_before_allocating(tmp_path):
     assert int(peak_kb) < 100 * 1024  # kB
 
 
-def _traced_density_peak(spec, x):
+def _traced_peak(call, *args):
     # numpy reports its buffers to tracemalloc, so the peak is exact
     tracemalloc.start()
     try:
-        density_upto(spec, x)
+        call(*args)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -612,9 +623,18 @@ def test_prime_shift_density_memory_per_degree():
     # degree; the sieve blocks are a fixed 1 MB each, so the peaks at two
     # cutoffs past one block are compared
     spec = IntegerSetSpec((PrimeShiftClause(6, 4762),))
-    low, high = (_traced_density_peak(spec, x)
+    low, high = (_traced_peak(density_upto, spec, x)
                  for x in (4 * 10 ** 6, 8 * 10 ** 6))
     assert (high - low) / (4 * 10 ** 6) <= 0.25
+
+
+def test_cutoff_search_memory_per_degree():
+    # the uint8 codes of [1, x / 2] are the only per-degree array, 1/2
+    # byte per degree; the blocks are a fixed 1 MB each, so the peaks at
+    # two cutoffs past one block are compared
+    low, high = (_traced_peak(find_cutoff_C, Fraction(1, 4), 6, x)
+                 for x in (2 ** 21, 2 ** 22))
+    assert (high - low) / 2 ** 21 <= 1.5
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -734,19 +754,46 @@ def sorted_cutoff(epsilon, c, x):
     return int(np.sort(full_sieve_max_shift(c, x)[1:])[x - 1 - allowed])
 
 
+def epsilons(x):
+    return (1, Fraction(1, 2), Fraction(1, 10), Fraction(1, 100),
+            Fraction(1, x), Fraction(x - 1, x))
+
+
 @pytest.mark.parametrize("c,x", [(1, 2000), (6, 3000), (144, 2500)])
 def test_find_cutoff_matches_sorted_order_statistic(c, x):
-    for eps in (1, Fraction(1, 2), Fraction(1, 10), Fraction(1, 100),
-                Fraction(1, x), Fraction(x - 1, x)):
+    for eps in epsilons(x):
         assert find_cutoff_C(eps, c, x) == sorted_cutoff(eps, c, x), eps
 
 
 @pytest.mark.parametrize("c,x", [(6, 3000), (144, 2500)])
 def test_blocked_find_cutoff_matches_sorted_order_statistic(tiny_blocks, c,
                                                             x):
-    for eps in (Fraction(1, 2), Fraction(1, 10), Fraction(1, x),
-                Fraction(x - 1, x)):
+    for eps in epsilons(x):
         assert find_cutoff_C(eps, c, x) == sorted_cutoff(eps, c, x), eps
+
+
+@pytest.mark.parametrize("block,c,x", [(5, 6, 3000), (64, 6, 3000),
+                                       (64, 144, 2500), (1 << 20, 144, 2500)])
+def test_find_cutoff_in_three_codes_matches_sorted_order_statistic(
+        monkeypatch, block, c, x):
+    # two codes per bracket besides 0: each pass only halves it, so the
+    # search refines over about log2(c x) passes
+    monkeypatch.setattr(families, "_BLOCK", block)
+    monkeypatch.setattr(families, "_CODES", 3)
+    passes = []
+    histogram = families._code_histogram
+    monkeypatch.setattr(families, "_code_histogram",
+                        lambda *args: passes.append(args) or histogram(*args))
+    for eps in epsilons(x)[1:]:
+        passes.clear()
+        assert find_cutoff_C(eps, c, x) == sorted_cutoff(eps, c, x), eps
+        assert len(passes) >= 10, eps
+
+
+def test_find_cutoff_at_ten_million():
+    # the budget at g = 1, x = 10^7 and epsilon = 1/2 spends epsilon / 2
+    # on the shift half; c x = 1.44e9 is past 2^31
+    assert find_cutoff_C(Fraction(1, 4), 144, 10 ** 7) == 302_217_360
 
 
 def test_find_cutoff_rejects_bad_epsilon():

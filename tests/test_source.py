@@ -70,6 +70,13 @@ def test_one_spread_kernel_in_the_package():
                    for path in SOURCES)
 
 
+def test_no_shift_table_in_the_package():
+    # the cutoff search walks uint8 codes of the largest prime shift over
+    # the blocks of families._lifted_blocks; no table of shifts is kept
+    assert not any("_max_prime_shift" in path.read_text(encoding="utf-8")
+                   for path in SOURCES)
+
+
 def test_no_hashlib_import_in_the_package():
     # importing hashlib maps OpenSSL's libcrypto; the package takes the
     # same blake2b from _blake2
