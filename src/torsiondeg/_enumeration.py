@@ -31,6 +31,8 @@ compared by the exact test `conjugate_subgroups` with each class already
 in that bucket; it is a new class only if none of them is conjugate to it.
 The test solves the transporter equation h x h^-1 = y on companion
 bases, and the data it needs of the class side is computed once per class.
+N(H), which both phases read, is the transporter of H to itself, and
+`normalizer` finds it with the same candidate test (`_transports`).
 
 Sampled mode draws seeded random generator pairs.  A pair that visibly
 preserves a line, an unordered pair of lines, or a Galois-conjugate pair
@@ -68,9 +70,11 @@ from .gl2 import (
     _orbit_labels,
     _right_mul,
     _row_table,
+    _sl2_keys,
     _sorted_member,
     _stabilized_conjugate_pair_for_generators,
     _stabilized_line_pair,
+    gl2_full,
     key_det,
     pack,
     unpack,
@@ -81,52 +85,156 @@ SAMPLED_PRIME_LIMIT = 97
 
 
 # ---------------------------------------------------------------------------
-# vectorized arithmetic over the whole group
+# conjugation: the transporter, conjugacy and normalizers
 # ---------------------------------------------------------------------------
 
-class _FullContext:
-    """Componentwise numpy arrays for every element of GL2(F_p)."""
+# transporter candidates h tried per numpy pass of _transports, one product
+# per candidate and generator: bounds its temporary arrays
+_TRANSPORTER_BLOCK = 1 << 14
 
-    def __init__(self, p: int):
-        self.p = p
-        idx = np.arange(p ** 4, dtype=np.int64)
-        a, b, c, d = _np_components(p, idx)
-        keep = (a * d - b * c) % p != 0
-        self.keys = idx[keep]  # ascending
-        # int32 is exact for p < 215
-        self.comps = tuple(v[keep].astype(np.int32) for v in (a, b, c, d))
-        self.inverse = tuple(v.astype(np.int32)
-                             for v in _np_inv(p, self.comps))
 
-    def conjugators(self, sel) -> tuple:
-        """The components of n and of n^-1 for n = keys[sel], as columns:
-        gathered once for any number of calls to conjugates."""
-        return tuple(v[sel][:, None] for v in self.comps + self.inverse)
+def _similarity_codes(p: int, comps) -> np.ndarray:
+    """tr p + det of each matrix given by components, and -1 for a scalar:
+    two non-scalar matrices are similar exactly when their codes agree."""
+    a, b, c, d = comps
+    return np.where(_np_is_scalar(comps), -1,
+                    (a + d) % p * p + (a * d - b * c) % p)
 
-    def conjugates(self, n, x) -> np.ndarray:
-        """Keys of n x n^-1, one row per conjugator n of self.conjugators,
-        one column per x (x is given by its components, as ints or 1-D
-        arrays)."""
-        p = self.p
-        a, b, c, d, ia, ib, ic, id_ = n
-        # below p^4 throughout: int32, like the components, for p < 215
-        xa, xb, xc, xd = (np.asarray(v, dtype=_key_dtype(p)) for v in x)
-        # t = n x stays unreduced, so u = t n^-1 takes four reductions
-        ta, tb = a * xa + b * xc, a * xb + b * xd
-        tc, td = c * xa + d * xc, c * xb + d * xd
-        return _np_pack(p, ((ta * ia + tb * ic) % p, (ta * ib + tb * id_) % p,
-                            (tc * ia + td * ic) % p, (tc * ib + td * id_) % p))
 
-    def normalizer(self, sub_keys: np.ndarray, gens) -> np.ndarray:
-        """Ascending positions in self.keys of {n : n<gens>n^-1 in sub}."""
-        inside = _indicator(self.p, sub_keys)
-        pos = np.arange(len(self.keys))
-        for g in gens:
-            sel = pos if len(pos) < len(self.keys) else slice(None)
-            conj = self.conjugates(self.conjugators(sel),
-                                   unpack(self.p, int(g)))
-            pos = pos[inside[conj[:, 0]]]
-        return pos
+def _companion_bases(p: int, comps):
+    """P = [v | g v] for each non-scalar g given by components, v the first
+    of e1, e2, e1 + e2 that is not an eigenvector of g (e1 is one when
+    c = 0, e2 when b = 0, and a diagonal non-scalar g has neither), so
+    that P^-1 g P is the companion matrix [[0, -det g], [1, tr g]]."""
+    a, b, c, d = comps
+    v0 = np.where((c != 0) | (b == 0), 1, 0)
+    v1 = np.where(c != 0, 0, 1)
+    return v0, (a * v0 + b * v1) % p, v1, (c * v0 + d * v1) % p
+
+
+def _transporter(H: Subgroup):
+    """What _transports needs of H, non-scalar and without SL2, kept on H:
+    (code, count, m, conj).  x is a non-scalar element of H whose
+    similarity code is shared by the fewest elements, count of them.  The
+    h with h x h^-1 = y, for y similar to x, are h = P_y M with M =
+    P_x^-1 (alpha + beta x), (alpha : beta) in P^1(F_p) and alpha + beta x
+    invertible, since the centralizer of x is F_p[x]^*.  m holds the
+    components of the M, one row each, and conj those of M g M^-1, one
+    row per M and one column per generator g of H, so h g h^-1 =
+    P_y (M g M^-1) P_y^-1."""
+    if H._transporter is None:
+        p = H.p
+        codes = _similarity_codes(p, _np_components(p, H.elements))
+        counts = np.bincount(codes[codes >= 0], minlength=p * p)
+        present = np.flatnonzero(counts)
+        code = int(present[np.argmin(counts[present])])
+        x = _np_components(p, H.elements[np.argmax(codes == code)])
+        alpha = np.append(np.ones(p, dtype=np.int64), 0)
+        beta = np.append(np.arange(p), 1)
+        xa, xb, xc, xd = x
+        centralizer = ((alpha + beta * xa) % p, beta * xb % p,
+                       beta * xc % p, (alpha + beta * xd) % p)
+        m = _np_mul(p, _np_inv(p, _companion_bases(p, x)), centralizer)
+        a, b, c, d = m
+        invertible = (a * d - b * c) % p != 0
+        m = tuple(v[invertible, None] for v in m)
+        gens = _np_components(p, np.asarray(H.generators or H.elements,
+                                            dtype=np.int64))
+        conj = _np_mul(p, _np_mul(p, m, gens), _np_inv(p, m))
+        H._transporter = code, int(counts[code]), m, conj
+    return H._transporter
+
+
+def _transports(H: Subgroup, target: Subgroup):
+    """The candidates h = P_y M of _transporter(H) that take every
+    generator of H into target, one block of the y of target at a time:
+    yields (basis, hit), where basis holds the components of the block's
+    P_y (shape (k, 1, 1)) and hit[i, j] says whether P_y_i M_j does.
+
+    A target with another number of elements similar to x is no
+    conjugate of H, and yields nothing.  When the orders agree, the hits
+    are exactly the h, up to scalars, with h H h^-1 = target."""
+    p = H.p
+    code, count, _, conj = _transporter(H)
+    els = target.elements
+    comps = _np_components(p, els)
+    ys = np.flatnonzero(_similarity_codes(p, comps) == code)
+    if len(ys) != count:
+        return
+    rows, ngens = conj[0].shape
+    step = max(1, _TRANSPORTER_BLOCK // (rows * ngens))
+    for start in range(0, count, step):
+        y = tuple(v[ys[start:start + step], None, None] for v in comps)
+        basis = _companion_bases(p, y)
+        keys = _np_pack(p, _np_mul(p, _np_mul(p, basis, conj),
+                                   _np_inv(p, basis)))
+        yield basis, _sorted_member(els, keys).all(axis=2)
+
+
+def conjugate_subgroups(H1: Subgroup, H2: Subgroup) -> bool:
+    """Exact test: is H2 = h H1 h^{-1} for some h in GL2(F_p)?
+
+    Fix a non-scalar x of H1 (see _transporter).  A conjugating h takes x
+    to some y of H2 similar to x, so H2 must hold as many of those as H1
+    does, and h is one of the p + 1 solutions up to scalars of
+    h x h^-1 = y for one of them; h H1 h^-1 = H2 exactly when h takes
+    every generator of H1 into H2, the orders being equal.  The search
+    stops at the first such h.
+    """
+    if H1.p != H2.p or H1.order != H2.order:
+        return False
+    if H1.contains_sl2 or H2.contains_sl2:
+        # subgroups containing SL2 are normal and determined by det image
+        return (H1.contains_sl2 == H2.contains_sl2
+                and H1.det_image == H2.det_image)
+    if np.array_equal(H1.elements, H2.elements):
+        return True  # h = 1
+    if H1.scalar_count == H1.order:
+        return False  # scalar groups are fixed by conjugation
+    return any(hit.any() for _, hit in _transports(H1, H2))
+
+
+def normalizer(H: Subgroup) -> np.ndarray:
+    """The sorted keys of N(H) = {n in GL2(F_p) : n H n^-1 = H}.
+
+    A group containing SL2 is normal and a scalar one central, so N(H)
+    is all of GL2.  Otherwise N(H) is the transporter of H to itself: the
+    scalars times the candidates of _transports(H, H), at most
+    count (p + 1) of them up to scalars."""
+    p = H.p
+    if H.contains_sl2 or H.scalar_count == H.order:
+        return gl2_full(p).elements
+    m = _transporter(H)[2]
+    found = []
+    for basis, hit in _transports(H, H):
+        i, j = np.nonzero(hit)
+        found.append(_np_mul(p, tuple(v[i, 0, 0] for v in basis),
+                             tuple(v[j, 0] for v in m)))
+    t = np.arange(1, p)[:, None]
+    h = (np.concatenate(v) for v in zip(*found))
+    return np.sort(_np_pack(p, tuple(v * t % p for v in h)).ravel())
+
+
+def _conjugators(p: int, keys: np.ndarray) -> tuple:
+    """The components of n and of n^-1 for each key n, as columns:
+    gathered once for any number of calls to _conjugates."""
+    comps = _np_components(p, keys)
+    # int32 is exact for p < 215
+    return tuple(v.astype(_key_dtype(p))[:, None]
+                 for v in comps + _np_inv(p, comps))
+
+
+def _conjugates(p: int, n, x) -> np.ndarray:
+    """Keys of n x n^-1, one row per conjugator n of _conjugators, one
+    column per x (x is given by its components, as ints or 1-D arrays)."""
+    a, b, c, d, ia, ib, ic, id_ = n
+    # below p^4 throughout: int32, like the components, for p < 215
+    xa, xb, xc, xd = (np.asarray(v, dtype=_key_dtype(p)) for v in x)
+    # t = n x stays unreduced, so u = t n^-1 takes four reductions
+    ta, tb = a * xa + b * xc, a * xb + b * xd
+    tc, td = c * xa + d * xc, c * xb + d * xd
+    return _np_pack(p, ((ta * ia + tb * ic) % p, (ta * ib + tb * id_) % p,
+                        (tc * ia + td * ic) % p, (tc * ib + td * id_) % p))
 
 
 def _indicator(p: int, keys: np.ndarray) -> np.ndarray:
@@ -189,34 +297,13 @@ class _Registry:
         return bucket[-1], True
 
 
-class _Census(_Registry):
-    """The registry of the exhaustive census, which also keeps the
-    normalizer of each class until phase 2 has used it."""
-
-    def __init__(self, ctx: _FullContext):
-        super().__init__()
-        self.ctx = ctx
-        # each normalizer as a packed bit mask over ctx.keys
-        self.normalizers: list[np.ndarray | None] = []
-
-    def normalizer(self, cid: int) -> np.ndarray:
-        """Ascending positions in ctx.keys of the normalizer of class cid."""
-        return np.flatnonzero(np.unpackbits(self.normalizers[cid],
-                                            count=len(self.ctx.keys)))
-
-    def register(self, sorted_keys: np.ndarray, gens: list[int]):
-        """The class of the group with these sorted keys and generators:
-        (id, is_new).  Generators are normalized as generated_by would, so
-        a cache reload reproduces the census verbatim."""
-        ctx = self.ctx
-        G = Subgroup.from_sorted_keys(ctx.p, sorted_keys,
-                                      generators=sorted({int(g) for g in gens}))
-        cid, is_new = self.add(G)
-        if is_new:
-            inside = np.zeros(len(ctx.keys), dtype=bool)
-            inside[ctx.normalizer(G.elements, G.generators)] = True
-            self.normalizers.append(np.packbits(inside))
-        return cid, is_new
+def _register(registry: _Registry, p: int, sorted_keys: np.ndarray,
+              gens: list[int]):
+    """registry.add for the group with these sorted keys and generators:
+    (id, is_new).  Generators are normalized as generated_by would, so a
+    cache reload reproduces the census verbatim."""
+    return registry.add(Subgroup.from_sorted_keys(
+        p, sorted_keys, generators=sorted({int(g) for g in gens})))
 
 
 def _adjoin(p, hkeys: np.ndarray, hgens: list[int], x: int) -> np.ndarray:
@@ -234,31 +321,31 @@ def _adjoin(p, hkeys: np.ndarray, hgens: list[int], x: int) -> np.ndarray:
     return np.flatnonzero(seen)
 
 
-def _phase1_sl2_classes(ctx: _FullContext, census: _Census) -> None:
+def _phase1_sl2_classes(p: int, registry: _Registry) -> None:
     """All subgroups of SL2 up to conjugacy, by prime-power-element extension."""
-    p = ctx.p
-    # element orders, by powering every element at once
+    keys = _sl2_keys(p)
+    comps = _np_components(p, keys)
+    # element orders, by powering every element of SL2 at once
     identity = pack(p, 1, 0, 0, 1)
-    orders = np.zeros(len(ctx.keys), dtype=np.int64)
-    acc = ctx.comps
+    orders = np.zeros(len(keys), dtype=np.int64)
+    acc = comps
     for k in range(1, p * p + 1):
         orders[(orders == 0) & (_np_pack(p, acc) == identity)] = k
-        acc = _np_mul(p, acc, ctx.comps)
+        acc = _np_mul(p, acc, comps)
     if (orders == 0).any():
         raise RuntimeError("element order exceeded the exponent bound")
-    a, b, c, d = ctx.comps
     prime_power = np.array([n > 1 and len(factorize(n)) == 1
                             for n in range(p * p)])
-    candidates = ctx.keys[((a * d - b * c) % p == 1) & prime_power[orders]]
-    cid, new = census.register(np.array([identity]), [])
+    candidates = keys[prime_power[orders]]
+    cid, new = _register(registry, p, np.array([identity]), [])
     if not new:
         raise RuntimeError("the trivial group was already in the census")
     queue = [cid]
     while queue:
         cid = queue.pop(0)
-        hkeys = census.classes[cid].elements
-        hgens = list(census.classes[cid].generators)
-        conjugators = ctx.conjugators(census.normalizer(cid))
+        H = registry.classes[cid]
+        hkeys, hgens = H.elements, list(H.generators)
+        conjugators = _conjugators(p, normalizer(H))
         pending = _indicator(p, candidates)
         pending[hkeys] = False
         for x in candidates[pending[candidates]].tolist():
@@ -266,29 +353,27 @@ def _phase1_sl2_classes(ctx: _FullContext, census: _Census) -> None:
                 continue
             # <H, n x n^-1> = n <H, x> n^-1 for n in N(H): the whole
             # N(H)-orbit of x gives one class
-            pending[ctx.conjugates(conjugators, unpack(p, x))[:, 0]] = False
-            new_cid, is_new = census.register(_adjoin(p, hkeys, hgens, x),
-                                              hgens + [x])
+            pending[_conjugates(p, conjugators, unpack(p, x))[:, 0]] = False
+            new_cid, is_new = _register(registry, p,
+                                        _adjoin(p, hkeys, hgens, x),
+                                        hgens + [x])
             if is_new:
                 queue.append(new_cid)
 
 
-def _phase2_prime_index_extensions(ctx: _FullContext, census: _Census) -> None:
+def _phase2_prime_index_extensions(p: int, registry: _Registry) -> None:
     """Close the census under prime-index normal extensions."""
-    p = ctx.p
-    queue = list(range(len(census.classes)))
+    queue = list(range(len(registry.classes)))
     while queue:
         cid = queue.pop(0)
-        hkeys = census.classes[cid].elements
-        hgens = list(census.classes[cid].generators)
-        normalizer = census.normalizer(cid)
-        census.normalizers[cid] = None  # read once here
-        index = len(normalizer) // len(hkeys)
+        H = registry.classes[cid]
+        hkeys, hgens = H.elements, list(H.generators)
+        nkeys = normalizer(H)
+        index = len(nkeys) // len(hkeys)
         if index == 1:
             continue
-        conjugators = ctx.conjugators(normalizer)
+        conjugators = _conjugators(p, nkeys)
         # cosets r H = H r of H in its normalizer, numbered by their minima
-        nkeys = ctx.keys[normalizer]
         at = np.zeros(p ** 4, dtype=np.int64)
         at[nkeys] = np.arange(len(nkeys))
         coset, reps = _left_cosets(p, nkeys, at, hkeys, hgens)
@@ -309,26 +394,26 @@ def _phase2_prime_index_extensions(ctx: _FullContext, census: _Census) -> None:
                 parts = [hkeys]
                 for _ in range(q - 1):
                     parts.append(_right_mul(p, parts[-1], table))
-                new_cid, is_new = census.register(
-                    np.sort(np.concatenate(parts)), hgens + [r])
+                new_cid, is_new = _register(
+                    registry, p, np.sort(np.concatenate(parts)), hgens + [r])
                 if is_new:
                     queue.append(new_cid)
                 # n <H, r^k> n^-1 = <H, n r^k n^-1> for n in N(H) and
                 # 0 < k < q: each coset H n r^k n^-1 gives a conjugate class
                 for part in parts[1:]:
-                    conj = ctx.conjugates(conjugators,
-                                          unpack(p, int(part[0])))
+                    conj = _conjugates(p, conjugators,
+                                       unpack(p, int(part[0])))
                     todo[coset[at[conj[:, 0]]]] = False
 
 
 def _exhaustive(p: int) -> list[Subgroup]:
-    ctx = _FullContext(p)
-    census = _Census(ctx)
-    _phase1_sl2_classes(ctx, census)
-    _phase2_prime_index_extensions(ctx, census)
+    registry = _Registry()
+    _phase1_sl2_classes(p, registry)
+    _phase2_prime_index_extensions(p, registry)
     # arrays have no order; as lists the elements compare lexicographically
-    return sorted(census.classes, key=lambda G: (G.order, G.fingerprint_id(),
-                                                 G.elements.tolist()))
+    return sorted(registry.classes,
+                  key=lambda G: (G.order, G.fingerprint_id(),
+                                 G.elements.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -387,100 +472,6 @@ def _close_sampled_pair(p: int, x: int, y: int) -> Subgroup:
         return Subgroup.generated_by(p, gens)
     det_image = _det_closure(p, [key_det(p, g) for g in gens])
     return Subgroup.sl2_preimage(p, det_image, gens)
-
-
-# transporter candidates h tried per numpy pass of conjugate_subgroups, one
-# product per candidate and generator: bounds its temporary arrays
-_TRANSPORTER_BLOCK = 1 << 14
-
-
-def _similarity_codes(p: int, comps) -> np.ndarray:
-    """tr p + det of each matrix given by components, and -1 for a scalar:
-    two non-scalar matrices are similar exactly when their codes agree."""
-    a, b, c, d = comps
-    return np.where(_np_is_scalar(comps), -1,
-                    (a + d) % p * p + (a * d - b * c) % p)
-
-
-def _companion_bases(p: int, comps):
-    """P = [v | g v] for each non-scalar g given by components, v the first
-    of e1, e2, e1 + e2 that is not an eigenvector of g (e1 is one when
-    c = 0, e2 when b = 0, and a diagonal non-scalar g has neither), so
-    that P^-1 g P is the companion matrix [[0, -det g], [1, tr g]]."""
-    a, b, c, d = comps
-    v0 = np.where((c != 0) | (b == 0), 1, 0)
-    v1 = np.where(c != 0, 0, 1)
-    return v0, (a * v0 + b * v1) % p, v1, (c * v0 + d * v1) % p
-
-
-def _transporter(H: Subgroup):
-    """What conjugate_subgroups needs of H, non-scalar and without SL2,
-    kept on H: (code, count, conj).  x is a non-scalar element of H whose
-    similarity code is shared by the fewest elements, count of them.  The
-    h with h x h^-1 = y, for y similar to x, are h = P_y M with M =
-    P_x^-1 (alpha + beta x), (alpha : beta) in P^1(F_p) and alpha + beta x
-    invertible, since the centralizer of x is F_p[x]^*.  conj holds the
-    components of M g M^-1, one row per M and one column per generator g
-    of H, so h g h^-1 = P_y (M g M^-1) P_y^-1."""
-    if H._transporter is None:
-        p = H.p
-        codes = _similarity_codes(p, _np_components(p, H.elements))
-        counts = np.bincount(codes[codes >= 0], minlength=p * p)
-        present = np.flatnonzero(counts)
-        code = int(present[np.argmin(counts[present])])
-        x = _np_components(p, H.elements[np.argmax(codes == code)])
-        alpha = np.append(np.ones(p, dtype=np.int64), 0)
-        beta = np.append(np.arange(p), 1)
-        xa, xb, xc, xd = x
-        centralizer = ((alpha + beta * xa) % p, beta * xb % p,
-                       beta * xc % p, (alpha + beta * xd) % p)
-        m = _np_mul(p, _np_inv(p, _companion_bases(p, x)), centralizer)
-        a, b, c, d = m
-        invertible = (a * d - b * c) % p != 0
-        m = tuple(v[invertible, None] for v in m)
-        gens = _np_components(p, np.asarray(H.generators or H.elements,
-                                            dtype=np.int64))
-        conj = _np_mul(p, _np_mul(p, m, gens), _np_inv(p, m))
-        H._transporter = code, int(counts[code]), conj
-    return H._transporter
-
-
-def conjugate_subgroups(H1: Subgroup, H2: Subgroup) -> bool:
-    """Exact test: is H2 = h H1 h^{-1} for some h in GL2(F_p)?
-
-    Fix a non-scalar x of H1 (see _transporter).  A conjugating h takes x
-    to some y of H2 similar to x, so H2 must hold as many of those as H1
-    does, and h is one of the p + 1 solutions up to scalars of
-    h x h^-1 = y for one of them; h H1 h^-1 = H2 exactly when h takes
-    every generator of H1 into H2, the orders being equal.
-    """
-    if H1.p != H2.p or H1.order != H2.order:
-        return False
-    p = H1.p
-    if H1.contains_sl2 or H2.contains_sl2:
-        # subgroups containing SL2 are normal and determined by det image
-        return (H1.contains_sl2 == H2.contains_sl2
-                and H1.det_image == H2.det_image)
-    if np.array_equal(H1.elements, H2.elements):
-        return True  # h = 1
-    if H1.scalar_count == H1.order:
-        return False  # scalar groups are fixed by conjugation
-    code, count, conj = _transporter(H1)
-    els2 = H2.elements
-    comps2 = _np_components(p, els2)
-    ys = np.flatnonzero(_similarity_codes(p, comps2) == code)
-    if len(ys) != count:
-        return False
-    rows, ngens = conj[0].shape
-    step = max(1, _TRANSPORTER_BLOCK // (rows * ngens))
-    for start in range(0, count, step):
-        y = tuple(v[ys[start:start + step], None, None] for v in comps2)
-        basis = _companion_bases(p, y)
-        keys = _np_pack(p, _np_mul(p, _np_mul(p, basis, conj),
-                                   _np_inv(p, basis)))
-        if _sorted_member(els2, keys).all(axis=2).any():
-            return True
-    return False
 
 
 def _sampled(p: int, count: int, seed: int) -> list[Subgroup]:

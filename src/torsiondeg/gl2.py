@@ -378,7 +378,7 @@ class Subgroup:
             self.order = p * (p * p - 1) * len(self.det_image)
         self._fingerprint = None
         self._vector_partition = None
-        self._transporter = None  # see _enumeration.conjugate_subgroups
+        self._transporter = None  # see _enumeration._transporter
 
     # -- construction -----------------------------------------------------
 

@@ -8,6 +8,7 @@ every class classifies) plus seeded spot-checks that random subgroups are
 conjugate to an enumerated representative.
 """
 
+import functools
 import hashlib
 import json
 import os
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 
 from torsiondeg import cli, gl2
-from torsiondeg.arith import factorize
+from torsiondeg.arith import euler_phi, factorize
 from torsiondeg.gl2 import (
     DicksonClass,
     Subgroup,
@@ -258,21 +259,40 @@ def _oracle_mul(p, comps, g, side):
             (g_ * a + h * c) % p, (g_ * b + h * d) % p)
 
 
-def _oracle_normalizer_keys(ctx, hkeys, hgens):
+def _oracle_normalizer_keys(p, hkeys, hgens):
     """Keys of {n : n g n^-1 in H for every generator g}, elementwise."""
-    p = ctx.p
-    a, b, c, d = _oracle_comps(p, ctx.keys)
+    keys = gl2.gl2_full(p).elements
+    a, b, c, d = _oracle_comps(p, keys)
     inv = [pow(int(t), -1, p) for t in (a * d - b * c) % p]
     ia, ib, ic, id_ = ((d * inv) % p, (-b * inv) % p,
                        (-c * inv) % p, (a * inv) % p)
     hset = set(hkeys.tolist())
-    keep = np.ones(len(ctx.keys), dtype=bool)
+    keep = np.ones(len(keys), dtype=bool)
     for g in hgens:
         ta, tb, tc, td = _oracle_mul(p, (a, b, c, d), g, "right")
         conj = _oracle_keys(p, ((ta * ia + tb * ic) % p, (ta * ib + tb * id_) % p,
                                 (tc * ia + td * ic) % p, (tc * ib + td * id_) % p))
         keep &= np.array([k in hset for k in conj.tolist()])
-    return ctx.keys[keep]
+    return keys[keep]
+
+
+def _scan_normalizer_keys(p, hkeys, hgens):
+    """Keys of {n : n g n^-1 in H for every generator g}, scanning all of
+    GL2(F_p) at once per generator against a table of the p^4 keys."""
+    keys = gl2.gl2_full(p).elements
+    inside = np.zeros(p ** 4, dtype=bool)
+    inside[hkeys] = True
+    n = _oracle_comps(p, keys)
+    a, b, c, d = n
+    det_inv = gl2._unit_inverses(p)[(a * d - b * c) % p]
+    n_inv = (d * det_inv % p, -b * det_inv % p, -c * det_inv % p,
+             a * det_inv % p)
+    keep = np.ones(len(keys), dtype=bool)
+    for g in hgens:
+        conj = _oracle_keys(p, _oracle_matmul(
+            p, _oracle_matmul(p, n, unpack(p, int(g))), n_inv))
+        keep &= inside[conj]
+    return keys[keep]
 
 
 def _oracle_order(p, k):
@@ -282,18 +302,19 @@ def _oracle_order(p, k):
     return n
 
 
-def oracle_phase1(ctx, census):
+def oracle_phase1(p, registry):
     """Phase 1 with H-orbit pruning only and the scalar closure."""
-    p = ctx.p
-    candidates = np.array([k for k in ctx.keys.tolist() if key_det(p, k) == 1
+    candidates = np.array([k for k in gl2.gl2_full(p).elements.tolist()
+                           if key_det(p, k) == 1
                            and len(factorize(_oracle_order(p, k))) == 1],
                           dtype=np.int64)
-    cid, new = census.register(np.array([pack(p, 1, 0, 0, 1)]), [])
+    cid, new = _enumeration._register(
+        registry, p, np.array([pack(p, 1, 0, 0, 1)]), [])
     assert new
     queue = [cid]
     while queue:
         cid = queue.pop(0)
-        H = census.classes[cid]
+        H = registry.classes[cid]
         hkeys, hgens = H.elements, list(H.generators)
         hset = set(hkeys.tolist())
         outside = np.array([k for k in candidates.tolist() if k not in hset],
@@ -308,20 +329,20 @@ def oracle_phase1(ctx, census):
             covered[np.searchsorted(outside, orbit)] = True
             gens = hgens + [x]
             closed = np.array(oracle_mulclose(p, gens), dtype=np.int64)
-            new_cid, is_new = census.register(closed, gens)
+            new_cid, is_new = _enumeration._register(registry, p, closed,
+                                                     gens)
             if is_new:
                 queue.append(new_cid)
 
 
-def oracle_phase2(ctx, census):
+def oracle_phase2(p, registry):
     """Phase 2 over every coset representative, no orbit pruning."""
-    p = ctx.p
-    queue = list(range(len(census.classes)))
+    queue = list(range(len(registry.classes)))
     while queue:
         cid = queue.pop(0)
-        H = census.classes[cid]
+        H = registry.classes[cid]
         hkeys, hgens = H.elements, list(H.generators)
-        nkeys = _oracle_normalizer_keys(ctx, hkeys, hgens)
+        nkeys = _oracle_normalizer_keys(p, hkeys, hgens)
         index = len(nkeys) // len(hkeys)
         if index == 1:
             continue
@@ -345,23 +366,22 @@ def oracle_phase2(ctx, census):
                     parts.append(_oracle_keys(
                         p, _oracle_mul(p, hcomps, acc, "right")))
                     acc = oracle_key_mul(p, acc, r)
-                new_cid, is_new = census.register(
-                    np.sort(np.concatenate(parts)), hgens + [r])
+                new_cid, is_new = _enumeration._register(
+                    registry, p, np.sort(np.concatenate(parts)), hgens + [r])
                 if is_new:
                     queue.append(new_cid)
 
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_pruned_phases_match_unpruned_oracle(p):
-    ctx = _enumeration._FullContext(p)
     runs = []
     for phase1, phase2 in [(oracle_phase1, oracle_phase2),
                            (_enumeration._phase1_sl2_classes,
                             _enumeration._phase2_prime_index_extensions)]:
-        census = _enumeration._Census(ctx)
-        phase1(ctx, census)
-        phase2(ctx, census)
-        runs.append(census)
+        registry = _enumeration._Registry()
+        phase1(p, registry)
+        phase2(p, registry)
+        runs.append(registry)
     oracle, pruned = runs
     assert ([G.generators for G in pruned.classes]
             == [G.generators for G in oracle.classes])
@@ -408,7 +428,7 @@ def _subgroups_for_cosets(p):
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_left_cosets_match_brute_partition(p):
-    big = _enumeration._FullContext(p).keys
+    big = gl2.gl2_full(p).elements
     at = np.zeros(p ** 4, dtype=np.int64)
     at[big] = np.arange(len(big))
     for gens, sub in _subgroups_for_cosets(p):
@@ -422,20 +442,56 @@ def test_left_cosets_match_brute_partition(p):
             assert coset[at[big]].tolist() == labels
 
 
-@pytest.mark.parametrize("p", [5, 7])
-def test_stored_normalizers_match_fresh_ones(p):
-    ctx = _enumeration._FullContext(p)
-    census = _enumeration._Census(ctx)
-    _enumeration._phase1_sl2_classes(ctx, census)
-    for cid, G in enumerate(census.classes):
-        assert np.array_equal(census.normalizer(cid),
-                              ctx.normalizer(G.elements, G.generators))
-        assert np.array_equal(ctx.keys[census.normalizer(cid)],
-                              _oracle_normalizer_keys(ctx, G.elements,
-                                                      G.generators))
-    # phase 2 reads each once and drops it
-    _enumeration._phase2_prime_index_extensions(ctx, census)
-    assert census.normalizers == [None] * len(census.classes)
+@functools.lru_cache(maxsize=None)
+def _census(p):
+    return _enumeration._exhaustive(p)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_normalizer_matches_scan_oracles(p):
+    for G in _census(p):
+        found = _enumeration.normalizer(G)
+        assert np.array_equal(
+            found, _scan_normalizer_keys(p, G.elements, G.generators))
+        if p <= 7:
+            assert np.array_equal(
+                found, _oracle_normalizer_keys(p, G.elements, G.generators))
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_normalizer_of_standard_subgroups_and_conjugates(p):
+    rng = random.Random(p)
+    for S in standard_subgroups(p).values():
+        h = _enumeration._random_invertible(rng, p)
+        for G in (S, S.conjugate(h)):
+            assert np.array_equal(
+                _enumeration.normalizer(G),
+                _scan_normalizer_keys(p, G.elements, G.generators))
+
+
+def _is_cyclic(G):
+    """Whether some element of G has order |G|: g^(|G|/q) != 1 for each
+    prime q dividing |G|, all elements powered at once."""
+    p = G.p
+    comps = gl2._np_components(p, G.elements)
+    generators = np.ones(G.order, dtype=bool)
+    for q, _ in factorize(G.order):
+        generators &= (gl2._np_pack(p, gl2._np_pow(p, comps, G.order // q))
+                       != pack(p, 1, 0, 0, 1))
+    return bool(generators.any())
+
+
+@pytest.mark.parametrize("p,cyclic", [(5, 15), (7, 23), (11, 33), (13, 47)])
+def test_cyclic_classes_count_every_element_once(p, cyclic):
+    # each g in GL2 generates one cyclic subgroup C, together with the
+    # other phi(|C|) generators of C, and C has [G : N(C)] conjugates
+    order = (p * p - 1) * (p * p - p)
+    terms = [order // len(_enumeration.normalizer(C)) * euler_phi(C.order)
+             for C in _census(p) if _is_cyclic(C)]
+    assert len(terms) == cyclic
+    assert sum(terms) == order
+    # every class carries weight: the sum misses without any one of them
+    assert all(sum(terms) - term != order for term in terms)
 
 
 # sha256 of the report body (canonical JSON) of `enumerate --p P`, which

@@ -107,10 +107,28 @@ def test_one_class_registry_in_the_package():
     assert importers == ["gl2.py"]
 
 
+def test_one_normalizer_in_the_package():
+    # N(H) is the transporter of H to itself: _enumeration.normalizer
+    # shares its candidate test with conjugate_subgroups, and the
+    # whole-group component table and the census's per-class normalizer
+    # masks are gone
+    assert _definitions({"_FullContext", "_Census"}) == []
+    assert [entry.split(":")[0] for entry in _definitions(
+        {"normalizer", "_transports"})] == ["_enumeration.py"] * 2
+    callers = sorted(func.name
+                     for path in SOURCES
+                     for func in ast.walk(ast.parse(path.read_text("utf-8")))
+                     if isinstance(func, ast.FunctionDef)
+                     and any(isinstance(call, ast.Call)
+                             and ast.unparse(call.func) == "_transports"
+                             for call in ast.walk(func)))
+    assert callers == ["conjugate_subgroups", "normalizer"]
+
+
 def test_one_progression_sieve_in_the_package():
     # only families._progression_blocks sieves the progressions t s + 1,
-    # so only it takes the primes up to a square root; the density mask
-    # and the int32 shift table both read its blocks
+    # so only it takes the primes up to a square root; density_upto and
+    # the cutoff search's _code_histogram both read its blocks
     assert not any("_prime_shifts" in path.read_text(encoding="utf-8")
                    for path in SOURCES)
     sievers = [f"{path.name} {func.name}"
