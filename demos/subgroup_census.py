@@ -15,9 +15,8 @@ p = 7
 # ## The named subgroups first
 
 for name, G in sorted(gl2.standard_subgroups(p).items()):
-    a = gl2.analyze(G)
-    print(f"{name:20s} order {G.order:5d}  {a.dickson_class.value:18s} "
-          f"projective {a.projective_type.value}({a.projective_order})")
+    print(f"{name:20s} order {G.order:5d}  {gl2.classify(G).value:18s} "
+          f"projective {gl2.projective_type(G).value}({G.projective_order})")
 
 # The split normalizer has twice the Cartan order, the nonsplit Cartan
 # has order p^2 - 1, and sl2 is index p - 1 in the full group.

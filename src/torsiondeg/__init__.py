@@ -20,9 +20,9 @@ _EXPORTS = {
         "minkowski_bound", "ord_p", "phi_preimage_divisors", "primes_upto",
     ),
     "gl2": (
-        "DicksonClass", "ProjectiveType", "Subgroup", "SubgroupAnalysis",
-        "UnclassifiableSubgroupError", "analyze", "classify",
-        "close_generators", "enumerate_subgroups", "standard_subgroups",
+        "DicksonClass", "ProjectiveType", "Subgroup",
+        "UnclassifiableSubgroupError", "classify", "close_generators",
+        "enumerate_subgroups", "standard_subgroups",
     ),
     "orbits": (
         "LineStabilizerReport", "OrbitReport", "PointwiseBoundReport",

@@ -252,24 +252,18 @@ def _left_cosets(p, points: np.ndarray, at: np.ndarray, sub_keys, gens):
     points holds the keys of the union, ascending, and at[key] the index
     of every one of them in points.  The cosets g S are the orbits of right
     multiplication by S, so min-label propagation along right
-    multiplications by generators of S labels each point with the least
-    point of its coset.  The given gens lie in S; while they generate less
-    than S, which shows as more orbits than the index of S, the least
-    element of S outside the orbit of the identity joins them, at least
-    doubling the group they generate."""
+    multiplications by gens, which must generate S, labels each point with
+    the least point of its coset.  Gens that generate less than S show as
+    more orbits than the index of S, and are refused."""
     n = len(points)
-    images = list(at[_right_mul(p, points, _row_table(p, list(gens)))])
-    members = at[sub_keys]
-    one = at[pack(p, 1, 0, 0, 1)]
-    index = n // np.count_nonzero(np.bincount(members, minlength=n))
-    low = np.arange(n)
-    while True:
-        low = _orbit_labels(n, images, low)
-        roots = low == np.arange(n)
-        if np.count_nonzero(roots) == index:
-            return (np.cumsum(roots) - 1)[low], points[roots]
-        g = sub_keys[np.argmax(low[members] != low[one])]
-        images.append(at[_right_mul(p, points, _row_table(p, g))])
+    images = at[_right_mul(p, points, _row_table(p, list(gens)))]
+    low = _orbit_labels(n, list(images))
+    roots = low == np.arange(n)
+    found, index = int(np.count_nonzero(roots)), n // len(sub_keys)
+    if found != index:
+        raise RuntimeError(f"the generators give {found} cosets, not the "
+                           f"{index} of the subgroup they should generate")
+    return (np.cumsum(roots) - 1)[low], points[roots]
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +315,9 @@ def _adjoin(p, hkeys: np.ndarray, hgens: list[int], x: int) -> np.ndarray:
     return np.flatnonzero(seen)
 
 
-def _phase1_sl2_classes(p: int, registry: _Registry) -> None:
-    """All subgroups of SL2 up to conjugacy, by prime-power-element extension."""
+def _phase1_sl2_classes(p: int, registry: _Registry) -> dict:
+    """All subgroups of SL2 up to conjugacy, by prime-power-element
+    extension: returns the keys of N(H) by class id, for phase 2."""
     keys = _sl2_keys(p)
     comps = _np_components(p, keys)
     # element orders, by powering every element of SL2 at once
@@ -341,11 +336,13 @@ def _phase1_sl2_classes(p: int, registry: _Registry) -> None:
     if not new:
         raise RuntimeError("the trivial group was already in the census")
     queue = [cid]
+    normalizers = {}
     while queue:
         cid = queue.pop(0)
         H = registry.classes[cid]
         hkeys, hgens = H.elements, list(H.generators)
-        conjugators = _conjugators(p, normalizer(H))
+        normalizers[cid] = normalizer(H)
+        conjugators = _conjugators(p, normalizers[cid])
         pending = _indicator(p, candidates)
         pending[hkeys] = False
         for x in candidates[pending[candidates]].tolist():
@@ -359,16 +356,22 @@ def _phase1_sl2_classes(p: int, registry: _Registry) -> None:
                                         hgens + [x])
             if is_new:
                 queue.append(new_cid)
+    return normalizers
 
 
-def _phase2_prime_index_extensions(p: int, registry: _Registry) -> None:
-    """Close the census under prime-index normal extensions."""
+def _phase2_prime_index_extensions(p: int, registry: _Registry,
+                                   normalizers: dict) -> None:
+    """Close the census under prime-index normal extensions.  normalizers
+    holds the keys of N(H) of the phase-1 classes, each dropped once
+    read; the later classes compute theirs."""
     queue = list(range(len(registry.classes)))
     while queue:
         cid = queue.pop(0)
         H = registry.classes[cid]
         hkeys, hgens = H.elements, list(H.generators)
-        nkeys = normalizer(H)
+        nkeys = normalizers.pop(cid, None)
+        if nkeys is None:
+            nkeys = normalizer(H)
         index = len(nkeys) // len(hkeys)
         if index == 1:
             continue
@@ -408,8 +411,8 @@ def _phase2_prime_index_extensions(p: int, registry: _Registry) -> None:
 
 def _exhaustive(p: int) -> list[Subgroup]:
     registry = _Registry()
-    _phase1_sl2_classes(p, registry)
-    _phase2_prime_index_extensions(p, registry)
+    _phase2_prime_index_extensions(p, registry,
+                                   _phase1_sl2_classes(p, registry))
     # arrays have no order; as lists the elements compare lexicographically
     return sorted(registry.classes,
                   key=lambda G: (G.order, G.fingerprint_id(),

@@ -195,24 +195,28 @@ def ord_p(n: int, p: int) -> int:
     return e
 
 
-def phi_preimage_divisors(m: int, limit: int = 2 * 10**7) -> list[int]:
+# The largest documented range N <= 2 m^2 that phi_preimage_divisors
+# accepts: m up to 3162.
+PHI_PREIMAGE_LIMIT = 2 * 10**7
+
+
+def phi_preimage_divisors(m: int) -> list[int]:
     """Sorted list of all N with euler_phi(N) | m.
 
     Every prime q | N has (q - 1) | phi(N) | m, so the candidate primes
     are the q = e + 1 over divisors e of m, and N is found by a
     depth-first walk that multiplies in prime powers q^k while
     phi(N) = prod (q - 1) q^(k-1) still divides m.  The answer lies in
-    the documented range N <= 2 m^2, since phi(N) >= sqrt(N / 2);
-    `limit` caps that range (raise it explicitly for larger m).
+    the documented range N <= 2 m^2, since phi(N) >= sqrt(N / 2), and
+    an m whose range passes PHI_PREIMAGE_LIMIT is refused.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     bound = 2 * m * m
-    if bound > limit:
+    if bound > PHI_PREIMAGE_LIMIT:
         raise ValueError(
-            f"phi preimage scan for m={m} needs N <= {bound} > limit={limit}; "
-            "pass a larger limit to accept the cost"
-        )
+            f"phi preimage scan for m={m} needs N <= {bound}, past the "
+            f"supported limit PHI_PREIMAGE_LIMIT = {PHI_PREIMAGE_LIMIT}")
     candidates = [e + 1 for e in divisors(m) if is_prime(e + 1)]
     found = []
 

@@ -245,14 +245,13 @@ def _cmd_verify_lemmas(args):
 def _analysis_body(G):
     from . import gl2
 
-    a = gl2.analyze(G)
     return {
         "order": G.order,
-        "dickson_class": a.dickson_class.value,
-        "projective_type": a.projective_type.value,
-        "projective_order": a.projective_order,
-        "det_index": a.det_index,
-        "det_image_order": a.det_image_order,
+        "dickson_class": gl2.classify(G).value,
+        "projective_type": gl2.projective_type(G).value,
+        "projective_order": G.projective_order,
+        "det_index": gl2.det_index(G),
+        "det_image_order": len(G.det_image),
         "contains_sl2": G.contains_sl2,
     }
 

@@ -123,18 +123,18 @@ def c_of_g(g: int) -> CmBoundSet:
     return CmBoundSet(g=g, H=H, M=M, c=H * M // 2)
 
 
-def allowed_exponents(g: int, d: int, limit: int = 2 * 10 ** 7) -> list[int]:
+def allowed_exponents(g: int, d: int) -> list[int]:
     """All candidate torsion exponents N over degree-d fields: exactly
     those with phi(N) | c(g) d.
 
     Found by phi_preimage_divisors' walk over the primes q with
     (q - 1) | c d, complete because every answer is at most 2 (c d)^2.
-    `limit` caps that documented range (c grows violently with g, so it
-    rejects g = 2; pass a larger limit explicitly to accept the range).
+    arith.PHI_PREIMAGE_LIMIT caps that documented range; c grows
+    violently with g, so it refuses g = 2.
     """
     if d < 1:
         raise ValueError("d must be a positive integer")
-    return phi_preimage_divisors(c_of_g(g).c * d, limit=limit)
+    return phi_preimage_divisors(c_of_g(g).c * d)
 
 
 def cm_p1_exponent(g: int, p: int, N: int) -> int:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
 from fractions import Fraction
 from itertools import groupby, islice
 from operator import itemgetter
@@ -74,10 +74,24 @@ PRODUCT_DIGIT_CAP = 2_000_000
 # clauses and specs
 # ---------------------------------------------------------------------------
 
+class _Clause:
+    """The protocol of every clause class: KIND, its JSON kind, and
+    walker(x), which returns mark(block, lo), setting members among the
+    degrees [lo, lo + len(block)) of each sieve block of a walk over
+    [1, x], called once per block in ascending order.  A walker refuses
+    what its walk cannot do before the walk allocates anything."""
+
+    KIND: str
+
+    def describe(self) -> dict:
+        return {"kind": self.KIND, **asdict(self)}
+
+
 @dataclass(frozen=True)
-class DivClause:
+class DivClause(_Clause):
     """The degrees divisible by m."""
 
+    KIND = "divisor"
     m: int
 
     def __post_init__(self):
@@ -87,18 +101,19 @@ class DivClause:
     def contains(self, d: int) -> bool:
         return d >= 1 and d % self.m == 0
 
-    def mark(self, block: np.ndarray, lo: int) -> None:
-        """Set the members among the degrees [lo, lo + len(block))."""
-        block[-lo % self.m::self.m] = True
+    def walker(self, x: int):
+        m = self.m
 
-    def describe(self) -> dict:
-        return {"kind": "divisor", "m": self.m}
+        def mark(block, lo):
+            block[-lo % m::m] = True
+        return mark
 
 
 @dataclass(frozen=True)
-class PrimeShiftClause:
+class PrimeShiftClause(_Clause):
     """The degrees d admitting a prime l with l-1 > C and (l-1) | c d."""
 
+    KIND = "prime-shift"
     c: int
     C: int
 
@@ -117,21 +132,23 @@ class PrimeShiftClause:
         return any(l - 1 > self.C and cd % (l - 1) == 0
                    for l in primes_upto(cd + 1))
 
-    def mark(self, block: np.ndarray, lo: int, progressions) -> None:
-        """Set the least members among the degrees [lo, lo + len(block)),
-        one whole block of _progression_blocks(c, x, C).
+    def walker(self, x: int):
+        """Each mark sets the least members of its block from that
+        block's (lo, t, alive) triples of _progression_blocks(c, x, C),
+        sieved only past the floor C.  A degree is a member exactly when
+        it is a multiple of some s with t s + 1 prime, gcd(s, c/t) = 1
+        and t s > C, so marking these s is enough: density_upto's spread
+        lifts every multiple of a marked degree.  No shift value is
+        formed.  A c x past the sieving bound (_sieving_root) is refused
+        at once, before the walk allocates anything."""
+        _sieving_root(self.c, x)
+        blocks = groupby(_progression_blocks(self.c, x, self.C),
+                         key=itemgetter(0))
 
-        progressions are that block's (lo, t, alive) triples, sieved only
-        past the floor C.  A degree is a member exactly when it is a
-        multiple of some s with t s + 1 prime, gcd(s, c/t) = 1 and t s > C,
-        so marking these s is enough: density_upto's spread lifts every
-        multiple of a marked degree.  No shift value is formed.
-        """
-        for _, _, alive in progressions:
-            block |= alive
-
-    def describe(self) -> dict:
-        return {"kind": "prime-shift", "c": self.c, "C": self.C}
+        def mark(block, lo):
+            for _, _, alive in next(blocks)[1]:
+                block |= alive
+        return mark
 
 
 def _int_nth_root(n: int, k: int) -> int:
@@ -149,11 +166,12 @@ def _int_nth_root(n: int, k: int) -> int:
 
 
 @dataclass(frozen=True)
-class PrimePowerDivClause:
+class PrimePowerDivClause(_Clause):
     """{d : l^N | d for some prime l <= L} — the union of the divisor
     clauses l^N over every prime up to L, kept as one object because L
     can be large enough (10^8) that listing the primes is hostile."""
 
+    KIND = "prime-power-div"
     N: int
     L: int
 
@@ -169,56 +187,52 @@ class PrimePowerDivClause:
         top = min(self.L, _int_nth_root(d, self.N))
         return any(d % l ** self.N == 0 for l in primes_upto(top))
 
-    def steps(self, x: int) -> np.ndarray:
-        """The l^N of a walk to x, ascending: the primes up to
-        min(L, x^(1/N)), sieved once for every block."""
-        steps = primes_array(min(self.L, _int_nth_root(x, self.N)))
-        steps **= self.N
-        return steps
+    def walker(self, x: int):
+        """The walk's steps are the l^N, ascending, over the primes up to
+        min(L, x^(1/N)), sieved once for every block.  Each mark reads
+        the prefix of them up to its block's last degree: one strided
+        pass per l^N up to 1/64 of the block's length, and the larger
+        l^N, which have at most 64 multiples there each, one multiple
+        apiece per gather."""
+        every = primes_array(min(self.L, _int_nth_root(x, self.N)))
+        every **= self.N
 
-    def mark(self, block: np.ndarray, lo: int, steps: np.ndarray) -> None:
-        """Set the members among the degrees [lo, lo + len(block)), steps
-        the walk's steps(x), of which this block reads the prefix up to
-        its last degree: one strided pass per l^N up to 1/64 of the
-        block's length, and the larger l^N, which have at most 64
-        multiples there each, one multiple apiece per gather."""
-        n = len(block)
-        steps = steps[:np.searchsorted(steps, lo + n - 1, side="right")]
-        few = int(np.searchsorted(steps, n // 64, side="right"))
-        for step in steps[:few].tolist():
-            block[-lo % step::step] = True
-        steps = steps[few:]
-        hits = -lo % steps
-        while len(hits):
-            inside = hits < n
-            hits, steps = hits[inside], steps[inside]
-            block[hits] = True
-            hits += steps
-
-    def describe(self) -> dict:
-        return {"kind": "prime-power-div", "N": self.N, "L": self.L}
+        def mark(block, lo):
+            n = len(block)
+            steps = every[:np.searchsorted(every, lo + n - 1, side="right")]
+            few = int(np.searchsorted(steps, n // 64, side="right"))
+            for step in steps[:few].tolist():
+                block[-lo % step::step] = True
+            steps = steps[few:]
+            hits = -lo % steps
+            while len(hits):
+                inside = hits < n
+                hits, steps = hits[inside], steps[inside]
+                block[hits] = True
+                hits += steps
+        return mark
 
 
-def _clause_sort_key(clause):
-    if isinstance(clause, DivClause):
-        return (0, clause.m, 0)
-    if isinstance(clause, PrimeShiftClause):
-        return (1, clause.c, clause.C)
-    return (2, clause.N, clause.L)
+# Every clause class, in the canonical order of a spec's clauses.
+_CLAUSES = (DivClause, PrimeShiftClause, PrimePowerDivClause)
+_CLAUSE_KINDS = {cls.KIND: cls for cls in _CLAUSES}
 
 
 @dataclass(frozen=True)
 class IntegerSetSpec:
-    """A finite union of clauses, canonically ordered."""
+    """A finite union of clauses, canonically ordered: by class, in
+    _CLAUSES order, then by field values."""
 
     clauses: tuple
 
     def __post_init__(self):
         for clause in self.clauses:
-            if not isinstance(clause, (DivClause, PrimeShiftClause,
-                                       PrimePowerDivClause)):
+            if type(clause) not in _CLAUSES:
                 raise ValueError(f"unsupported clause {clause!r}")
-        ordered = tuple(sorted(set(self.clauses), key=_clause_sort_key))
+        ordered = tuple(sorted(
+            set(self.clauses),
+            key=lambda clause: (_CLAUSES.index(type(clause)),
+                                astuple(clause))))
         object.__setattr__(self, "clauses", ordered)
 
     def contains(self, d: int) -> bool:
@@ -226,10 +240,6 @@ class IntegerSetSpec:
 
     def describe(self) -> list[dict]:
         return [clause.describe() for clause in self.clauses]
-
-
-_CLAUSE_KINDS = {"divisor": DivClause, "prime-shift": PrimeShiftClause,
-                 "prime-power-div": PrimePowerDivClause}
 
 
 def _json_int(data: dict, field: str) -> int:
@@ -426,10 +436,9 @@ def _put_bits(bits: np.ndarray, d: int, values: np.ndarray) -> None:
         bits[j:j + len(packed)] |= packed
 
 
-def _check_walk(x: int, multipliers) -> None:
-    """Refuse a walk over the degrees [1, x] that sieves the prime shifts
-    of each c in multipliers, before anything is allocated: x is capped
-    at MAX_SIEVE, and each c by its sieving primes (_sieving_root)."""
+def _check_walk(x: int) -> None:
+    """Refuse a walk over the degrees [1, x] before anything is
+    allocated: x is capped at MAX_SIEVE."""
     if x < 1:
         raise ValueError("the cutoff must be a positive integer")
     if x > MAX_SIEVE:
@@ -437,8 +446,6 @@ def _check_walk(x: int, multipliers) -> None:
             f"a walk to x = {x} would keep the degrees up to x / 2, "
             f"besides blocks of {_BLOCK} degrees; the supported bound is "
             f"x <= MAX_SIEVE = {MAX_SIEVE}")
-    for c in multipliers:
-        _sieving_root(c, x)
 
 
 def _lifted_blocks(x: int, dtype, fill, keep, load):
@@ -482,18 +489,17 @@ def _lifted_blocks(x: int, dtype, fill, keep, load):
 def density_upto(spec: IntegerSetSpec, x: int) -> DensityReport:
     """Exact count of members of the union in [1, x], block by block.
 
-    _lifted_blocks walks the degrees.  Each sieve block takes the least
-    members of every prime-shift clause, from _progression_blocks sieved
-    past its C, and every member of the other clauses; a prime-power
-    clause sieves its primes once for the walk (steps).  Every clause is
-    closed under taking multiples, so the union is too, and the lift (a
-    logical or along divisibility) makes it whole.  Only [1, x / 2] is
-    kept, one bit per degree in np.packbits order (bit d - 1 for the
-    degree d): x / 16 bytes, besides the one block of the count and the
-    progression sieve's own.
+    _lifted_blocks walks the degrees.  Each sieve block is marked by
+    the walker of every clause, in spec order, each setting members of
+    the block: the least ones suffice, since every clause is closed
+    under taking multiples, so the union is too, and the lift (a logical
+    or along divisibility) makes it whole.  Only [1, x / 2] is kept, one
+    bit per degree in np.packbits order (bit d - 1 for the degree d):
+    x / 16 bytes, besides the one block of the count and the walkers'
+    own.
     """
-    _check_walk(x, [clause.c for clause in spec.clauses
-                    if isinstance(clause, PrimeShiftClause)])
+    _check_walk(x)
+    marks = [clause.walker(x) for clause in spec.clauses]
     bits = np.zeros((x // 2 + 7) // 8, dtype=np.uint8)
 
     def load(a, b):
@@ -501,23 +507,10 @@ def density_upto(spec: IntegerSetSpec, x: int) -> DensityReport:
         return np.unpackbits(bits[i // 8:(b + 6) // 8])[
             i % 8:i % 8 + b - a].view(bool)
 
-    shifts = [(clause, groupby(_progression_blocks(clause.c, x, clause.C),
-                               key=itemgetter(0)))
-              for clause in spec.clauses
-              if isinstance(clause, PrimeShiftClause)]
-    powers = [(clause, clause.steps(x)) for clause in spec.clauses
-              if isinstance(clause, PrimePowerDivClause)]
-    divs = [clause for clause in spec.clauses
-            if isinstance(clause, DivClause)]
-
     def fill(block, lo):
         block.fill(False)
-        for clause, blocks in shifts:
-            clause.mark(block, lo, next(blocks)[1])
-        for clause, steps in powers:
-            clause.mark(block, lo, steps)
-        for clause in divs:
-            clause.mark(block, lo)
+        for mark in marks:
+            mark(block, lo)
 
     blocks = _lifted_blocks(x, bool, fill,
                             lambda d, values: _put_bits(bits, d, values),
@@ -598,7 +591,8 @@ def find_cutoff_C(epsilon, c: int, x: int) -> int:
     eps = Fraction(epsilon)
     if not 0 < eps <= 1:
         raise ValueError("epsilon must lie in (0, 1]")
-    _check_walk(x, (c,))
+    _check_walk(x)
+    _sieving_root(c, x)
     allowed = int(eps * x)  # floor; count <= allowed <=> density <= eps
     if allowed >= x:
         return 0

@@ -34,7 +34,6 @@ from __future__ import annotations
 # never takes blake2b from OpenSSL, so no build has one without the
 # other), but importing hashlib also maps OpenSSL's libcrypto.
 from _blake2 import blake2b
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import product
@@ -917,25 +916,6 @@ def classify(G: Subgroup) -> DicksonClass:
     if ptype is ProjectiveType.A5:
         return DicksonClass.EXCEPTIONAL_A5
     raise UnclassifiableSubgroupError(G)
-
-
-@dataclass(frozen=True)
-class SubgroupAnalysis:
-    dickson_class: DicksonClass
-    det_image_order: int
-    det_index: int
-    projective_order: int
-    projective_type: ProjectiveType
-
-
-def analyze(G: Subgroup) -> SubgroupAnalysis:
-    return SubgroupAnalysis(
-        dickson_class=classify(G),
-        det_image_order=len(G.det_image),
-        det_index=det_index(G),
-        projective_order=G.projective_order,
-        projective_type=projective_type(G),
-    )
 
 
 def enumerate_subgroups(p, mode="exhaustive", *, count=None, seed=None,

@@ -15,7 +15,6 @@ from torsiondeg.gl2 import (
     MaterializationError,
     ProjectiveType,
     Subgroup,
-    analyze,
     borel,
     classify,
     close_generators,
@@ -576,10 +575,10 @@ class TestAnalyze:
     def test_analysis_fields_are_consistent(self):
         for p in (5, 7):
             for G in standard_subgroups(p).values():
-                a = analyze(G)
-                assert a.det_image_order * a.det_index == p - 1
-                assert a.projective_order * G.scalar_count == G.order
-                assert a.dickson_class is classify(G)
+                assert len(G.det_image) * det_index(G) == p - 1
+                assert G.projective_order * G.scalar_count == G.order
+                assert ((classify(G) is DicksonClass.CONTAINS_SL)
+                        == G.contains_sl2)
 
     def test_lagrange(self):
         rng = random.Random(5)

@@ -374,15 +374,12 @@ def oracle_phase2(p, registry):
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_pruned_phases_match_unpruned_oracle(p):
-    runs = []
-    for phase1, phase2 in [(oracle_phase1, oracle_phase2),
-                           (_enumeration._phase1_sl2_classes,
-                            _enumeration._phase2_prime_index_extensions)]:
-        registry = _enumeration._Registry()
-        phase1(p, registry)
-        phase2(p, registry)
-        runs.append(registry)
-    oracle, pruned = runs
+    oracle = _enumeration._Registry()
+    oracle_phase1(p, oracle)
+    oracle_phase2(p, oracle)
+    pruned = _enumeration._Registry()
+    _enumeration._phase2_prime_index_extensions(
+        p, pruned, _enumeration._phase1_sl2_classes(p, pruned))
     assert ([G.generators for G in pruned.classes]
             == [G.generators for G in oracle.classes])
     for mine, theirs in zip(pruned.classes, oracle.classes):
@@ -434,12 +431,33 @@ def test_left_cosets_match_brute_partition(p):
     for gens, sub in _subgroups_for_cosets(p):
         sub_keys = np.array(sub, dtype=np.int64)
         reps, labels = _brute_left_cosets(p, big.tolist(), sub)
-        # the generators, and none: then elements of S are added
-        for given in (gens, []):
-            coset, found = _enumeration._left_cosets(p, big, at, sub_keys,
-                                                     given)
-            assert found.tolist() == reps
-            assert coset[at[big]].tolist() == labels
+        coset, found = _enumeration._left_cosets(p, big, at, sub_keys, gens)
+        assert found.tolist() == reps
+        assert coset[at[big]].tolist() == labels
+
+
+def test_left_cosets_refuse_generators_of_less_than_the_subgroup():
+    # the Borel subgroup from the first of its generators alone: more
+    # orbits than its index, an internal failure that survives python -O
+    p = 7
+    big = gl2.gl2_full(p).elements
+    at = np.zeros(p ** 4, dtype=np.int64)
+    at[big] = np.arange(len(big))
+    S = gl2.borel(p)
+    assert len(S.generators) > 1
+    with pytest.raises(RuntimeError, match="cosets"):
+        _enumeration._left_cosets(p, big, at, S.elements, S.generators[:1])
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_phase1_hands_its_normalizers_to_phase2(p, monkeypatch):
+    # N(H) is computed once per class: phase 2 reads phase 1's
+    calls = []
+    compute = _enumeration.normalizer
+    monkeypatch.setattr(_enumeration, "normalizer",
+                        lambda H: calls.append(H) or compute(H))
+    classes = _enumeration._exhaustive(p)
+    assert len(calls) == len(classes)
 
 
 @functools.lru_cache(maxsize=None)

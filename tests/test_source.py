@@ -144,6 +144,40 @@ def test_one_progression_sieve_in_the_package():
     assert sievers == ["families.py _progression_blocks"]
 
 
+def test_one_clause_protocol_in_the_package():
+    # every clause class writes its JSON kind once (KIND) and drives a
+    # walk only through walker(x); a spec orders clauses by class
+    # position, so nothing outside its check dispatches on clause type
+    from torsiondeg import families
+
+    for banned in ("_clause_sort_key", ".steps("):
+        assert not any(banned in path.read_text(encoding="utf-8")
+                       for path in SOURCES), banned
+    text = Path(families.__file__).read_text(encoding="utf-8")
+    for cls in families._CLAUSES:
+        assert text.count(f'"{cls.KIND}"') == 1, cls.KIND
+        assert callable(cls.walker) and not hasattr(cls, "mark")
+    names = {cls.__name__ for cls in families._CLAUSES} | {"_CLAUSES"}
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {id(node)
+                   for spec in ast.walk(tree)
+                   if isinstance(spec, ast.ClassDef)
+                   and spec.name == "IntegerSetSpec"
+                   for method in spec.body
+                   if isinstance(method, ast.FunctionDef)
+                   and method.name == "__post_init__"
+                   for node in ast.walk(method)}
+        found += [f"{path.name}:{node.lineno}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in allowed
+                  and ast.unparse(node.func) == "isinstance"
+                  and any(getattr(name, "id", getattr(name, "attr", None))
+                          in names for name in ast.walk(node.args[1]))]
+    assert found == []
+
+
 def test_no_fixed_j_degree_stubs_in_the_package():
     # a budget profile is (p2_c, p1_rule), all that the budget reads; the
     # growth-bound exponent searches, the exceptional prime bounds and the
