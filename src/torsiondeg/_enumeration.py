@@ -257,7 +257,7 @@ def _left_cosets(p, points: np.ndarray, at: np.ndarray, sub_keys, gens):
     more orbits than the index of S, and are refused."""
     n = len(points)
     images = at[_right_mul(p, points, _row_table(p, list(gens)))]
-    low = _orbit_labels(n, list(images))
+    low = _orbit_labels(n, images)
     roots = low == np.arange(n)
     found, index = int(np.count_nonzero(roots)), n // len(sub_keys)
     if found != index:

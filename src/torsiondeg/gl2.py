@@ -764,11 +764,10 @@ def vector_orbit_sizes(G: Subgroup) -> list[int]:
     return np.diff([0, *cuts, G.p * G.p - 1]).tolist()
 
 
-def _orbit_labels(n: int, images, label=None) -> np.ndarray:
+def _orbit_labels(n: int, images) -> np.ndarray:
     """The least index in the orbit of each of 0, ..., n-1 under the group
     generated by permutations of range(n), each given by its array of
-    images.  A start label, if given, must name for each index an index
-    of its orbit no larger than itself, such as the labels of a subgroup.
+    images.
 
     Min-label propagation with pointer jumping: a round gives every index
     the least of its own label and its images' labels, then replaces each
@@ -777,8 +776,7 @@ def _orbit_labels(n: int, images, label=None) -> np.ndarray:
     nothing leaves no label above the label of an image; as each step
     i -> g(i) lies on a cycle of g, labels are then constant on orbits,
     each orbit labelled by its least index."""
-    if label is None:
-        label = np.arange(n)
+    label = np.arange(n)
     while True:
         low = label.copy()
         for img in images:
