@@ -34,14 +34,13 @@ bases, and the data it needs of the class side is computed once per class.
 N(H), which both phases read, is the transporter of H to itself, and
 `normalizer` finds it with the same candidate test (`_transports`).
 
-Sampled mode draws seeded random generator pairs.  A pair that visibly
-preserves a line, an unordered pair of lines, or a Galois-conjugate pair
-of points of P^1(F_{p^2}) generates a group of bounded order and is closed
-honestly.  Otherwise the image in the permutation group of the lines is
-closed with a cap just above 60: exceeding the cap certifies (for p >= 5)
-that the group contains SL2, and it is then represented lazily by its
-determinant image.  Lazy classes compare by determinant image in the
-registry's conjugacy test.
+Sampled mode draws seeded random generator pairs and closes each with
+`gl2.close_generators`.  For p >= 5 its screen certifies SL2 <= <x, y>
+from the pair alone (no invariant line, line pair or Galois-conjugate
+point pair, and more than 60 permutations of the lines), and such a group
+is represented lazily by its determinant image; any other pair is closed
+honestly.  Lazy classes compare by determinant image in the registry's
+conjugacy test.
 """
 
 from __future__ import annotations
@@ -58,10 +57,7 @@ from ._version import VERSION
 from .arith import factorize, is_prime
 from .gl2 import (
     Subgroup,
-    _det_closure,
-    _fixed_lines,
     _key_dtype,
-    _line_images,
     _np_components,
     _np_inv,
     _np_is_scalar,
@@ -72,8 +68,7 @@ from .gl2 import (
     _row_table,
     _sl2_keys,
     _sorted_member,
-    _stabilized_conjugate_pair_for_generators,
-    _stabilized_line_pair,
+    close_generators,
     gl2_full,
     key_det,
     pack,
@@ -294,8 +289,8 @@ class _Registry:
 def _register(registry: _Registry, p: int, sorted_keys: np.ndarray,
               gens: list[int]):
     """registry.add for the group with these sorted keys and generators:
-    (id, is_new).  Generators are normalized as generated_by would, so a
-    cache reload reproduces the census verbatim."""
+    (id, is_new).  Generators are normalized as close_generators would, so
+    a cache reload reproduces the census verbatim."""
     return registry.add(Subgroup.from_sorted_keys(
         p, sorted_keys, generators=sorted({int(g) for g in gens})))
 
@@ -430,60 +425,13 @@ def _random_invertible(rng: random.Random, p: int) -> int:
             return k
 
 
-def _perm_closure_capped(images: np.ndarray, limit: int):
-    """Closure of the permutations given by the rows of images, as an
-    array with one row of images per element, or None once the size
-    exceeds `limit`.
-
-    The product x g, i -> x[g[i]], of every frontier row x with one
-    generator g is the fancy index frontier[:, g]; rows are told apart
-    by their bytes."""
-    n = images.shape[1]
-    frontier = np.arange(n, dtype=images.dtype)[None, :]
-    seen = {frontier[0].tobytes()}
-    elements = [frontier]
-    while len(frontier):
-        fresh = []
-        for g in images:
-            for row in frontier[:, g]:
-                key = row.tobytes()
-                if key not in seen:
-                    if len(seen) >= limit:
-                        return None
-                    seen.add(key)
-                    fresh.append(row)
-        frontier = np.array(fresh, dtype=images.dtype).reshape(-1, n)
-        elements.append(frontier)
-    return np.concatenate(elements)
-
-
-def _close_sampled_pair(p: int, x: int, y: int) -> Subgroup:
-    gens = [x, y]
-    images = _line_images(p, gens)
-    if (p < 5
-            or len(_fixed_lines(images))  # inside a Borel
-            # inside a split or a nonsplit normalizer
-            or _stabilized_line_pair(images) is not None
-            or _stabilized_conjugate_pair_for_generators(p, gens) is not None):
-        return Subgroup.generated_by(p, gens)
-    # No invariant line, line pair, or conjugate point pair: the projective
-    # image is not cyclic, dihedral, or Borel-contained, so it is A4, S4, A5
-    # (order <= 60) or contains PSL2.  At p = 5 an image of order 60 is
-    # already all of PSL2.
-    limit = 59 if p == 5 else 60
-    if _perm_closure_capped(images, limit) is not None:
-        return Subgroup.generated_by(p, gens)
-    det_image = _det_closure(p, [key_det(p, g) for g in gens])
-    return Subgroup.sl2_preimage(p, det_image, gens)
-
-
 def _sampled(p: int, count: int, seed: int) -> list[Subgroup]:
     rng = random.Random(seed)
     registry = _Registry()
     for _ in range(count):
         x = _random_invertible(rng, p)
         y = _random_invertible(rng, p)
-        registry.add(_close_sampled_pair(p, x, y))
+        registry.add(close_generators(p, [x, y]))
     # stable: classes of equal order and fingerprint keep their order
     return sorted(registry.classes,
                   key=lambda G: (G.order, G.fingerprint_id()))
@@ -578,8 +526,9 @@ def _save_cache(path: Path, p, mode, count, seed, groups) -> None:
 def _load_cache(path: Path, p, mode):
     """The classes stored at path, or None unless every one of them is
     proven to be what it claims: stored elements are checked against their
-    generators (_is_generated), orders and determinant images against the
-    group they describe."""
+    generators (_is_generated), a class stored without them must pass the
+    SL2 screen of close_generators again, and orders and determinant
+    images are checked against the group they describe."""
     try:
         payload = json.loads(path.read_text())
     except (OSError, ValueError):
@@ -601,10 +550,11 @@ def _load_cache(path: Path, p, mode):
             if any(key_det(p, g) == 0 for g in gens):
                 return None  # a singular matrix generates no group
             if entry["sl2_preimage"]:
-                dets = _det_closure(p, [key_det(p, g) for g in gens])
-                G = Subgroup.sl2_preimage(p, dets, gens)
+                G = close_generators(p, gens)
+                if G.is_materialized:
+                    return None  # <gens> does not contain SL2
             else:
-                # normalized as generated_by would
+                # normalized as close_generators would
                 gens = sorted(set(gens))
                 keys = _decode_keys(p, entry["elements"])
                 if not _is_generated(p, gens, keys):

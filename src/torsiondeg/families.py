@@ -306,7 +306,8 @@ def _sieving_root(c: int, x: int) -> int:
     if root > MAX_SIEVING_PRIME:
         raise ValueError(f"prime shifts at c = {c}, x = {x} sieve by the "
                          f"primes up to {root}; the supported bound of "
-                         f"the sieving primes is {MAX_SIEVING_PRIME}")
+                         f"the sieving primes is MAX_SIEVING_PRIME = "
+                         f"{MAX_SIEVING_PRIME}")
     return root
 
 
@@ -608,8 +609,11 @@ def find_cutoff_C(epsilon, c: int, x: int) -> int:
         else:  # pragma: no cover - defensive
             raise RuntimeError(
                 f"the cutoff left its bracket ({floor}, {ceiling}]")
-        floor, ceiling = (floor + (k - 1) * width,
-                          min(ceiling, floor + k * width))
+        bracket = floor + (k - 1) * width, min(ceiling, floor + k * width)
+        if bracket == (floor, ceiling):
+            raise RuntimeError(f"a pass left the cutoff's bracket ({floor}, "
+                               f"{ceiling}] as wide as before")
+        floor, ceiling = bracket
     return ceiling
 
 

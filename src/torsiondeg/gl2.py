@@ -349,16 +349,15 @@ class Subgroup:
     """A subgroup of GL2(F_p), immutable once constructed.
 
     Most subgroups carry their full element table: one sorted, read-only
-    int64 array of packed keys, the `elements` of the group.  Subgroups
-    that contain SL2 can instead be represented lazily by their determinant
-    image alone (they are exactly the preimages {g : det g in D}); such a
-    subgroup knows its order and invariants but will refuse to materialize
-    its elements above MATERIALIZATION_LIMIT.  Generators are a tuple of
+    int64 array of packed keys, the `elements` of the group.  A subgroup
+    built without elements is lazy: it is <SL2, generators>, the preimage
+    {g : det g in D} of the determinant image D of its generators, which
+    knows its order and invariants but will refuse to materialize its
+    elements above MATERIALIZATION_LIMIT.  Generators are a tuple of
     Python ints either way.
     """
 
-    def __init__(self, p, *, generators, elements=None, det_image=None,
-                 contains_sl2=None):
+    def __init__(self, p, *, generators, elements=None):
         self.p = p
         self.generators = tuple(np.asarray(generators, dtype=np.int64).tolist())
         self._elements = None if elements is None else _frozen_keys(elements)
@@ -368,11 +367,11 @@ class Subgroup:
             self.det_image = frozenset(np.flatnonzero(dets).tolist())
             self.contains_sl2 = int(dets[1]) == p * (p * p - 1)
         else:
-            # lazy: only valid for SL2-preimages, where everything follows
-            # from the determinant image
-            if not contains_sl2:
-                raise ValueError("lazy subgroups must contain SL2")
-            self.det_image = frozenset(det_image)
+            # lazy: everything follows from the determinant image
+            dets = [key_det(p, g) for g in self.generators]
+            if 0 in dets:
+                raise ValueError(f"a generator is singular mod {p}")
+            self.det_image = _det_closure(p, dets)
             self.contains_sl2 = True
             self.order = p * (p * p - 1) * len(self.det_image)
         self._fingerprint = None
@@ -388,14 +387,9 @@ class Subgroup:
                    elements=keys)
 
     @classmethod
-    def sl2_preimage(cls, p, det_image, generators):
-        return cls(p, generators=generators, det_image=det_image,
-                   contains_sl2=True)
-
-    @classmethod
-    def generated_by(cls, p, gen_keys):
-        gens = sorted(set(gen_keys))
-        return cls(p, generators=gens, elements=_mulclose(p, gens))
+    def sl2_preimage(cls, p, generators):
+        """<SL2, generators>, kept lazy."""
+        return cls(p, generators=generators)
 
     # -- element access ----------------------------------------------------
 
@@ -465,7 +459,7 @@ class Subgroup:
 
         gens = conj(self.generators)
         if self._elements is None:
-            return Subgroup.sl2_preimage(p, self.det_image, gens)
+            return Subgroup.sl2_preimage(p, gens)
         return Subgroup(p, generators=gens,
                         elements=np.sort(conj(self._elements)))
 
@@ -518,6 +512,14 @@ def close_generators(p: int, gens) -> Subgroup:
     Accepts packed keys or 2x2 nested sequences; rejects a key that packs
     no matrix mod p and any non-invertible generator, identifying the
     offender.
+
+    For p >= 5, Dickson's classification (Serre, Invent. Math. 15, 1972,
+    section 2) certifies SL2 <= <gens> from the generators: with no
+    invariant line, line pair or Galois-conjugate point pair, the image in
+    PGL2, faithful on the lines, is A4, S4, A5 or holds PSL2, so more than
+    60 line permutations (59 at p = 5, where PSL2 is A5) certify it.  Such
+    a group stays lazy, its generators as given; any other is closed by
+    _mulclose, its generators sorted and deduped.
     """
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
@@ -533,7 +535,16 @@ def close_generators(p: int, gens) -> Subgroup:
         if (a * d - b * c) % p == 0:
             raise ValueError(f"generator (({a},{b}),({c},{d})) is singular mod {p}")
         keys.append(pack(p, a, b, c, d))
-    return Subgroup.generated_by(p, keys)
+    if p >= 5:
+        images = _line_images(p, keys)
+        if not (len(_fixed_lines(images))
+                or _stabilized_line_pair(images) is not None
+                or _stabilized_conjugate_pair_for_generators(p, keys)
+                or _perm_closure_capped(images, 59 if p == 5 else 60)
+                is not None):
+            return Subgroup.sl2_preimage(p, keys)
+    keys = sorted(set(keys))
+    return Subgroup(p, generators=keys, elements=_mulclose(p, keys))
 
 
 # ---------------------------------------------------------------------------
@@ -678,6 +689,33 @@ def _line_images(p: int, keys) -> np.ndarray:
     nx, ny = (a * x + b * y) % p, (c * x + d * y) % p
     images = np.where(nx != 0, ny * _unit_inverses(p)[nx] % p, p)
     return images.astype(np.int16 if p < 2 ** 15 - 1 else np.int32)
+
+
+def _perm_closure_capped(images: np.ndarray, limit: int):
+    """Closure of the permutations given by the rows of images, as an
+    array with one row of images per element, or None once the size
+    exceeds `limit`.
+
+    The product x g, i -> x[g[i]], of every frontier row x with one
+    generator g is the fancy index frontier[:, g]; rows are told apart
+    by their bytes."""
+    n = images.shape[1]
+    frontier = np.arange(n, dtype=images.dtype)[None, :]
+    seen = {frontier[0].tobytes()}
+    elements = [frontier]
+    while len(frontier):
+        fresh = []
+        for g in images:
+            for row in frontier[:, g]:
+                key = row.tobytes()
+                if key not in seen:
+                    if len(seen) >= limit:
+                        return None
+                    seen.add(key)
+                    fresh.append(row)
+        frontier = np.array(fresh, dtype=images.dtype).reshape(-1, n)
+        elements.append(frontier)
+    return np.concatenate(elements)
 
 
 def _fixed_lines(images: np.ndarray) -> np.ndarray:

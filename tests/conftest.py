@@ -1,9 +1,33 @@
 import math
 import random
+import signal
 
 import numpy as np
+import pytest
 
 from torsiondeg import gl2
+
+# Seconds one test may run, far above the slowest (about 8 s): a kernel
+# that loops forever fails its test instead of stalling the suite.
+TEST_WALL_LIMIT = 600
+
+
+@pytest.fixture(autouse=True)
+def _wall_limit():
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        pytest.fail(f"the test ran past {TEST_WALL_LIMIT} s", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_WALL_LIMIT)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +172,7 @@ def find_projective_subgroup(p, base, hist, seed=0, tries=3000):
     for _ in range(tries):
         x = base[rng.randrange(len(base))]
         y = base[rng.randrange(len(base))]
-        G = gl2.Subgroup.generated_by(p, [x, y])
+        G = gl2.close_generators(p, [x, y])
         if G.order > 60 * (p - 1):  # cannot have a small exceptional image
             continue
         if G.projective_order != want_q:
@@ -186,7 +210,7 @@ def oracle_mulclose(p, gens):
 def oracle_perm_closure_capped(gens, limit):
     """Closure of permutations given as tuples of images, one composition
     at a time, or None once the size exceeds `limit`: the reference for
-    _enumeration._perm_closure_capped."""
+    gl2._perm_closure_capped."""
     n = len(gens[0])
     identity = tuple(range(n))
     elements = {identity}

@@ -578,6 +578,7 @@ def test_bepsilon_past_its_bounds_is_refused(capsys):
                                   "--epsilon", "1/2", "--x", "10000"])
     assert code == 2 and out == ""
     assert "supported bound" in err and "sieving primes" in err
+    assert "MAX_SIEVING_PRIME = 1048576" in err
 
 
 # the last line of stderr lists which of the audited modules are loaded

@@ -605,6 +605,7 @@ def test_density_cli_rejects_huge_sieving_primes_before_allocating(tmp_path):
     assert out.returncode == 2, out.stderr
     message, peak_kb = out.stderr.strip().splitlines()
     assert "sieving primes" in message and "supported bound" in message
+    assert "MAX_SIEVING_PRIME" in message
     assert int(peak_kb) < 100 * 1024  # kB
 
 
@@ -788,6 +789,14 @@ def test_find_cutoff_in_three_codes_matches_sorted_order_statistic(
         passes.clear()
         assert find_cutoff_C(eps, c, x) == sorted_cutoff(eps, c, x), eps
         assert len(passes) >= 10, eps
+
+
+def test_find_cutoff_refuses_a_pass_that_does_not_narrow(monkeypatch):
+    # with no code besides 0 and 1, every degree lands in code 1 and a
+    # pass leaves the bracket (0, c x] as it was: it must raise, not loop
+    monkeypatch.setattr(families, "_CODES", 2)
+    with pytest.raises(RuntimeError, match="as wide as before"):
+        find_cutoff_C(Fraction(1, 2), 6, 1000)
 
 
 def test_find_cutoff_at_ten_million():

@@ -218,6 +218,53 @@ class TestCloseGenerators:
                 for y in sample:
                     assert oracle_key_mul(p, x, y) in G
 
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_screen_matches_mulclose(self, p):
+        # a lazy closure is certified by the screen alone: the honest
+        # closure of the same generators has its order, determinant image
+        # and elements; any other closure is the honest one, key for key
+        rng = random.Random(p)
+        lazy = 0
+        for _ in range(30):
+            keys, n = [], rng.randint(1, 3)
+            while len(keys) < n:
+                k = rng.randrange(p ** 4)
+                if key_det(p, k):
+                    keys.append(k)
+            G = close_generators(p, keys)
+            gens = sorted(set(keys))
+            honest = gl2._mulclose(p, gens)
+            if G.is_materialized:
+                assert G.generators == tuple(gens)
+            else:
+                lazy += 1
+                assert G.generators == tuple(keys)
+                assert G.order == len(honest)
+                assert G.det_image == frozenset(
+                    key_det(p, k) for k in honest.tolist())
+            assert np.array_equal(G.elements, honest)
+        assert 0 < lazy < 30
+
+    @pytest.mark.parametrize("p", [61, 97])
+    def test_screen_closes_large_dihedral_and_borel_images(self, p):
+        # their projective images, of order 2(p - 1), 2(p + 1) and
+        # p(p - 1), pass the cap of 60: only the line tests keep these
+        # groups from being taken for SL2-preimages
+        for make in (split_normalizer, nonsplit_normalizer, borel):
+            G = make(p).conjugate(pack(p, 2, 3, 5, 7))
+            H = close_generators(p, list(G.generators))
+            assert H.is_materialized, make.__name__
+            assert np.array_equal(H.elements, G.elements), make.__name__
+
+    def test_screen_keeps_gl2_at_97_lazy(self):
+        G = close_generators(97, [922083, 912771, 4563366])
+        assert not G.is_materialized
+        assert G.order == 87_607_296
+        assert classify(G) is DicksonClass.CONTAINS_SL
+        assert projective_type(G) is ProjectiveType.PGL2_FULL
+        assert G.projective_order == 912_576
+        assert not G.is_materialized
+
 
 # ---------------------------------------------------------------------------
 # standard subgroups
@@ -367,9 +414,9 @@ class TestVectorOrbits:
                     assert G.order % s == 0  # orbit-stabilizer
 
     def test_lazy_subgroup_orbits(self):
-        G = Subgroup.sl2_preimage(97, frozenset(range(1, 97)),
-                                  [pack(97, 1, 1, 0, 1), pack(97, 1, 0, 1, 1),
-                                   pack(97, 5, 0, 0, 1)])
+        G = Subgroup.sl2_preimage(97, [pack(97, 1, 1, 0, 1),
+                                       pack(97, 1, 0, 1, 1),
+                                       pack(97, 5, 0, 0, 1)])
         assert vector_orbit_sizes(G) == [97 * 97 - 1]
 
 
@@ -382,9 +429,10 @@ class TestLazySubgroups:
         p = 97
         dets = frozenset(pow(5, i, p) for i in range(96))
         assert len(dets) == 96  # 5 generates mod 97
-        return Subgroup.sl2_preimage(
-            p, dets, [pack(p, 1, 1, 0, 1), pack(p, 1, 0, 1, 1),
-                      pack(p, 5, 0, 0, 1)])
+        G = Subgroup.sl2_preimage(p, [pack(p, 1, 1, 0, 1),
+                                      pack(p, 1, 0, 1, 1), pack(p, 5, 0, 0, 1)])
+        assert G.det_image == dets
+        return G
 
     def test_order_without_materializing(self):
         G = self.big()
@@ -413,15 +461,18 @@ class TestLazySubgroups:
         assert not G.is_materialized
 
     def test_lazy_invariants_are_checked(self):
-        with pytest.raises(ValueError, match="contain SL2"):
-            Subgroup(5, generators=[1], det_image=[1, 2])
-        G = Subgroup(5, generators=[1], det_image=[1, 2], contains_sl2=True)
+        # without elements, a group is <SL2, generators>, known by the
+        # determinant image of its generators; a singular one is refused
+        with pytest.raises(ValueError, match="singular"):
+            Subgroup(5, generators=[pack(5, 1, 0, 0, 1), 1])
+        G = Subgroup(5, generators=[pack(5, 4, 0, 0, 1)])
+        assert G.det_image == frozenset({1, 4}) and G.contains_sl2
         assert G.order == 5 * 24 * 2
 
     def test_lazy_invariants_survive_optimized_mode(self):
         code = ("from torsiondeg.gl2 import Subgroup\n"
                 "try:\n"
-                "    Subgroup(5, generators=[1], det_image=[1, 2])\n"
+                "    Subgroup(5, generators=[1])\n"
                 "except ValueError:\n"
                 "    print('rejected')\n")
         src = Path(gl2.__file__).resolve().parents[1]
@@ -434,16 +485,15 @@ class TestLazySubgroups:
 
     def test_small_preimage_materializes_consistently(self):
         p = 7
-        G = Subgroup.sl2_preimage(p, frozenset({1, 2, 4}),
-                                  [pack(p, 1, 1, 0, 1), pack(p, 1, 0, 1, 1),
-                                   pack(p, 2, 0, 0, 1)])
+        G = Subgroup.sl2_preimage(p, [pack(p, 1, 1, 0, 1),
+                                      pack(p, 1, 0, 1, 1), pack(p, 2, 0, 0, 1)])
+        assert G.det_image == frozenset({1, 2, 4})
         assert G.order == 7 * 48 * 3
         elems = G.elements
         assert len(elems) == G.order
         assert all(key_det(p, k) in {1, 2, 4} for k in elems.tolist())
         # agrees with an honest closure of the same generators
-        H = close_generators(p, list(G.generators))
-        assert np.array_equal(H.elements, elems)
+        assert np.array_equal(gl2._mulclose(p, list(G.generators)), elems)
 
 
 # ---------------------------------------------------------------------------
@@ -621,9 +671,11 @@ class TestFingerprint:
 
     def test_lazy_and_materialized_agree(self):
         p = 5
-        lazy = Subgroup.sl2_preimage(p, frozenset({1, 4}),
-                                     [pack(p, 1, 1, 0, 1), pack(p, 1, 0, 1, 1),
-                                      pack(p, 4, 0, 0, 1)])
-        honest = close_generators(p, list(lazy.generators))
+        lazy = Subgroup.sl2_preimage(p, [pack(p, 1, 1, 0, 1),
+                                         pack(p, 1, 0, 1, 1),
+                                         pack(p, 4, 0, 0, 1)])
+        gens = sorted(lazy.generators)
+        honest = Subgroup(p, generators=gens,
+                          elements=gl2._mulclose(p, gens))
         assert honest.order == lazy.order
         assert honest.fingerprint() == lazy.fingerprint()

@@ -37,11 +37,7 @@ from torsiondeg.gl2 import (
 )
 from torsiondeg import _enumeration
 from torsiondeg.orbits import stabilizer
-from torsiondeg._enumeration import (
-    _close_sampled_pair,
-    _companion_bases,
-    conjugate_subgroups,
-)
+from torsiondeg._enumeration import _companion_bases, conjugate_subgroups
 
 from conftest import (
     oracle_key_inv,
@@ -653,15 +649,16 @@ def test_conjugate_subgroups_separates_classes_with_one_fingerprint():
 
 def test_sampled_screens_small_pairs():
     p = 13
-    upper = _close_sampled_pair(p, pack(p, 2, 1, 0, 3), pack(p, 1, 5, 0, 1))
+    upper = close_generators(p, [pack(p, 2, 1, 0, 3), pack(p, 1, 5, 0, 1)])
     assert upper.is_materialized
     assert upper.order <= p * (p - 1) ** 2
 
-    lazy = _close_sampled_pair(p, pack(p, 1, 1, 0, 1), pack(p, 1, 0, 1, 1))
+    lazy = close_generators(p, [pack(p, 1, 1, 0, 1), pack(p, 1, 0, 1, 1)])
     assert not lazy.is_materialized
     assert lazy.contains_sl2 and lazy.det_image == frozenset({1})
     assert lazy.order == p * (p * p - 1)
-    honest = close_generators(p, list(lazy.generators))
+    gens = sorted(lazy.generators)
+    honest = Subgroup(p, generators=gens, elements=_mulclose(p, gens))
     assert honest.order == lazy.order
     assert honest.fingerprint() == lazy.fingerprint()
 
@@ -682,7 +679,8 @@ def test_sampled_census_is_deterministic_and_consistent():
     lazies = [G for G in census if not G.is_materialized][:2]
     assert lazies
     for G in lazies:
-        honest = close_generators(13, list(G.generators))
+        gens = sorted(G.generators)
+        honest = Subgroup(13, generators=gens, elements=_mulclose(13, gens))
         assert honest.order == G.order
         assert honest.det_image == G.det_image
         assert sorted(honest.elements) == sorted(G.elements)
@@ -768,6 +766,22 @@ def test_cache_with_singular_generator_is_recomputed(tmp_path):
     census = enumerate_subgroups(5, cache_dir=tmp_path)
     assert ([G.elements.tolist() for G in census]
             == [G.elements.tolist() for G in fresh])
+
+
+def test_cache_with_uncertified_lazy_class_is_recomputed(tmp_path):
+    # a class stored without elements is trusted only if the screen of
+    # close_generators certifies SL2 <= <gens> again: here <diag(r, 1)>
+    # is cyclic of order 12, though its determinant image and the order
+    # of its preimage match the stored ones
+    p, r = 13, gl2.primitive_root(13)
+    enumerate_subgroups(p, "sampled", count=60, seed=1, cache_dir=tmp_path)
+    (path,) = tmp_path.glob("gl2enum-p13-*.json")
+    payload = json.loads(path.read_text())
+    entry = next(e for e in payload["classes"]
+                 if e["sl2_preimage"] and len(e["det_image"]) == p - 1)
+    entry["generators"] = [[[r, 0], [0, 1]]]
+    path.write_text(json.dumps(payload))
+    assert _enumeration._load_cache(path, p, "sampled") is None
 
 
 def test_failed_cache_save_keeps_previous_file(tmp_path):

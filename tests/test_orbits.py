@@ -103,7 +103,9 @@ def test_stabilizer_rejects_zero_vector():
 def test_lazy_stabilizer_matches_brute_force(v):
     # determinant-defined subgroup, small enough to also check honestly
     p = 7
-    lazy = Subgroup.sl2_preimage(p, frozenset({1, 2, 4}), [])
+    lazy = Subgroup.sl2_preimage(p, [pack(p, 1, 1, 0, 1), pack(p, 1, 0, 1, 1),
+                                     pack(p, 2, 0, 0, 1)])
+    assert lazy.det_image == frozenset({1, 2, 4})
     assert stabilizer(lazy, v).order == p * 3
     assert sorted(stabilizer(lazy, v).elements) == brute_stabilizer_keys(lazy, v)
 
@@ -113,7 +115,7 @@ def test_lazy_stabilizer_without_materializing():
     from torsiondeg.gl2 import primitive_root
     gens = [pack(p, 1, 1, 0, 1), pack(p, 1, 0, 1, 1),
             pack(p, primitive_root(p), 0, 0, 1)]
-    G = Subgroup.sl2_preimage(p, frozenset(range(1, p)), gens)  # all of GL2
+    G = Subgroup.sl2_preimage(p, gens)  # all of GL2
     S = stabilizer(G, (5, 11))
     assert S.order == p * (p - 1)
     assert G.order == len(vector_orbits(G)[0]) * S.order

@@ -2,17 +2,25 @@
 
 import ast
 import importlib
+import signal
 from pathlib import Path
 
 import pytest
 
 import torsiondeg
+from conftest import TEST_WALL_LIMIT
 
 SOURCES = sorted(Path(torsiondeg.__file__).parent.glob("*.py"))
 
 
 def test_sources_are_found():
     assert {p.name for p in SOURCES} >= {"families.py", "gl2.py", "cli.py"}
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="no SIGALRM")
+def test_every_test_runs_under_a_wall_limit():
+    # conftest arms an alarm around each test, so a hang fails the suite
+    assert 0 < signal.getitimer(signal.ITIMER_REAL)[0] <= TEST_WALL_LIMIT
 
 
 def test_no_assert_statements_in_the_package():
@@ -31,6 +39,17 @@ def _definitions(names):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and node.name in names]
+
+
+def _callers(name):
+    """The package's functions that call the function of this name."""
+    return sorted(func.name
+                  for path in SOURCES
+                  for func in ast.walk(ast.parse(path.read_text("utf-8")))
+                  if isinstance(func, ast.FunctionDef)
+                  and any(isinstance(call, ast.Call)
+                          and ast.unparse(call.func) == name
+                          for call in ast.walk(func)))
 
 
 def test_no_scalar_matrix_kernel_in_the_package():
@@ -115,14 +134,25 @@ def test_one_normalizer_in_the_package():
     assert _definitions({"_FullContext", "_Census"}) == []
     assert [entry.split(":")[0] for entry in _definitions(
         {"normalizer", "_transports"})] == ["_enumeration.py"] * 2
-    callers = sorted(func.name
-                     for path in SOURCES
-                     for func in ast.walk(ast.parse(path.read_text("utf-8")))
-                     if isinstance(func, ast.FunctionDef)
-                     and any(isinstance(call, ast.Call)
-                             and ast.unparse(call.func) == "_transports"
-                             for call in ast.walk(func)))
-    assert callers == ["conjugate_subgroups", "normalizer"]
+    assert _callers("_transports") == ["conjugate_subgroups", "normalizer"]
+
+
+def test_one_closure_of_generators_in_the_package():
+    # gl2.close_generators turns every generator list into a Subgroup:
+    # the sampled census's pair closure and Subgroup.generated_by are
+    # gone, only close_generators runs _mulclose, and _enumeration runs
+    # none of the line tests of its screen
+    from torsiondeg import _enumeration
+
+    assert _definitions({"_close_sampled_pair", "generated_by"}) == []
+    assert _callers("_mulclose") == ["close_generators"]
+    tree = ast.parse(Path(_enumeration.__file__).read_text("utf-8"))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert imported.isdisjoint({
+        "_det_closure", "_fixed_lines", "_line_images",
+        "_stabilized_line_pair",
+        "_stabilized_conjugate_pair_for_generators"})
 
 
 def test_one_progression_sieve_in_the_package():

@@ -27,6 +27,7 @@ from torsiondeg.gl2 import (
     _fixed_lines,
     _line_images,
     _mulclose,
+    _perm_closure_capped,
     _stabilized_conjugate_pair_for_generators,
     _stabilized_line_pair,
     enumerate_subgroups,
@@ -38,7 +39,7 @@ from torsiondeg.gl2 import (
     unpack,
     vector_orbits,
 )
-from torsiondeg._enumeration import _perm_closure_capped, _random_invertible
+from torsiondeg._enumeration import _random_invertible
 from torsiondeg.orbits import (
     _all_subgroups_of,
     _pointwise_stabilizers,
@@ -386,8 +387,9 @@ def test_vector_orbits_match_search(p):
     for e in (1, 2, p - 1):
         delta = pow(r, e, p)
         dets = frozenset(pow(delta, i, p) for i in range(p - 1))
-        groups.append(Subgroup.sl2_preimage(
-            p, dets, sl2_gens + [pack(p, delta, 0, 0, 1)]))
+        G = Subgroup.sl2_preimage(p, sl2_gens + [pack(p, delta, 0, 0, 1)])
+        assert G.det_image == dets
+        groups.append(G)
     assert sum(G.contains_sl2 for G in groups) >= 6
     for G in groups:
         orbits = oracle_vector_orbits(G)
