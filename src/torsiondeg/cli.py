@@ -11,7 +11,8 @@ projection for the tabular commands.
 
 Only `arith` loads with this module: each handler imports the layers it
 runs, so `cm`, `genus`, `degrees`, `semigroup` and `--version` start
-without numpy.
+without numpy, and `--version` without `json`, `csv`, `fractions`,
+`dataclasses`, `pathlib` or `typing`.
 
 Exit codes: 0 = pass or report-only, 1 = a verification failure
 (a divisibility violation, an unclassifiable subgroup, a failed
@@ -22,17 +23,12 @@ certificate), 2 = usage or input errors.  Rationals are serialized as
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import itertools
-import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
-from fractions import Fraction
-from pathlib import Path
-from typing import Callable
+from collections import namedtuple
 
 from . import arith
 from ._version import VERSION
@@ -57,7 +53,7 @@ def _utc_now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
-def _frac(fr: Fraction) -> str:
+def _frac(fr) -> str:
     return f"{fr.numerator}/{fr.denominator}"
 
 
@@ -123,6 +119,8 @@ def _prime_list(text: str) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def _load_json(path: str):
+    import json
+
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
@@ -165,6 +163,8 @@ def _case_task(task):
 
 
 def _lemma_task(p):
+    from dataclasses import asdict
+
     from . import orbits
 
     split = [asdict(r) for r in orbits.verify_split_pointwise_stabilizers(p)]
@@ -390,6 +390,8 @@ def _profile_for_args(args):
 
 
 def _cmd_bepsilon(args):
+    from fractions import Fraction
+
     from . import families
 
     try:
@@ -461,19 +463,13 @@ def _lemma_records(body):
                "verdict": entry["nonsplit"]["verdict"]}
 
 
-@dataclass(frozen=True)
-class Command:
-    """One subcommand: its help line, its argparse specs as (flags, kwargs)
-    pairs, its handler, and its lossy CSV projection.  `csv` names the
-    columns; `records` picks the body's rows as dicts, a list value
-    becoming one `|`-joined cell.  Commands with no table have `csv=None`
-    and are rejected under --format csv before they compute anything."""
-
-    help: str
-    args: tuple
-    handler: Callable
-    csv: tuple[str, ...] | None = None
-    records: Callable = lambda body: [body]
+Command = namedtuple("Command", "help args handler csv records",
+                     defaults=(None, lambda body: [body]))
+Command.__doc__ = """One subcommand: its help line, its argparse specs as
+(flags, kwargs) pairs, its handler, and its lossy CSV projection.  `csv`
+names the columns; `records` picks the body's rows as dicts, a list value
+becoming one `|`-joined cell.  Commands with no table have `csv=None` and
+are rejected under --format csv before they compute anything."""
 
 
 def _arg(*flags, **spec):
@@ -596,7 +592,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _render(args, command, params, body, verdict, started, finished) -> str:
+    import json
+
     if args.format == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(command.csv)
@@ -642,7 +642,8 @@ def main(argv=None) -> int:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
     return 1 if verdict == "fail" else 0

@@ -15,8 +15,10 @@ maximum over its divisors: one kernel, _spread_block, lifts the degrees
 up to sqrt(x) by a strided pass per marked s, and each later degree d
 also from d / p for every prime p <= sqrt(x), which lies in an earlier,
 finished block.  A walk keeps only the degrees up to x / 2, since no
-block reads past that: a density count one bit each, and the budget's
-cutoff search one uint8 code of the largest prime shift each.
+block reads past that: a density count one bit each, and the code walk
+of the budget's cutoff search one uint8 code of the largest prime shift
+each.  The cutoff search mostly walks no code: it reads its cutoff off
+the few top progressions, whose cofactors are small (find_cutoff_C).
 
 The main pipeline (b_epsilon_procedure) picks the least shift cutoff C
 whose clause has density at most epsilon/2, converts it to a prime bound
@@ -33,7 +35,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import asdict, astuple, dataclass, fields
 from fractions import Fraction
-from itertools import groupby, islice
+from itertools import accumulate, groupby, islice
 from operator import itemgetter
 from typing import Callable, Optional
 
@@ -58,10 +60,16 @@ MAX_SIEVE = 2 * 10 ** 8
 _BLOCK = 1 << 20
 MAX_SIEVING_PRIME = _BLOCK
 
-# The cutoff search's codes are uint8, and it histograms them this many
-# degrees at a time.
+# The code walk of the cutoff search has uint8 codes and histograms them
+# this many degrees at a time; the top progressions sum their marks this
+# many bytes at a time.
 _CODES = 256
 _CHUNK = 1 << 15
+
+# The cutoff search reads the top progressions, with cofactors k < k0 for
+# k0 = 2, 3, ... up to this bound plus one; a cutoff below
+# c x / (bound + 1) is found by the code walk.
+_MAX_COFACTOR = 8
 
 # Budget products over every prime up to L get genuinely astronomical (L
 # can reach 10^8 for tight epsilon), so materialization is capped and the
@@ -570,34 +578,18 @@ def _code_histogram(c: int, x: int, floor: int, width: int) -> np.ndarray:
     return hist
 
 
-def find_cutoff_C(epsilon, c: int, x: int) -> int:
-    """Least C >= 0 whose prime-shift clause has density at most epsilon
-    within [1, x].
+def _walk_cutoff(c: int, x: int, allowed: int, ceiling: int) -> int:
+    """The least C >= 0 with at most `allowed` degrees d <= x of M(d) > C,
+    given C <= ceiling, by code walks.
 
-    With K the largest allowed count, C is the (K+1)-th largest M(d),
-    the largest l - 1 over the primes l with (l-1) | c d (0 when
-    everything fits), and no table of M is formed.  C lies in a bracket
-    (floor, ceiling], at first (0, c x]: l = 2 gives M(d) >= 1.  Each pass
-    of _code_histogram counts the degrees by a nondecreasing code of
-    their M in _CODES - 1 = 255 buckets of the bracket, and the bucket
-    that holds the (K+1)-th largest is the next bracket, until it is one
-    value wide.  Each pass keeps x / 2 bytes of codes; at c = 144,
-    x = 10^6 there are 4 passes, and later ones sieve only past their
-    floor.
-
-    A budget built on C is exact on [1, x]: this, its shift half, holds
-    only there, since C grows with x and the same clause is denser past
-    x, while its power half (b_epsilon_procedure) holds at every x.
+    C lies in a bracket (floor, ceiling], at first (0, ceiling]: l = 2
+    gives M(d) >= 1.  Each pass of _code_histogram counts the degrees by a
+    nondecreasing code of their M in _CODES - 1 = 255 buckets of the
+    bracket, and the bucket that holds the (allowed + 1)-th largest is the
+    next bracket, until it is one value wide.  Each pass keeps x / 2 bytes
+    of codes, and later passes sieve only past their floor.
     """
-    eps = Fraction(epsilon)
-    if not 0 < eps <= 1:
-        raise ValueError("epsilon must lie in (0, 1]")
-    _check_walk(x)
-    _sieving_root(c, x)
-    allowed = int(eps * x)  # floor; count <= allowed <=> density <= eps
-    if allowed >= x:
-        return 0
-    floor, ceiling = 0, c * x
+    floor = 0
     while ceiling - floor > 1:
         width = -(-(ceiling - floor) // (_CODES - 1))
         hist = _code_histogram(c, x, floor, width).tolist()
@@ -615,6 +607,119 @@ def find_cutoff_C(epsilon, c: int, x: int) -> int:
                                f"{ceiling}] as wide as before")
         floor, ceiling = bracket
     return ceiling
+
+
+def _top_shift_counter(c: int, x: int, k0: int):
+    """The function T -> #{d <= x : M(d) > T} for T >= F = c x // k0, M(d)
+    the largest l - 1 over the primes l with (l-1) | c d.
+
+    By the cofactor fact (find_cutoff_C) a degree d with M(d) > F is
+    d = j s for a shift t s > F of _progression_blocks(c, x, F) and a j
+    with cofactor k = (c/t) j < k0.  Each k marks its degrees in a bitmap
+    over (k F // c, x], one bit per degree in np.packbits order from a
+    byte boundary, and a d reached by several k keeps only the least,
+    whose shift c d / k is M(d).  For each k, c d / k > T exactly when
+    d > k T // c, so a count is a suffix of set bits per k: the bits are
+    summed once per _CHUNK bytes, and a count reads one chunk per k.
+    The bitmaps take about (k0 - 1) x / 16 bytes.
+    """
+    F = c * x // k0
+    size = (x + 7) // 8
+    marks = []
+    for k in range(1, k0):
+        start = min(k * F // c // 8, size)  # byte of the first bit kept
+        marks.append((k, start, np.zeros(size - start, dtype=np.uint8)))
+    for lo, t, alive in _progression_blocks(c, x, F):
+        first = max(lo, F // t + 1)  # the least s with t s > F
+        q = c // t
+        for j in range(1, (k0 - 1) // q + 1):
+            hi = min(lo + len(alive), x // j + 1)  # j s <= x
+            _, start, bits = marks[q * j - 1]
+            span = len(alive) // j + 1  # s per piece of at most a block
+            for s in range(first, hi, span):
+                piece = alive[s - lo:min(s + span, hi) - lo]
+                spread = np.zeros(j * (len(piece) - 1) + 1, dtype=bool)
+                spread[::j] = piece
+                _put_bits(bits, j * s - 8 * start, spread)
+    for i, (_, start, bits) in enumerate(marks):
+        for _, other_start, other in marks[:i]:
+            other = other[start - other_start:]
+            for b in range(0, len(bits), _CHUNK):
+                bits[b:b + _CHUNK] &= ~other[b:b + _CHUNK]
+    tails = []
+    for _, start, bits in marks:
+        sums = [int(np.count_nonzero(np.unpackbits(bits[i:i + _CHUNK])))
+                for i in range(0, len(bits), _CHUNK)]
+        tails.append(list(accumulate(reversed(sums), initial=0))[::-1])
+
+    def above(T):
+        count = 0
+        for (k, start, bits), tail in zip(marks, tails):
+            i = max(k * T // c - 8 * start, 0)  # the bit of d = k T // c + 1
+            byte = i // 8
+            if byte < len(bits):
+                chunk = byte // _CHUNK
+                end = (chunk + 1) * _CHUNK
+                count += (tail[chunk + 1]
+                          + int(np.count_nonzero(np.unpackbits(
+                              bits[byte:end])[i % 8:])))
+        return count
+    return F, above
+
+
+def find_cutoff_C(epsilon, c: int, x: int) -> int:
+    """Least C >= 0 whose prime-shift clause has density at most epsilon
+    within [1, x].
+
+    With K the largest allowed count, C is the (K+1)-th largest M(d),
+    the largest l - 1 over the primes l with (l-1) | c d (0 when
+    everything fits), and no table of M is formed.
+
+    The cofactor fact: if M(d) > F for some F > 0, then k = c d / M(d) <
+    c x / F, and M(d) = c d / k for the least k with k | c d and
+    c d / k + 1 prime.  Proof: M(d) divides c d, so k is a positive
+    integer, and k = c d / M(d) < c d / F <= c x / F.  Any k' with
+    c d / k' + 1 prime has c d / k' <= M(d), so k' >= k.
+
+    So for F = c x // k0 the degrees with M(d) > F come from the few top
+    progressions of cofactor k < k0 (_top_shift_counter), and once more
+    than K of them exceed F, C is the least T >= F with at most K degrees
+    of M(d) > T, found by bisection on T.  k0 runs 2, 3, ... up to
+    _MAX_COFACTOR + 1, each try a fresh sieve: a larger k0 would do as
+    well, but its marks take more memory.  At k0 = 2 only t = c is
+    sieved, on s in (x / 2, x].  A cutoff below c x / (_MAX_COFACTOR + 1)
+    is left to the code walk (_walk_cutoff) from that ceiling: at
+    x = 10^6 these are the epsilon of 1/2 or more at c = 6 and c = 144,
+    and those of 1/4 or more at c = 1 and c = 2; epsilon near 1 always
+    walks.  The three budget epsilons at
+    c = 144 (1/4, 1/20, 1/200 of the shift half) take k0 = 5, 2 and 2
+    at x = 10^6 and k0 = 6, 2 and 2 at x = 10^8.
+
+    A budget built on C is exact on [1, x]: this, its shift half, holds
+    only there, since C grows with x and the same clause is denser past
+    x, while its power half (b_epsilon_procedure) holds at every x.
+    """
+    eps = Fraction(epsilon)
+    if not 0 < eps <= 1:
+        raise ValueError("epsilon must lie in (0, 1]")
+    _check_walk(x)
+    _sieving_root(c, x)
+    allowed = int(eps * x)  # floor; count <= allowed <=> density <= eps
+    if allowed >= x:
+        return 0
+    for k0 in range(2, _MAX_COFACTOR + 2):
+        F, above = _top_shift_counter(c, x, k0)
+        if above(F) > allowed:
+            low, high = F, c * x  # above(low) > allowed >= above(high)
+            while high - low > 1:
+                mid = (low + high) // 2
+                if above(mid) > allowed:
+                    low = mid
+                else:
+                    high = mid
+            return high
+        del above  # its marks go before the next, larger ones are made
+    return _walk_cutoff(c, x, allowed, F)
 
 
 # ---------------------------------------------------------------------------

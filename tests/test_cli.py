@@ -583,8 +583,8 @@ def test_bepsilon_past_its_bounds_is_refused(capsys):
 
 # the last line of stderr lists which of the audited modules are loaded
 _IMPORT_AUDIT = """
-import json
 import sys
+started = set(sys.modules)  # what the interpreter's start-up loaded
 from torsiondeg import cli
 at_map = []  # the torsiondeg modules held each time _parallel_map is entered
 parallel_map = cli._parallel_map
@@ -593,7 +593,10 @@ def watched(*args):
     return parallel_map(*args)
 cli._parallel_map = watched
 code = cli.main(sys.argv[1:])
-print(json.dumps({"code": code, "modules": sorted(sys.modules),
+modules = sorted(sys.modules)  # before the audit's own json
+import json
+print(json.dumps({"code": code, "modules": modules,
+                  "loaded": sorted(set(modules) - started),
                   "at_map": at_map}), file=sys.stderr)
 """
 
@@ -667,6 +670,11 @@ def test_serial_commands_load_neither_openssl_nor_the_pool(tmp_path):
                  ["genus", "--n-max", "3"]):
         audit = _import_audit(tmp_path, *argv)
         assert "numpy" not in audit["modules"], argv
+    # a bare start loads none of the modules that only a report needs
+    # (a site hook of the interpreter may load some before cli does)
+    version = _import_audit(tmp_path, "--version")
+    assert not {"csv", "dataclasses", "fractions", "json", "pathlib",
+                "typing"} & set(version["loaded"])
     bepsilon = _import_audit(tmp_path, "bepsilon", "--cm-g", "1", "--x",
                              "1000", "--epsilon", "1/2")
     assert not bepsilon["layers"] & {"gl2", "orbits", "_enumeration",

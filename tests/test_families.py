@@ -638,6 +638,14 @@ def test_cutoff_search_memory_per_degree():
     assert (high - low) / 2 ** 21 <= 1.5
 
 
+def test_cutoff_search_memory_per_degree_at_one_progression():
+    # at c = 144 and epsilon = 1/20, k0 = 2: only the shifts c s of
+    # s in (x / 2, x] are marked, x / 16 bytes
+    low, high = (_traced_peak(find_cutoff_C, Fraction(1, 20), 144, x)
+                 for x in (2 ** 21, 2 ** 22))
+    assert (high - low) / 2 ** 21 <= 1.5
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="reads the peak from /proc/self/status")
 def test_density_cli_prime_shift_peak_per_degree(tmp_path):
@@ -777,8 +785,9 @@ def test_blocked_find_cutoff_matches_sorted_order_statistic(tiny_blocks, c,
                                        (64, 144, 2500), (1 << 20, 144, 2500)])
 def test_find_cutoff_in_three_codes_matches_sorted_order_statistic(
         monkeypatch, block, c, x):
-    # two codes per bracket besides 0: each pass only halves it, so the
-    # search refines over about log2(c x) passes
+    # two codes per bracket besides 0: each pass of the code walk only
+    # halves it, so the walk from (0, c x] refines over about log2(c x)
+    # passes
     monkeypatch.setattr(families, "_BLOCK", block)
     monkeypatch.setattr(families, "_CODES", 3)
     passes = []
@@ -787,7 +796,8 @@ def test_find_cutoff_in_three_codes_matches_sorted_order_statistic(
                         lambda *args: passes.append(args) or histogram(*args))
     for eps in epsilons(x)[1:]:
         passes.clear()
-        assert find_cutoff_C(eps, c, x) == sorted_cutoff(eps, c, x), eps
+        assert families._walk_cutoff(c, x, int(eps * x), c * x) == \
+            sorted_cutoff(eps, c, x), eps
         assert len(passes) >= 10, eps
 
 
@@ -796,13 +806,70 @@ def test_find_cutoff_refuses_a_pass_that_does_not_narrow(monkeypatch):
     # pass leaves the bracket (0, c x] as it was: it must raise, not loop
     monkeypatch.setattr(families, "_CODES", 2)
     with pytest.raises(RuntimeError, match="as wide as before"):
-        find_cutoff_C(Fraction(1, 2), 6, 1000)
+        families._walk_cutoff(6, 1000, 500, 6000)
+
+
+@pytest.mark.parametrize("c", [6, 144, 720720])
+def test_cofactor_fact_against_brute_max_shift(c):
+    # a degree whose largest shift M(d) exceeds F = c x // k0 has its
+    # least cofactor k = c d / M(d) below k0, so the top progressions of
+    # cofactor k < k0 count every degree above F at its least k
+    x = 3000
+    shifts = [brute_max_shift(c, d) for d in range(1, x + 1)]
+    for k0 in (2, 3, 5, 9):
+        F, above = families._top_shift_counter(c, x, k0)
+        assert F == c * x // k0
+        for d, M in enumerate(shifts, 1):
+            ks = [k for k in range(1, k0) if c * d % k == 0
+                  and c * d // k > F and arith.is_prime(c * d // k + 1)]
+            assert (M > F) == bool(ks), (k0, d)
+            if ks:
+                assert M == c * d // ks[0] and c * d // M < k0, (k0, d)
+        top = sorted(M for M in shifts if M > F)
+        for T in (F, F + 1, *top[::max(1, len(top) // 7)], c * x - 1,
+                  c * x):
+            assert above(T) == sum(M > T for M in shifts), (k0, T)
+
+
+@pytest.mark.parametrize("c,x", [(6, 3000), (144, 2500)])
+def test_blocked_top_progressions_count_every_shift(tiny_blocks, c, x):
+    shifts = full_sieve_max_shift(c, x)[1:]
+    for k0 in (2, 5, 9):
+        F, above = families._top_shift_counter(c, x, k0)
+        for T in (F, (F + c * x) // 2, c * x):
+            assert above(T) == int(np.count_nonzero(shifts > T)), (k0, T)
+
+
+def test_budget_cutoffs_run_no_code_walk(monkeypatch):
+    # the three budget epsilons at g = 1, x = 10^6 are served by the top
+    # progressions (k0 = 5, 2, 2); an epsilon near 1 walks, from
+    # c x // (_MAX_COFACTOR + 1) down
+    passes = []
+    histogram = families._code_histogram
+    monkeypatch.setattr(families, "_code_histogram",
+                        lambda *args: passes.append(args) or histogram(*args))
+    for half, C in ((Fraction(1, 4), 33366960), (Fraction(1, 20), 99303696),
+                    (Fraction(1, 200), 139459392)):
+        assert find_cutoff_C(half, 144, 10 ** 6) == C
+    assert passes == []
+    walks = []
+    walk = families._walk_cutoff
+    monkeypatch.setattr(families, "_walk_cutoff",
+                        lambda *args: walks.append(args) or walk(*args))
+    x = 2500
+    eps = Fraction(x - 1, x)
+    assert find_cutoff_C(eps, 144, x) == sorted_cutoff(eps, 144, x)
+    assert walks == [(144, x, x - 1,
+                      144 * x // (families._MAX_COFACTOR + 1))]
+    assert passes
 
 
 def test_find_cutoff_at_ten_million():
-    # the budget at g = 1, x = 10^7 and epsilon = 1/2 spends epsilon / 2
-    # on the shift half; c x = 1.44e9 is past 2^31
+    # the budget at g = 1, x = 10^7 spends epsilon / 2 on the shift half,
+    # for epsilon = 1/2, 1/10, 1/100; c x = 1.44e9 is past 2^31
     assert find_cutoff_C(Fraction(1, 4), 144, 10 ** 7) == 302_217_360
+    assert find_cutoff_C(Fraction(1, 20), 144, 10 ** 7) == 938_852_208
+    assert find_cutoff_C(Fraction(1, 200), 144, 10 ** 7) == 1_389_676_176
 
 
 def test_find_cutoff_rejects_bad_epsilon():
@@ -997,6 +1064,18 @@ def test_cm_budget_frozen_at_one_million(eps, expected):
     assert (result.C, result.L, result.N, len(result.n_map)) == expected
     assert result.B_eps is None and "not materialized" in result.B_eps_note
     assert list(islice(result.n_map, 200)) == arith.primes_upto(1223)
+
+
+@pytest.mark.parametrize("eps,expected", [
+    (Fraction(1, 2), (302_217_360, 3, 3_756_205)),
+    (Fraction(1, 10), (938_852_208, 5, 838_253)),
+    (Fraction(1, 100), (1_389_676_176, 8, 90_402)),
+])
+def test_cm_budget_frozen_at_ten_million(eps, expected):
+    # the excluded count is the recount of density_upto, not the search's
+    result = b_epsilon_procedure(cmbounds.cm_profile(1), eps, 10 ** 7)
+    assert (result.C, result.N, result.report.count) == expected
+    assert result.L == result.C + 1 and result.report.cutoff == 10 ** 7
 
 
 def test_tail_within_lazy_primes_match_listed_primes():

@@ -158,7 +158,8 @@ def test_one_closure_of_generators_in_the_package():
 def test_one_progression_sieve_in_the_package():
     # only families._progression_blocks sieves the progressions t s + 1,
     # so only it takes the primes up to a square root; density_upto and
-    # the cutoff search's _code_histogram both read its blocks
+    # the cutoff search's _top_shift_counter and _code_histogram all read
+    # its blocks
     assert not any("_prime_shifts" in path.read_text(encoding="utf-8")
                    for path in SOURCES)
     sievers = [f"{path.name} {func.name}"
