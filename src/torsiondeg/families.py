@@ -67,9 +67,9 @@ _CODES = 256
 _CHUNK = 1 << 15
 
 # The cutoff search reads the top progressions, with cofactors k < k0 for
-# k0 = 2, 3, ... up to this bound plus one; a cutoff below
+# k0 = 2 and then k0 = this bound plus one; a cutoff below
 # c x / (bound + 1) is found by the code walk.
-_MAX_COFACTOR = 8
+_MAX_COFACTOR = 7
 
 # Budget products over every prime up to L get genuinely astronomical (L
 # can reach 10^8 for tight epsilon), so materialization is capped and the
@@ -684,16 +684,18 @@ def find_cutoff_C(epsilon, c: int, x: int) -> int:
     So for F = c x // k0 the degrees with M(d) > F come from the few top
     progressions of cofactor k < k0 (_top_shift_counter), and once more
     than K of them exceed F, C is the least T >= F with at most K degrees
-    of M(d) > T, found by bisection on T.  k0 runs 2, 3, ... up to
-    _MAX_COFACTOR + 1, each try a fresh sieve: a larger k0 would do as
-    well, but its marks take more memory.  At k0 = 2 only t = c is
-    sieved, on s in (x / 2, x].  A cutoff below c x / (_MAX_COFACTOR + 1)
-    is left to the code walk (_walk_cutoff) from that ceiling: at
-    x = 10^6 these are the epsilon of 1/2 or more at c = 6 and c = 144,
-    and those of 1/4 or more at c = 1 and c = 2; epsilon near 1 always
-    walks.  The three budget epsilons at
-    c = 144 (1/4, 1/20, 1/200 of the shift half) take k0 = 5, 2 and 2
-    at x = 10^6 and k0 = 6, 2 and 2 at x = 10^8.
+    of M(d) > T, found by bisection on T.  k0 is 2, where only t = c is
+    sieved, on s in (x / 2, x], and then _MAX_COFACTOR + 1, whose marks
+    take _MAX_COFACTOR x / 16 bytes, less than the walk's x / 2.  A try
+    is skipped when at most K degrees d <= x exceed F / c, since
+    M(d) <= c d.  A cutoff below c x / (_MAX_COFACTOR + 1) is left to
+    the code walk (_walk_cutoff) from that ceiling, after at most two
+    tries: at x = 10^6 these are the epsilon from 0.4144 at c = 144,
+    0.3424 at c = 6, 0.2277 at c = 2 and 0.1194 at c = 1, so an epsilon
+    near 1 always walks, and epsilon = 1/2 at c = 144 pays one try
+    (k0 = 8) before its walk.  The three budget
+    epsilons at c = 144 (1/4, 1/20, 1/200 of the shift half) take
+    k0 = 8, 2 and 2 at x = 10^6 and at x = 10^8.
 
     A budget built on C is exact on [1, x]: this, its shift half, holds
     only there, since C grows with x and the same clause is denser past
@@ -707,7 +709,10 @@ def find_cutoff_C(epsilon, c: int, x: int) -> int:
     allowed = int(eps * x)  # floor; count <= allowed <=> density <= eps
     if allowed >= x:
         return 0
-    for k0 in range(2, _MAX_COFACTOR + 2):
+    for k0 in (2, _MAX_COFACTOR + 1):
+        F = c * x // k0
+        if x - F // c <= allowed:
+            continue  # M(d) <= c d, so only the d > F / c can pass F
         F, above = _top_shift_counter(c, x, k0)
         if above(F) > allowed:
             low, high = F, c * x  # above(low) > allowed >= above(high)
@@ -718,7 +723,7 @@ def find_cutoff_C(epsilon, c: int, x: int) -> int:
                 else:
                     high = mid
             return high
-        del above  # its marks go before the next, larger ones are made
+        del above  # its marks go before the larger ones are made
     return _walk_cutoff(c, x, allowed, F)
 
 

@@ -842,25 +842,41 @@ def test_blocked_top_progressions_count_every_shift(tiny_blocks, c, x):
 
 def test_budget_cutoffs_run_no_code_walk(monkeypatch):
     # the three budget epsilons at g = 1, x = 10^6 are served by the top
-    # progressions (k0 = 5, 2, 2); an epsilon near 1 walks, from
-    # c x // (_MAX_COFACTOR + 1) down
-    passes = []
+    # progressions (k0 = 8, 2, 2); a cutoff below c x // (_MAX_COFACTOR
+    # + 1) walks from there after at most two tries, and a try is skipped
+    # when too few degrees d exceed F / c to pass F
+    passes, tries, walks = [], [], []
     histogram = families._code_histogram
     monkeypatch.setattr(families, "_code_histogram",
                         lambda *args: passes.append(args) or histogram(*args))
-    for half, C in ((Fraction(1, 4), 33366960), (Fraction(1, 20), 99303696),
-                    (Fraction(1, 200), 139459392)):
-        assert find_cutoff_C(half, 144, 10 ** 6) == C
-    assert passes == []
-    walks = []
+    counter = families._top_shift_counter
+    monkeypatch.setattr(families, "_top_shift_counter",
+                        lambda *args: tries.append(args[2]) or counter(*args))
     walk = families._walk_cutoff
     monkeypatch.setattr(families, "_walk_cutoff",
                         lambda *args: walks.append(args) or walk(*args))
+    x = 10 ** 6
+    top = families._MAX_COFACTOR + 1
+    for half, C, k0s in ((Fraction(1, 4), 33366960, [2, top]),
+                         (Fraction(1, 20), 99303696, [2]),
+                         (Fraction(1, 200), 139459392, [2])):
+        tries.clear()
+        assert find_cutoff_C(half, 144, x) == C
+        assert tries == k0s
+    assert passes == [] and walks == []
+    # epsilon = 1/2 allows x / 2 degrees, all that exceed x / 2: k0 = 2
+    # cannot serve, and the one try k0 = 8 falls short
+    tries.clear()
+    assert find_cutoff_C(Fraction(1, 2), 144, x) == 13401936
+    assert tries == [top]
+    assert walks == [(144, x, x // 2, 144 * x // top)]
+    tries.clear()
+    walks.clear()
     x = 2500
     eps = Fraction(x - 1, x)
     assert find_cutoff_C(eps, 144, x) == sorted_cutoff(eps, 144, x)
-    assert walks == [(144, x, x - 1,
-                      144 * x // (families._MAX_COFACTOR + 1))]
+    assert tries == []
+    assert walks == [(144, x, x - 1, 144 * x // top)]
     assert passes
 
 
