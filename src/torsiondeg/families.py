@@ -635,7 +635,7 @@ def _top_shift_counter(c: int, x: int, k0: int):
         for j in range(1, (k0 - 1) // q + 1):
             hi = min(lo + len(alive), x // j + 1)  # j s <= x
             _, start, bits = marks[q * j - 1]
-            span = len(alive) // j + 1  # s per piece of at most a block
+            span = 8 * _CHUNK // j  # s per piece: a spread of one chunk
             for s in range(first, hi, span):
                 piece = alive[s - lo:min(s + span, hi) - lo]
                 spread = np.zeros(j * (len(piece) - 1) + 1, dtype=bool)
