@@ -693,9 +693,9 @@ def find_cutoff_C(epsilon, c: int, x: int) -> int:
     tries: at x = 10^6 these are the epsilon from 0.4144 at c = 144,
     0.3424 at c = 6, 0.2277 at c = 2 and 0.1194 at c = 1, so an epsilon
     near 1 always walks, and epsilon = 1/2 at c = 144 pays one try
-    (k0 = 8) before its walk.  The three budget
-    epsilons at c = 144 (1/4, 1/20, 1/200 of the shift half) take
-    k0 = 8, 2 and 2 at x = 10^6 and at x = 10^8.
+    (k0 = 8) before its walk.  The three budget epsilons at c = 144
+    (1/4, 1/20, 1/200 of the shift half) take k0 = 8, 2 and 2 at
+    x = 10^6 and at x = 10^8.
 
     A budget built on C is exact on [1, x]: this, its shift half, holds
     only there, since C grows with x and the same clause is denser past
